@@ -25,12 +25,13 @@ from typing import Callable, Iterable, Mapping, Optional
 
 from .core import KEY_LEN, NamespaceKey, check_label, verify_signature
 from .credential import Credential, collect, export_json, import_json, verify_credential
-from .discovery import DelegationChain, Limits, discover
+from .discovery import DelegationChain, discover
 from .errors import (
     AbdError,
     BackendError,
     CollectionIncomplete,
     JsonError,
+    LimitExceeded,
     UnknownResource,
 )
 from .netsim import NameSystemBackend
@@ -38,6 +39,7 @@ from .netsim import NameSystemBackend
 AUTHZ_CONTEXT = b"ABD-AUTHZ-V1"
 NONCE_LEN = 16
 NONCE_LIFETIME_US = 120_000_000  # two minutes
+MAX_BODY_BYTES = 1 << 20  # an /authorize body for a few attributes is a few KB
 
 GRANT, DENY, ERROR = "grant", "deny", "error"
 
@@ -208,7 +210,6 @@ def authorize(
     backend: NameSystemBackend,
     clock: int,
     nonce_table: Optional[NonceTable] = None,
-    limits: Limits = Limits(),
 ) -> AuthzDecision:
     """Decide a signed response against a policy.
 
@@ -258,7 +259,6 @@ def authorize(
                 subject_creds=supplied,
                 backend=backend,
                 clock=clock,
-                limits=limits,
             )
             if chain is None:
                 reasons.append(f"no delegation chain proves {attribute!r}")
@@ -269,6 +269,8 @@ def authorize(
             decision=ERROR,
             reasons=(f"name system unavailable: {exc}",),
         )
+    except LimitExceeded as exc:
+        return AuthzDecision(decision=ERROR, reasons=(f"discovery budget exhausted: {exc}",))
 
     if reasons:
         return AuthzDecision(decision=DENY, reasons=tuple(reasons))
@@ -288,7 +290,6 @@ class VerifierService:
     policies: PolicyStore
     backend: NameSystemBackend
     clock_fn: Callable[[], int] = lambda: time.time_ns() // 1_000
-    limits: Limits = field(default_factory=Limits)
     nonces: NonceTable = field(default_factory=NonceTable)
 
     def policy_payload(self, resource_id: str) -> dict:
@@ -340,7 +341,6 @@ class VerifierService:
             backend=self.backend,
             clock=self.clock_fn(),
             nonce_table=self.nonces,
-            limits=self.limits,
         )
         status = 200 if decision.decision != ERROR else 503
         return status, {
@@ -352,6 +352,9 @@ class VerifierService:
 
 class _Handler(BaseHTTPRequestHandler):
     service: VerifierService  # set on the subclass by make_server
+
+    def _send_error(self, status: int, reason: str) -> None:
+        self._send(status, {"decision": ERROR, "reasons": [reason], "chain_summaries": []})
 
     def _send(self, status: int, payload: dict) -> None:
         body = json.dumps(payload).encode("utf-8")
@@ -375,14 +378,20 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path != "/authorize":
             self._send(404, {"error": "not found"})
             return
-        length = int(self.headers.get("Content-Length", "0"))
+        try:
+            length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:  # also a digit string too long to convert
+            length = -1
+        if length < 0:
+            self._send_error(400, "Content-Length must be a non-negative integer")
+            return
+        if length > MAX_BODY_BYTES:
+            self._send_error(413, f"request body over {MAX_BODY_BYTES} bytes")
+            return
         try:
             body = json.loads(self.rfile.read(length))
-        except json.JSONDecodeError as exc:
-            self._send(
-                400,
-                {"decision": ERROR, "reasons": [f"bad JSON: {exc}"], "chain_summaries": []},
-            )
+        except ValueError as exc:
+            self._send_error(400, f"bad JSON: {exc}")
             return
         status, payload = self.service.authorize_payload(body)
         self._send(status, payload)
@@ -430,7 +439,6 @@ def request_access(
     backend: NameSystemBackend,
     clock: int,
     timeout: float = 10.0,
-    limits: Limits = Limits(),
 ) -> AccessOutcome:
     """Full subject-side round trip against a verifier endpoint.
 
@@ -464,9 +472,8 @@ def request_access(
             policy_attrs=attributes,
             backend=backend,
             clock=clock,
-            limits=limits,
         )
-    except CollectionIncomplete as exc:
+    except (CollectionIncomplete, LimitExceeded) as exc:
         return AccessOutcome(decision=ERROR, reasons=(str(exc),))
 
     credential_sets = {

@@ -13,7 +13,7 @@ import re
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -24,7 +24,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 from .errors import (
     DecodeError,
     InvalidLabel,
-    MalformedRecordSet,
     MissingPrivateKey,
 )
 
@@ -247,47 +246,6 @@ def sign_record_set(
         records=ordered,
         signature=signature,
     )
-
-
-# Payload codecs are registered by the modules that own each record type,
-# keeping this module free of upward dependencies.
-_PAYLOAD_DECODERS: dict[int, Callable[[bytes], object]] = {}
-
-
-def register_payload_codec(record_type: int, decoder: Callable[[bytes], object]) -> None:
-    _PAYLOAD_DECODERS[record_type] = decoder
-
-
-def decode_payload(record: ResourceRecord) -> object:
-    decoder = _PAYLOAD_DECODERS.get(record.record_type)
-    if decoder is None:
-        raise MalformedRecordSet(f"no codec for record type {record.record_type}")
-    return decoder(record.payload)
-
-
-def verify_record_set(public_key: bytes, record_set: RecordSet, clock: int) -> bool:
-    """Full integrity check: signature, freshness, and payload shape.
-
-    Returns False when the signature does not verify or any absolute record
-    has already expired at ``clock``. Raises MalformedRecordSet when a
-    payload does not decode under its record type's codec.
-    """
-    if record_set.public_key != public_key:
-        return False
-    for record in record_set.records:
-        decoder = _PAYLOAD_DECODERS.get(record.record_type)
-        if decoder is not None:
-            try:
-                decoder(record.payload)
-            except DecodeError as exc:
-                raise MalformedRecordSet(
-                    f"record type {record.record_type} payload: {exc}"
-                ) from exc
-    if not verify_signature(
-        public_key, record_set.signature, record_set.signing_bytes()
-    ):
-        return False
-    return not any(r.is_expired(clock) for r in record_set.records)
 
 
 def verify_record_set_signature(record_set: RecordSet) -> bool:

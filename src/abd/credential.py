@@ -19,10 +19,9 @@ from .core import (
     RecordType,
     ResourceRecord,
     check_label,
-    register_payload_codec,
     verify_signature,
 )
-from .errors import BadSignature, CollectionIncomplete, DecodeError, JsonError
+from .errors import BackendError, BadSignature, CollectionIncomplete, DecodeError, JsonError
 from .namestore import NamespaceStore
 from .netsim import NameSystemBackend
 
@@ -147,9 +146,6 @@ def decode_cred_payload(data: bytes) -> Credential:
         raise DecodeError(f"invalid credential fields: {exc}", 0)
 
 
-register_payload_codec(RecordType.CRED, decode_cred_payload)
-
-
 def credential_record(credential: Credential) -> ResourceRecord:
     return ResourceRecord(
         record_type=RecordType.CRED,
@@ -257,18 +253,13 @@ def list_credentials(store: NamespaceStore, holder_pub: bytes) -> list[Credentia
 class CollectResult:
     """Outcome of gathering proof material for a policy.
 
-    ``credentials`` is the union of credentials backing some chain (the set
-    handed to the verifier); ``unsatisfied`` lists policy attributes with no
-    chain; ``chains`` keeps the discovered chain per satisfied attribute.
+    ``unsatisfied`` lists policy attributes with no chain; ``chains`` keeps
+    the discovered chain per satisfied attribute, whose ``credentials()``
+    are the set handed to the verifier.
     """
 
-    credentials: tuple[Credential, ...]
     unsatisfied: tuple[str, ...]
     chains: dict
-
-    @property
-    def complete(self) -> bool:
-        return not self.unsatisfied
 
 
 def collect(
@@ -278,7 +269,6 @@ def collect(
     policy_attrs: Iterable[str],
     backend: NameSystemBackend,
     clock: int,
-    limits=None,
 ) -> CollectResult:
     """Find, per policy attribute, a credential subset proving membership.
 
@@ -286,14 +276,11 @@ def collect(
     credentials. Backend failures abort with CollectionIncomplete: "could
     not find out" is not the same answer as "no chain exists".
     """
-    from .discovery import Limits, discover
-    from .errors import BackendError
+    from .discovery import discover
 
     creds = list(subject_creds)
     satisfied: dict = {}
     unsatisfied: list[str] = []
-    chosen: list[Credential] = []
-    seen: set[bytes] = set()
     for attribute in policy_attrs:
         check_label(attribute)
         try:
@@ -304,20 +291,14 @@ def collect(
                 subject_creds=creds,
                 backend=backend,
                 clock=clock,
-                limits=limits or Limits(),
             )
         except BackendError as exc:
             raise CollectionIncomplete(attribute, exc)
         if chain is None:
             unsatisfied.append(attribute)
-            continue
-        satisfied[attribute] = chain
-        for leaf_cred in chain.credentials():
-            if leaf_cred.signature not in seen:
-                seen.add(leaf_cred.signature)
-                chosen.append(leaf_cred)
+        else:
+            satisfied[attribute] = chain
     return CollectResult(
-        credentials=tuple(chosen),
         unsatisfied=tuple(unsatisfied),
         chains=satisfied,
     )

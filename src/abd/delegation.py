@@ -28,7 +28,6 @@ from .core import (
     RecordType,
     ResourceRecord,
     check_label,
-    register_payload_codec,
     valid_label,
 )
 from .errors import DecodeError, DuplicateDelegation, ParseError, UnknownPetname
@@ -126,9 +125,6 @@ def decode_attr_payload(data: bytes) -> DelegationExpression:
     if pos != len(view):
         raise DecodeError("trailing bytes after last entry", pos)
     return DelegationExpression(entries=tuple(entries))
-
-
-register_payload_codec(RecordType.ATTR, decode_attr_payload)
 
 
 # --- text form ---------------------------------------------------------------

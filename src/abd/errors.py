@@ -26,10 +26,6 @@ class DecodeError(AbdError):
         self.offset = offset
 
 
-class MalformedRecordSet(AbdError):
-    """A record set carries a payload its record type cannot decode."""
-
-
 class BadSignature(AbdError):
     """Signature verification failed where a valid signature is mandatory."""
 

@@ -1,12 +1,13 @@
-"""Name system backends: an in-memory map and a simulated DHT.
+"""Name system backends: an in-memory map, a directory and a simulated DHT.
 
-Both backends speak the same protocol: signed record sets are stored under a
-256-bit query key derived from (namespace public key, label). Writes are
-accepted only when the set's signature verifies against the embedded public
-key and the query key matches, so only the namespace owner can update an
-entry. Storing a signature-valid EMPTY set deletes the entry: deletion is
+All three backends speak the same protocol: signed record sets are stored
+under a 256-bit query key derived from (namespace public key, label). Writes
+are accepted only when the set's signature verifies against the embedded
+public key and the query key matches, so only the namespace owner can update
+an entry. Storing a signature-valid EMPTY set deletes the entry: deletion is
 modeled as absence, and stale copies linger only in response caches until
-their TTL runs out.
+their TTL runs out. The file backend reads its directory on every lookup, so
+a verifier built on it sees another process's publish at its next request.
 
 The DHT simulator is single-threaded and fully deterministic for a given
 rng_seed and operation sequence. Hop counts are modeled as ceil(log2(N)).
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import random
 import threading
 from abc import ABC, abstractmethod
@@ -22,11 +24,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .core import RecordSet, ResourceRecord, check_label, verify_record_set_signature
+from .core import (
+    RecordSet,
+    ResourceRecord,
+    canonical_deserialize,
+    canonical_serialize,
+    check_label,
+    verify_record_set_signature,
+)
 from .errors import (
     AllReplicasDown,
     BackendUnavailable,
     BadSignature,
+    DecodeError,
     NotFound,
     UnknownNode,
 )
@@ -72,7 +82,7 @@ class NameSystemBackend(ABC):
         ...
 
 
-def _check_put(query_key: bytes, record_set: RecordSet) -> None:
+def _check_signed(query_key: bytes, record_set: RecordSet) -> None:
     if not verify_record_set_signature(record_set):
         raise BadSignature("record set signature does not verify")
     if derive_query_key(record_set.public_key, record_set.label) != query_key:
@@ -96,7 +106,7 @@ class InMemoryBackend(NameSystemBackend):
         with self._lock:
             if not self._available:
                 raise BackendUnavailable("in-memory backend marked unavailable")
-            _check_put(query_key, record_set)
+            _check_signed(query_key, record_set)
             if record_set.records:
                 self._data[query_key] = record_set
             else:
@@ -121,36 +131,78 @@ class InMemoryBackend(NameSystemBackend):
         return self._stats
 
 
-class FileBackend(InMemoryBackend):
-    """In-memory map persisted to a directory, one file per query key.
+class FileBackend(NameSystemBackend):
+    """A directory holding one ``<query-key>.rrset`` file per record set.
 
     Gives separate CLI invocations a shared name system without running a
-    network. Same semantics as InMemoryBackend.
+    network. Every get reads the file, so a publish from another process is
+    seen at the next lookup; the set is decoded and its key and signature
+    checked again only when the bytes differ from those last accepted for
+    that query key.
     """
 
     def __init__(self, root: Path) -> None:
-        super().__init__()
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        from .core import canonical_deserialize
+        # query key -> (file bytes, the set they decoded to), both checked
+        self._accepted: dict[bytes, tuple[bytes, RecordSet]] = {}
+        self._stats = LookupStats()
+        self._lock = threading.Lock()
 
-        for path in sorted(self.root.glob("*.rrset")):
-            try:
-                record_set = canonical_deserialize(path.read_bytes())
-            except Exception:
-                continue  # unreadable entries are treated as absent
-            if verify_record_set_signature(record_set):
-                self._data[bytes.fromhex(path.stem)] = record_set
+    def _path(self, query_key: bytes) -> str:
+        # A str, not a Path: pathlib (to 3.11) interns every name it parses,
+        # and a fresh name per lookup keeps reallocating the intern table.
+        return os.path.join(self.root, f"{query_key.hex()}.rrset")
 
     def put(self, query_key: bytes, record_set: RecordSet, clock: int) -> None:
-        from .core import canonical_serialize
+        _check_signed(query_key, record_set)
+        path = self._path(query_key)
+        try:
+            if not record_set.records:
+                Path(path).unlink(missing_ok=True)
+                return
+            # Readers see the old file or the new one, never part of a write;
+            # the temp name is unique to this process and thread.
+            temp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+            try:
+                with open(temp, "wb") as out:
+                    out.write(canonical_serialize(record_set))
+                os.replace(temp, path)
+            except OSError:
+                Path(temp).unlink(missing_ok=True)
+                raise
+        except OSError as exc:
+            raise BackendUnavailable(f"file backend cannot write: {exc}") from exc
 
-        super().put(query_key, record_set, clock)
-        path = self.root / f"{query_key.hex()}.rrset"
-        if record_set.records:
-            path.write_bytes(canonical_serialize(record_set))
-        elif path.exists():
-            path.unlink()
+    def get(self, query_key: bytes, clock: int) -> Optional[RecordSet]:
+        path = self._path(query_key)
+        with self._lock:
+            self._stats.lookups += 1
+            accepted = self._accepted.get(query_key)
+        try:
+            with open(path, "rb") as file:
+                data = file.read()
+        except FileNotFoundError:
+            return None
+        except OSError as exc:
+            raise BackendUnavailable(f"file backend cannot read: {exc}") from exc
+        if accepted is None or accepted[0] != data:
+            try:
+                accepted = (data, canonical_deserialize(data))
+                _check_signed(query_key, accepted[1])
+            except DecodeError:
+                return None  # unreadable entries are treated as absent
+            except BadSignature:
+                with self._lock:
+                    self._stats.bad_signatures += 1
+                return None
+            with self._lock:
+                self._accepted[query_key] = accepted
+        record_set = accepted[1]
+        return record_set if record_set.has_live_record(clock) else None
+
+    def stats(self) -> LookupStats:
+        return self._stats
 
 
 @dataclass
@@ -283,7 +335,7 @@ class SimulatedDht(NameSystemBackend):
     # --- backend protocol ---------------------------------------------------
 
     def put(self, query_key: bytes, record_set: RecordSet, clock: int) -> None:
-        _check_put(query_key, record_set)
+        _check_signed(query_key, record_set)
         assigned = self._check_node_ids(self.replica_nodes(query_key))
         live = [n for n in assigned if not n.failed]
         if not live:

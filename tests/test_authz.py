@@ -1,6 +1,7 @@
 """Policy handshake, signed responses, and the verifier service."""
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 import threading
@@ -13,6 +14,8 @@ from abd import scenario
 from abd.authz import (
     DENY,
     ERROR,
+    GRANT,
+    MAX_BODY_BYTES,
     AuthorizationResponse,
     NonceTable,
     Policy,
@@ -26,7 +29,10 @@ from abd.authz import (
 )
 from abd.core import NamespaceKey, verify_signature
 from abd.credential import export_json, issue_credential
-from abd.errors import InvalidLabel, UnknownResource
+from abd.delegation import add_delegation, parse_expression, remove_delegation
+from abd.errors import BackendUnavailable, InvalidLabel, UnknownResource
+from abd.namestore import NamespaceStore
+from abd.netsim import FileBackend, InMemoryBackend, derive_query_key
 
 HOUR = 3_600_000_000
 
@@ -280,6 +286,121 @@ def test_authorize_reports_error_when_name_system_is_down(fixture, backend, cloc
     assert "unavailable" in decision.reasons[0]
 
 
+# --- a file-backed verifier reads current state ------------------------------------------
+
+
+def decide_directly(fixture, backend, clock, who: str, creds) -> str:
+    response = build_response(fixture.key(who), b"\x0b" * 16, {"user": creds})
+    return authorize(
+        verifier_pub=fixture.key("portal").public_key,
+        response=response,
+        policy=portal_policy(),
+        backend=backend,
+        clock=clock,
+    ).decision
+
+
+def test_file_backed_verifier_sees_a_revocation_published_while_it_runs(tmp_path, clock):
+    root = tmp_path / "backend"
+    store = NamespaceStore(tmp_path / "home")
+    fixture = scenario.build_fixture(store, FileBackend(root), clock=clock)
+    served = FileBackend(root)  # the verifier's backend, as `abd serve` builds it
+    assert decide_directly(fixture, served, clock, "bob", fixture.bob_creds) == GRANT
+
+    world = fixture.key("world-agency")
+    us_branch = parse_expression("us-agency", store.petname_table())
+    assert remove_delegation(store, world, "nado", us_branch)
+    assert store.publish(world, FileBackend(root), clock).ok
+
+    assert decide_directly(fixture, served, clock, "bob", fixture.bob_creds) == DENY
+    assert decide_directly(fixture, served, clock, "alice", fixture.alice_creds) == GRANT
+
+
+def test_unreadable_backend_entry_is_an_error_not_a_deny(tmp_path, clock):
+    root = tmp_path / "backend"
+    store = NamespaceStore(tmp_path / "home")
+    fixture = scenario.build_fixture(store, FileBackend(root), clock=clock)
+    query_key = derive_query_key(fixture.key("portal").public_key, "user")
+    path = root / f"{query_key.hex()}.rrset"
+    path.unlink()
+    path.mkdir()
+    backend = FileBackend(root)
+    with pytest.raises(BackendUnavailable):
+        backend.get(query_key, clock)
+    assert decide_directly(fixture, backend, clock, "bob", fixture.bob_creds) == ERROR
+
+
+# --- an exhausted discovery budget is an error ------------------------------------------
+
+
+@pytest.fixture
+def endless(tmp_path, clock):
+    """``portal.user <- portal.user.a`` and ``portal.user <- portal.user.b``.
+
+    Each alternative rewrites the trail longer, so the search runs into the
+    default node budget before it can decide.
+    """
+    store = NamespaceStore(tmp_path / "endless")
+    portal = store.create_identity(petname="portal", seed=b"\x07" * 32)
+    for suffix in ("a", "b"):
+        expr = parse_expression(f"portal.user.{suffix}", store.petname_table())
+        add_delegation(store, portal, "user", expr, clock=clock)
+    backend = InMemoryBackend()
+    assert store.publish(portal, backend, clock).ok
+    return VerifierService(
+        verifier_pub=portal.public_key,
+        policies=PolicyStore({scenario.RESOURCE_ID: portal_policy()}),
+        backend=backend,
+        clock_fn=lambda: clock,
+    )
+
+
+def test_authorize_reports_an_exhausted_budget_as_error(endless, clock):
+    response = build_response(fresh_key(b"walker"), b"\x0c" * 16, {"user": ()})
+    decision = authorize(
+        verifier_pub=endless.verifier_pub,
+        response=response,
+        policy=portal_policy(),
+        backend=endless.backend,
+        clock=clock,
+    )
+    assert decision.decision == ERROR
+    assert "max_nodes" in decision.reasons[0]
+
+
+def test_exhausted_budget_is_503_over_http_and_an_error_for_the_client(endless, clock):
+    httpd = make_server(endless, "127.0.0.1", 0)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    endpoint = f"http://127.0.0.1:{httpd.server_address[1]}"
+    try:
+        walker = fresh_key(b"walker")
+        policy = endless.policy_payload(scenario.RESOURCE_ID)
+        response = build_response(walker, bytes.fromhex(policy["nonce"]), {"user": ()})
+        status, payload = post_json(
+            f"{endpoint}/authorize",
+            {
+                "resource_id": scenario.RESOURCE_ID,
+                "nonce": response.nonce.hex(),
+                "subject": response.subject.hex(),
+                "signature": response.signature.hex(),
+                "credential_sets": {"user": []},
+            },
+        )
+        assert status == 503
+        assert payload["decision"] == ERROR
+        assert "max_nodes" in payload["reasons"][0]
+
+        outcome = request_access(
+            endpoint, scenario.RESOURCE_ID, walker, [], endless.backend, clock
+        )
+        assert outcome.decision == ERROR
+        assert "max_nodes" in outcome.reasons[0]
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+
+
 # --- verifier service over HTTP --------------------------------------------------------
 
 
@@ -393,9 +514,35 @@ def test_http_unknown_paths_are_404(endpoint):
 
 
 def test_http_rejects_unparseable_body(endpoint):
-    status, payload = post_json(f"{endpoint}/authorize", b"{nope")
-    assert status == 400
+    for body in (b"{nope", b"\x80 not utf-8"):
+        status, payload = post_json(f"{endpoint}/authorize", body)
+        assert status == 400
+        assert payload["decision"] == ERROR
+
+
+def raw_post(endpoint: str, content_length: str) -> tuple[int, dict]:
+    """POST /authorize with a hand-written Content-Length and no body."""
+    connection = http.client.HTTPConnection(endpoint.removeprefix("http://"), timeout=5)
+    try:
+        connection.putrequest("POST", "/authorize")
+        connection.putheader("Content-Length", content_length)
+        connection.endheaders()
+        reply = connection.getresponse()
+        return reply.status, json.loads(reply.read())
+    finally:
+        connection.close()
+
+
+@pytest.mark.parametrize(
+    "content_length, status",
+    [("ten", 400), ("-1", 400), ("9" * 5000, 400), (str(MAX_BODY_BYTES + 1), 413)],
+    ids=["word", "negative", "too-many-digits", "over-cap"],
+)
+def test_http_checks_content_length_before_reading(endpoint, content_length, status):
+    got, payload = raw_post(endpoint, content_length)
+    assert got == status
     assert payload["decision"] == ERROR
+    assert payload["reasons"] and payload["chain_summaries"] == []
 
 
 def test_http_outage_is_503_not_deny(endpoint, service, fixture, backend, clock):

@@ -1,6 +1,7 @@
 """Keys, records, and the canonical wire format."""
 from __future__ import annotations
 
+import dataclasses
 import struct
 
 import pytest
@@ -15,7 +16,7 @@ from abd.core import (
     canonical_deserialize,
     canonical_serialize,
     sign_record_set,
-    verify_record_set,
+    verify_record_set_signature,
 )
 from abd.errors import DecodeError, InvalidLabel, MissingPrivateKey
 
@@ -99,7 +100,7 @@ def test_relative_records_never_count_as_expired():
 def test_sign_and_verify_round_trip():
     key = make_key()
     rset = sign_record_set(key, "user", [attr_record(entity_payload(b"\x01\x02"))])
-    assert verify_record_set(key.public_key, rset, CLOCK)
+    assert verify_record_set_signature(rset)
 
 
 def test_signing_bytes_layout_matches_hand_packed():
@@ -127,31 +128,33 @@ def test_verify_rejects_flipped_payload_bit():
         records=(attr_record(entity_payload(b"\x01\x03")),),
         signature=rset.signature,
     )
-    assert not verify_record_set(key.public_key, tampered, CLOCK)
+    assert not verify_record_set_signature(tampered)
 
 
 def test_verify_rejects_wrong_key():
     key = make_key(b"a")
     other = make_key(b"b")
     rset = sign_record_set(key, "user", [attr_record(entity_payload(b"\x01"))])
-    assert not verify_record_set(other.public_key, rset, CLOCK)
+    moved = dataclasses.replace(rset, public_key=other.public_key)
+    assert not verify_record_set_signature(moved)
 
 
 def test_verify_rejects_expired_record():
     key = make_key()
     payload = entity_payload(b"\x01")
     rset = sign_record_set(key, "user", [attr_record(payload, expiration=CLOCK - 1)])
-    assert not verify_record_set(key.public_key, rset, CLOCK)
+    assert verify_record_set_signature(rset)  # expiry is not the signature's concern
+    assert not rset.has_live_record(CLOCK)
     # One microsecond before expiration the set is still good.
     rset2 = sign_record_set(key, "user", [attr_record(payload, expiration=CLOCK + 1)])
-    assert verify_record_set(key.public_key, rset2, CLOCK)
+    assert rset2.has_live_record(CLOCK)
 
 
 def test_empty_record_set_is_legal_and_verifies():
     key = make_key()
     rset = sign_record_set(key, "user", [])
     assert rset.records == ()
-    assert verify_record_set(key.public_key, rset, CLOCK)
+    assert verify_record_set_signature(rset)
 
 
 def test_signature_independent_of_insertion_order():
@@ -230,7 +233,7 @@ def test_round_trip_property(subjects, label):
     rset = sign_record_set(key, label, records)
     again = canonical_deserialize(canonical_serialize(rset))
     assert again == rset
-    assert verify_record_set(key.public_key, again, CLOCK)
+    assert verify_record_set_signature(again)
 
 
 @given(st.data())

@@ -192,9 +192,8 @@ def test_collect_finds_satisfying_subsets(fixture, backend, clock):
         backend=backend,
         clock=clock,
     )
-    assert result.complete
     assert not result.unsatisfied
-    chosen = {(c.issuer, c.attribute) for c in result.credentials}
+    chosen = {(c.issuer, c.attribute) for c in result.chains["user"].credentials()}
     lab_two = fixture.key("lab-two").public_key
     assert chosen == {(lab_two, "employee"), (lab_two, "controller")}
 
@@ -208,7 +207,6 @@ def test_collect_reports_unsatisfied(fixture, backend, clock):
         backend=backend,
         clock=clock,
     )
-    assert not result.complete
     assert result.unsatisfied == ("user",)
 
 

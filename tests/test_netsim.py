@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import shutil
+import sys
+import threading
 
 import pytest
 
@@ -149,6 +152,66 @@ def test_file_backend_skips_unreadable_files(tmp_path):
     (root / f"{'0' * 64}.rrset").write_bytes(b"garbage")
     backend = FileBackend(root)
     assert backend.get(bytes(32), CLOCK) is None
+
+
+def test_file_backend_checks_liveness_at_each_call(tmp_path):
+    backend = FileBackend(tmp_path / "net")
+    rset = make_set(expiration=CLOCK + HOUR)
+    query_key = put_set(backend, rset)
+    assert backend.get(query_key, CLOCK) == rset
+    assert backend.get(query_key, CLOCK + HOUR) is None
+    assert backend.get(query_key, CLOCK) == rset
+
+
+def test_file_backend_rejects_a_set_filed_under_another_key(tmp_path):
+    root = tmp_path / "net"
+    backend = FileBackend(root)
+    source = put_set(backend, make_set(label="contractor"))
+    target = derive_query_key(OWNER.public_key, "auditor")
+    shutil.copy(root / f"{source.hex()}.rrset", root / f"{target.hex()}.rrset")
+    assert backend.get(target, CLOCK) is None
+    assert backend.stats().bad_signatures == 1
+
+
+def test_file_backend_readers_see_whole_versions_while_a_writer_publishes(tmp_path):
+    backend = FileBackend(tmp_path / "net")
+    versions = [make_set(expiration=CLOCK + HOUR), make_set(expiration=CLOCK + 2 * HOUR)]
+    query_key = put_set(backend, versions[0])
+    done = threading.Event()
+    gets = [0] * 8
+    wrong = []
+
+    def read(index: int) -> None:
+        while not done.is_set():
+            result = backend.get(query_key, CLOCK)
+            gets[index] += 1
+            if result not in versions:
+                wrong.append(result)
+
+    def publish() -> None:
+        try:
+            for round_ in range(200):
+                put_set(backend, versions[round_ % 2])
+        finally:
+            done.set()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=read, args=(i,), daemon=True) for i in range(len(gets))
+        ]
+        threads.append(threading.Thread(target=publish))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert all(gets)
+    assert backend.stats().lookups == sum(gets)
 
 
 # --- DHT config -------------------------------------------------------------------------
