@@ -2,9 +2,9 @@
 
 Flow: the subject fetches the policy for a resource and receives a single-use
 nonce; collects credentials proving each required attribute; sends a signed
-response; the verifier independently re-runs chain discovery for every
-required attribute against the supplied credentials and grants only if all
-of them check out.
+response; the verifier independently runs the same collection from its own
+namespace against the supplied credentials and grants only if every
+required attribute is proved.
 
 Decisions are three-valued. Deny carries reasons; a backend failure during
 verification is an Error ("could not find out"), never a silent Deny.
@@ -18,6 +18,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -25,12 +26,11 @@ from typing import Callable, Iterable, Mapping, Optional
 
 from .core import KEY_LEN, NamespaceKey, check_label, verify_signature
 from .credential import Credential, collect, export_json, import_json, verify_credential
-from .discovery import DelegationChain, discover
+from .discovery import DelegationChain
 from .errors import (
     AbdError,
     BackendError,
     CollectionIncomplete,
-    JsonError,
     LimitExceeded,
     UnknownResource,
 )
@@ -40,6 +40,7 @@ AUTHZ_CONTEXT = b"ABD-AUTHZ-V1"
 NONCE_LEN = 16
 NONCE_LIFETIME_US = 120_000_000  # two minutes
 MAX_BODY_BYTES = 1 << 20  # an /authorize body for a few attributes is a few KB
+MAX_NONCES = 65_536  # outstanding nonces; a few hundred bytes each
 
 GRANT, DENY, ERROR = "grant", "deny", "error"
 
@@ -83,22 +84,29 @@ class PolicyStore:
             raise UnknownResource(f"no policy for resource {resource_id!r}")
         return policy
 
-    def resource_ids(self) -> list[str]:
-        return sorted(self._policies)
-
 
 class NonceTable:
-    """Single-use nonces with a bounded lifetime, bound to a resource."""
+    """Single-use nonces with a bounded lifetime, bound to a resource.
+
+    Every nonce gets the same lifetime, so issue order is expiry order:
+    ``issue`` drops expired nonces from the front of the table, and the
+    oldest one while the table holds ``MAX_NONCES``.
+    """
 
     def __init__(self, lifetime_us: int = NONCE_LIFETIME_US):
         self.lifetime_us = lifetime_us
-        self._issued: dict[bytes, tuple[int, str]] = {}
+        self._issued: OrderedDict[bytes, tuple[int, str]] = OrderedDict()
         self._lock = threading.Lock()
 
     def issue(self, resource_id: str, clock: int) -> bytes:
         nonce = secrets.token_bytes(NONCE_LEN)
         with self._lock:
-            self._issued[nonce] = (clock + self.lifetime_us, resource_id)
+            issued = self._issued
+            while issued and (
+                len(issued) >= MAX_NONCES or next(iter(issued.values()))[0] <= clock
+            ):
+                issued.popitem(last=False)
+            issued[nonce] = (clock + self.lifetime_us, resource_id)
         return nonce
 
     def status(self, nonce: bytes, resource_id: str, clock: int) -> Optional[str]:
@@ -114,9 +122,10 @@ class NonceTable:
                 return "nonce was issued for a different resource"
         return None
 
-    def consume(self, nonce: bytes) -> None:
+    def consume(self, nonce: bytes) -> bool:
+        """Remove the nonce; False when another request already used it."""
         with self._lock:
-            self._issued.pop(nonce, None)
+            return self._issued.pop(nonce, None) is not None
 
 
 @dataclass(frozen=True)
@@ -180,13 +189,31 @@ def build_response(
 
 @dataclass(frozen=True)
 class AuthzDecision:
+    """A verifier's decision, or the subject's view of one.
+
+    ``unsatisfied`` is filled in on the subject's side only: the policy
+    attributes its own collection found no chain for. It is not sent.
+    """
+
     decision: str  # grant | deny | error
     reasons: tuple[str, ...] = ()
     chain_summaries: tuple[str, ...] = ()
+    unsatisfied: tuple[str, ...] = ()
+
+    @classmethod
+    def error(cls, reason: str) -> "AuthzDecision":
+        return cls(decision=ERROR, reasons=(reason,))
 
     @property
     def granted(self) -> bool:
         return self.decision == GRANT
+
+    def to_json(self) -> dict:
+        return {
+            "decision": self.decision,
+            "reasons": list(self.reasons),
+            "chain_summaries": list(self.chain_summaries),
+        }
 
 
 def _summarize_chain(chain: DelegationChain) -> str:
@@ -214,9 +241,10 @@ def authorize(
     """Decide a signed response against a policy.
 
     The verifier trusts nothing from the subject but the credentials
-    themselves: it re-runs discovery from its own namespace for every
-    required attribute. A Grant consumes the nonce, so replaying the same
-    response cannot grant twice.
+    themselves: it runs the subject's own ``collect`` from its own
+    namespace over them. A Grant consumes the nonce, and only the request
+    that consumes it grants, so one response cannot grant twice, even when
+    two copies of it are decided at once.
     """
     if nonce_table is not None:
         problem = nonce_table.status(response.nonce, policy.resource_id, clock)
@@ -248,35 +276,37 @@ def authorize(
                 )
             supplied.append(credential)
 
-    reasons: list[str] = []
-    summaries: list[str] = []
     try:
-        for attribute in policy.required_attributes:
-            chain = discover(
-                issuer_pub=verifier_pub,
-                attribute=attribute,
-                subject_pub=response.subject,
-                subject_creds=supplied,
-                backend=backend,
-                clock=clock,
-            )
-            if chain is None:
-                reasons.append(f"no delegation chain proves {attribute!r}")
-            else:
-                summaries.append(_summarize_chain(chain))
-    except BackendError as exc:
-        return AuthzDecision(
-            decision=ERROR,
-            reasons=(f"name system unavailable: {exc}",),
+        result = collect(
+            subject_pub=response.subject,
+            subject_creds=supplied,
+            verifier_pub=verifier_pub,
+            policy_attrs=policy.required_attributes,
+            backend=backend,
+            clock=clock,
         )
+    except BackendError as exc:
+        return AuthzDecision.error(f"name system unavailable: {exc}")
     except LimitExceeded as exc:
-        return AuthzDecision(decision=ERROR, reasons=(f"discovery budget exhausted: {exc}",))
+        return AuthzDecision.error(f"discovery budget exhausted: {exc}")
 
-    if reasons:
-        return AuthzDecision(decision=DENY, reasons=tuple(reasons))
-    if nonce_table is not None:
-        nonce_table.consume(response.nonce)
-    return AuthzDecision(decision=GRANT, chain_summaries=tuple(summaries))
+    if result.unsatisfied:
+        return AuthzDecision(
+            decision=DENY,
+            reasons=tuple(
+                f"no delegation chain proves {attribute!r}"
+                for attribute in result.unsatisfied
+            ),
+        )
+    if nonce_table is not None and not nonce_table.consume(response.nonce):
+        return AuthzDecision(decision=DENY, reasons=("nonce unknown or already used",))
+    return AuthzDecision(
+        decision=GRANT,
+        chain_summaries=tuple(
+            _summarize_chain(result.chains[attribute])
+            for attribute in policy.required_attributes
+        ),
+    )
 
 
 # --- HTTP verifier service ------------------------------------------------------
@@ -313,21 +343,13 @@ class VerifierService:
                 for attribute, items in body["credential_sets"].items()
             }
         except KeyError as exc:
-            return 400, {
-                "decision": ERROR,
-                "reasons": [f"missing field {exc.args[0]!r}"],
-                "chain_summaries": [],
-            }
+            return 400, AuthzDecision.error(f"missing field {exc.args[0]!r}").to_json()
         except (AbdError, ValueError, TypeError, AttributeError) as exc:
-            return 400, {
-                "decision": ERROR,
-                "reasons": [f"malformed request: {exc}"],
-                "chain_summaries": [],
-            }
+            return 400, AuthzDecision.error(f"malformed request: {exc}").to_json()
         try:
             policy = self.policies.get_policy(resource_id)
         except UnknownResource as exc:
-            return 404, {"decision": ERROR, "reasons": [str(exc)], "chain_summaries": []}
+            return 404, AuthzDecision.error(str(exc)).to_json()
         response = AuthorizationResponse(
             nonce=nonce,
             subject=subject,
@@ -342,19 +364,14 @@ class VerifierService:
             clock=self.clock_fn(),
             nonce_table=self.nonces,
         )
-        status = 200 if decision.decision != ERROR else 503
-        return status, {
-            "decision": decision.decision,
-            "reasons": list(decision.reasons),
-            "chain_summaries": list(decision.chain_summaries),
-        }
+        return (200 if decision.decision != ERROR else 503), decision.to_json()
 
 
 class _Handler(BaseHTTPRequestHandler):
     service: VerifierService  # set on the subclass by make_server
 
     def _send_error(self, status: int, reason: str) -> None:
-        self._send(status, {"decision": ERROR, "reasons": [reason], "chain_summaries": []})
+        self._send(status, AuthzDecision.error(reason).to_json())
 
     def _send(self, status: int, payload: dict) -> None:
         body = json.dumps(payload).encode("utf-8")
@@ -408,18 +425,6 @@ def make_server(service: VerifierService, host: str, port: int) -> ThreadingHTTP
 # --- subject-side client ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AccessOutcome:
-    decision: str
-    reasons: tuple[str, ...] = ()
-    chain_summaries: tuple[str, ...] = ()
-    unsatisfied: tuple[str, ...] = ()
-
-    @property
-    def granted(self) -> bool:
-        return self.decision == GRANT
-
-
 def _http_json(request: urllib.request.Request, timeout: float) -> tuple[int, dict]:
     try:
         with urllib.request.urlopen(request, timeout=timeout) as reply:
@@ -439,7 +444,7 @@ def request_access(
     backend: NameSystemBackend,
     clock: int,
     timeout: float = 10.0,
-) -> AccessOutcome:
+) -> AuthzDecision:
     """Full subject-side round trip against a verifier endpoint.
 
     Fetches the policy and nonce, collects proof credentials via local
@@ -451,18 +456,15 @@ def request_access(
             urllib.request.Request(f"{endpoint}/policy/{resource_id}"), timeout
         )
     except (urllib.error.URLError, OSError) as exc:
-        return AccessOutcome(decision=ERROR, reasons=(f"verifier unreachable: {exc}",))
+        return AuthzDecision.error(f"verifier unreachable: {exc}")
     if status != 200:
-        return AccessOutcome(
-            decision=ERROR,
-            reasons=(policy_body.get("error", f"policy fetch failed ({status})"),),
-        )
+        return AuthzDecision.error(policy_body.get("error", f"policy fetch failed ({status})"))
     try:
         verifier_pub = bytes.fromhex(policy_body["verifier"])
         nonce = bytes.fromhex(policy_body["nonce"])
         attributes = list(policy_body["required_attributes"])
     except (KeyError, ValueError) as exc:
-        return AccessOutcome(decision=ERROR, reasons=(f"bad policy response: {exc}",))
+        return AuthzDecision.error(f"bad policy response: {exc}")
 
     try:
         result = collect(
@@ -474,7 +476,7 @@ def request_access(
             clock=clock,
         )
     except (CollectionIncomplete, LimitExceeded) as exc:
-        return AccessOutcome(decision=ERROR, reasons=(str(exc),))
+        return AuthzDecision.error(str(exc))
 
     credential_sets = {
         attribute: tuple(result.chains[attribute].credentials())
@@ -504,8 +506,8 @@ def request_access(
     try:
         status, reply = _http_json(request, timeout)
     except (urllib.error.URLError, OSError) as exc:
-        return AccessOutcome(decision=ERROR, reasons=(f"verifier unreachable: {exc}",))
-    return AccessOutcome(
+        return AuthzDecision.error(f"verifier unreachable: {exc}")
+    return AuthzDecision(
         decision=reply.get("decision", ERROR),
         reasons=tuple(reply.get("reasons", ())),
         chain_summaries=tuple(reply.get("chain_summaries", ())),

@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import scenario
-from .authz import GRANT, DENY, ERROR, PolicyStore, VerifierService, make_server, request_access
-from .core import DAYS, HOURS, MILLISECONDS, MINUTES, SECONDS, NamespaceKey, RecordType
+from .authz import GRANT, DENY, PolicyStore, VerifierService, make_server, request_access
+from .core import DAYS, HOURS, MILLISECONDS, MINUTES, SECONDS, RecordType
 from .credential import (
     export_json,
     import_json,
@@ -37,7 +37,7 @@ from .delegation import (
 from .discovery import DiscoveryTrace, discover
 from .errors import AbdError, BackendError, NotFound
 from .namestore import NamespaceStore
-from .netsim import DhtConfig, FileBackend, SimulatedDht, derive_query_key
+from .netsim import DhtConfig, FileBackend, SimulatedDht
 
 EXIT_OK = 0
 EXIT_DENIED = 1
@@ -362,12 +362,11 @@ def cmd_serve(cli: Cli) -> int:
     verifier = store.key_for(cli.args.identity)
     policies = PolicyStore.from_file(Path(cli.args.policy))
     host, _, port_text = cli.args.listen.rpartition(":")
-    clock_us = cli.args.clock_us
     service = VerifierService(
         verifier_pub=verifier.public_key,
         policies=policies,
         backend=cli.backend,
-        clock_fn=(lambda: clock_us) if clock_us is not None else (lambda: time.time_ns() // 1_000),
+        clock_fn=lambda: cli.clock,
     )
     server = make_server(service, host or "127.0.0.1", int(port_text))
     actual_host, actual_port = server.server_address[:2]

@@ -101,9 +101,6 @@ class NamespaceKey:
     def has_private(self) -> bool:
         return self.private_key is not None
 
-    def public_only(self) -> "NamespaceKey":
-        return NamespaceKey(public_key=self.public_key)
-
     def sign(self, message: bytes) -> bytes:
         if self.private_key is None:
             raise MissingPrivateKey(

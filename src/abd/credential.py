@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .core import (
     KEY_LEN,

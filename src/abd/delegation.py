@@ -61,14 +61,6 @@ class DelegationExpression:
         if not self.entries:
             raise ValueError("a delegation expression needs at least one entry")
 
-    @property
-    def delegation_type(self) -> int:
-        """1 = direct key, 2 = one foreign attribute, 3 = trail, 4 = conjunction."""
-        if len(self.entries) > 1:
-            return 4
-        n = len(self.entries[0].trail)
-        return 1 if n == 0 else 2 if n == 1 else 3
-
 
 def expression(terms: Iterable[tuple[bytes, Iterable[str]]]) -> DelegationExpression:
     return DelegationExpression(

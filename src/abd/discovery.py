@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from .core import RecordType, ResourceRecord, check_label
-from .credential import Credential, decode_cred_payload, verify_credential
+from .credential import Credential, verify_credential
 from .delegation import (
     MAX_TRAIL_LEN,
     DelegationSetEntry,

@@ -297,10 +297,6 @@ class SimulatedDht(NameSystemBackend):
             out.append(self.nodes[node_id])
         return out
 
-    @property
-    def failure_set(self) -> set[int]:
-        return {n.index for n in self.nodes if n.failed}
-
     def fail_nodes(self, node_ids: list[int]) -> None:
         """Failed nodes drop all stored and cached state immediately."""
         for node in self._check_node_ids(node_ids):

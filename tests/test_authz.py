@@ -10,7 +10,7 @@ import urllib.request
 
 import pytest
 
-from abd import scenario
+from abd import authz, scenario
 from abd.authz import (
     DENY,
     ERROR,
@@ -63,8 +63,8 @@ def test_policy_store_round_trip(tmp_path):
     path = tmp_path / "policy.json"
     path.write_text(json.dumps({"wiki": ["user"], "repo": ["dev", "admin"]}))
     store = PolicyStore.from_file(path)
-    assert store.resource_ids() == ["repo", "wiki"]
     assert store.get_policy("repo").required_attributes == ("dev", "admin")
+    assert store.get_policy("wiki").required_attributes == ("user",)
     with pytest.raises(UnknownResource):
         store.get_policy("nope")
 
@@ -98,6 +98,24 @@ def test_nonce_is_bound_to_its_resource(clock):
     table = NonceTable()
     nonce = table.issue("wiki", clock)
     assert table.status(nonce, "repo", clock) == "nonce was issued for a different resource"
+
+
+def test_issue_drops_expired_nonces(clock):
+    table = NonceTable(lifetime_us=1)
+    first = table.issue("wiki", clock)
+    for step in range(1, 1000):
+        table.issue("wiki", clock + 2 * step)
+    assert len(table._issued) <= 2
+    assert table.status(first, "wiki", clock + 2000) == "nonce unknown or already used"
+
+
+def test_issue_caps_the_table_by_dropping_the_oldest(clock, monkeypatch):
+    monkeypatch.setattr(authz, "MAX_NONCES", 8)
+    table = NonceTable()
+    nonces = [table.issue("wiki", clock) for _ in range(20)]
+    assert len(table._issued) == 8
+    assert table.status(nonces[11], "wiki", clock) == "nonce unknown or already used"
+    assert all(table.status(n, "wiki", clock) is None for n in nonces[12:])
 
 
 # --- response signing ----------------------------------------------------------------
@@ -284,6 +302,116 @@ def test_authorize_reports_error_when_name_system_is_down(fixture, backend, cloc
     )
     assert decision.decision == ERROR
     assert "unavailable" in decision.reasons[0]
+
+
+class ReplayOnFirstGet(InMemoryBackend):
+    """Runs ``replay`` once, from inside the next ``get`` after it is set."""
+
+    replay = None
+
+    def get(self, query_key, clock):
+        replay, self.replay = self.replay, None
+        if replay is not None:
+            replay()
+        return super().get(query_key, clock)
+
+
+def test_a_response_decided_twice_at_once_grants_once(tmp_path, clock):
+    backend = ReplayOnFirstGet()
+    fixture = scenario.build_fixture(NamespaceStore(tmp_path / "home"), backend, clock=clock)
+    table = NonceTable()
+    nonce = table.issue(scenario.RESOURCE_ID, clock)
+    response = build_response(fixture.key("bob"), nonce, {"user": fixture.bob_creds})
+
+    def decide():
+        return authorize(
+            verifier_pub=fixture.key("portal").public_key,
+            response=response,
+            policy=portal_policy(),
+            backend=backend,
+            clock=clock,
+            nonce_table=table,
+        )
+
+    inner = []
+    backend.replay = lambda: inner.append(decide())
+    outer = decide()
+    assert [d.decision for d in inner + [outer]] == [GRANT, DENY]
+    assert outer.reasons == ("nonce unknown or already used",)
+
+
+# --- policies of more than one attribute ------------------------------------------------
+
+TWO_ATTRIBUTE_POLICIES = {
+    "staff-portal": Policy(resource_id="staff-portal", required_attributes=("user", "staff")),
+    "admin-portal": Policy(resource_id="admin-portal", required_attributes=("user", "admin")),
+}
+
+
+@pytest.fixture
+def staff_service(fixture, backend, clock):
+    """The scenario plus ``portal.staff <- lab-two.employee``."""
+    portal = fixture.key("portal")
+    expr = parse_expression("lab-two.employee", fixture.store.petname_table())
+    add_delegation(fixture.store, portal, "staff", expr, clock=clock)
+    assert fixture.store.publish(portal, backend, clock).ok
+    return VerifierService(
+        verifier_pub=portal.public_key,
+        policies=PolicyStore(TWO_ATTRIBUTE_POLICIES),
+        backend=backend,
+        clock_fn=lambda: clock,
+    )
+
+
+def chain_roots(summaries) -> list[str]:
+    """The attribute each chain summary starts from, in order."""
+    return [summary.split(" -> ")[0].split(".")[1] for summary in summaries]
+
+
+def test_two_attribute_policy_in_process(staff_service, fixture, clock):
+    def decide(resource_id):
+        response = build_response(
+            fixture.key("bob"), b"\x0d" * 16, {"user": fixture.bob_creds}
+        )
+        return authorize(
+            verifier_pub=staff_service.verifier_pub,
+            response=response,
+            policy=TWO_ATTRIBUTE_POLICIES[resource_id],
+            backend=staff_service.backend,
+            clock=clock,
+        )
+
+    staff = decide("staff-portal")
+    assert staff.granted
+    assert chain_roots(staff.chain_summaries) == ["user", "staff"]
+    admin = decide("admin-portal")
+    assert admin.decision == DENY
+    assert admin.reasons == ("no delegation chain proves 'admin'",)
+
+
+def test_two_attribute_policy_over_http(staff_service, fixture, clock):
+    httpd = make_server(staff_service, "127.0.0.1", 0)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    endpoint = f"http://127.0.0.1:{httpd.server_address[1]}"
+    try:
+        def ask(resource_id):
+            return request_access(
+                endpoint, resource_id, fixture.key("bob"), fixture.bob_creds,
+                staff_service.backend, clock,
+            )
+
+        staff = ask("staff-portal")
+        assert staff.granted
+        assert chain_roots(staff.chain_summaries) == ["user", "staff"]
+        assert staff.unsatisfied == ()
+        admin = ask("admin-portal")
+        assert admin.decision == DENY
+        assert admin.reasons == ("no delegation chain proves 'admin'",)
+        assert admin.unsatisfied == ("admin",)
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
 
 
 # --- a file-backed verifier reads current state ------------------------------------------

@@ -59,13 +59,13 @@ def test_unseeded_generation_is_distinct():
 
 def test_keys_equal_iff_public_keys_equal():
     a = NamespaceKey.generate(seed=bytes(32))
-    public_only = a.public_only()
+    public_only = NamespaceKey(public_key=a.public_key)
     assert public_only == a
     assert public_only.private_key is None
 
 
 def test_sign_without_private_key_raises():
-    key = make_key().public_only()
+    key = NamespaceKey(public_key=make_key().public_key)
     with pytest.raises(MissingPrivateKey):
         key.sign(b"message")
 

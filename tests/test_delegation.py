@@ -39,17 +39,6 @@ NAMES = {v: k for k, v in PETNAMES.items()}
 # --- expression structure -----------------------------------------------------
 
 
-def test_delegation_types_by_shape():
-    entity = expression([(B.public_key, [])])
-    assert entity.delegation_type == 1
-    single = expression([(B.public_key, ["lead"])])
-    assert single.delegation_type == 2
-    trail = expression([(B.public_key, ["team", "lead"])])
-    assert trail.delegation_type == 3
-    conj = expression([(B.public_key, ["lead"]), (C.public_key, ["audit"])])
-    assert conj.delegation_type == 4
-
-
 def test_expression_rejects_empty():
     with pytest.raises(ValueError):
         DelegationExpression(entries=())

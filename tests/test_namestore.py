@@ -84,7 +84,7 @@ def test_store_and_load_round_trip(tmp_path):
 def test_store_requires_private_key(tmp_path):
     store = NamespaceStore(tmp_path)
     with pytest.raises(MissingPrivateKey):
-        store.store(key(b"x").public_only(), "boss", [])
+        store.store(NamespaceKey(public_key=key(b"x").public_key), "boss", [])
 
 
 def test_tampered_entry_is_quarantined_not_loaded(tmp_path):

@@ -348,7 +348,7 @@ def test_failed_nodes_drop_state_and_heal_empty():
     replicas = network.replica_nodes(query_key)
     network.fail_nodes(replicas)
     network.heal_nodes(replicas)
-    assert network.failure_set == set()
+    assert not any(node.failed for node in network.nodes)
     # Healed nodes rejoin empty: the key is authoritatively gone until republish.
     assert network.get(query_key, CLOCK) is None
     put_set(network, make_set())
