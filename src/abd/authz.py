@@ -335,6 +335,8 @@ class VerifierService:
     def authorize_payload(self, body: dict) -> tuple[int, dict]:
         try:
             resource_id = body["resource_id"]
+            if not isinstance(resource_id, str):
+                raise TypeError("resource_id must be a string")
             nonce = bytes.fromhex(body["nonce"])
             subject = bytes.fromhex(body["subject"])
             signature = bytes.fromhex(body["signature"])

@@ -9,8 +9,11 @@ Nothing in this module reads the wall clock.
 """
 from __future__ import annotations
 
+import hashlib
 import re
 import struct
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable, Optional
@@ -30,6 +33,9 @@ from .errors import (
 KEY_LEN = 32
 SIGNATURE_LEN = 64
 LABEL_RE = re.compile(r"^[a-z0-9_-]{1,63}$")
+
+# Most successful signature checks remembered by verify_signature.
+VERIFIED_CACHE_SIZE = 8_192
 
 # Domain-separation tag for record set signatures.
 RECORD_SET_CONTEXT = b"ABD-RRSET-V1"
@@ -109,14 +115,36 @@ class NamespaceKey:
         return Ed25519PrivateKey.from_private_bytes(self.private_key).sign(message)
 
 
+# sha256(public key || signature || message) of each successful check, least
+# recently used first. Both lengths are fixed before a lookup, so the
+# concatenation is unambiguous and any changed byte is a different key.
+_verified: OrderedDict[bytes, None] = OrderedDict()
+_verified_lock = threading.Lock()
+
+
 def verify_signature(public_key: bytes, signature: bytes, message: bytes) -> bool:
-    if len(signature) != SIGNATURE_LEN:
+    """Ed25519 check; a repeat of a check that passed is a table lookup.
+
+    Verification is deterministic, so a remembered success stays valid.
+    Failures are not remembered: forged signatures cost their sender
+    nothing and must not evict good entries.
+    """
+    if len(public_key) != KEY_LEN or len(signature) != SIGNATURE_LEN:
         return False
+    digest = hashlib.sha256(public_key + signature + message).digest()
+    with _verified_lock:
+        if digest in _verified:
+            _verified.move_to_end(digest)
+            return True
     try:
         Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
-        return True
     except (InvalidSignature, ValueError):
         return False
+    with _verified_lock:
+        _verified[digest] = None
+        if len(_verified) > VERIFIED_CACHE_SIZE:
+            _verified.popitem(last=False)
+    return True
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,8 @@ class Credential:
     def __post_init__(self) -> None:
         if len(self.issuer) != KEY_LEN or len(self.subject) != KEY_LEN:
             raise ValueError(f"keys must be {KEY_LEN} bytes")
+        if not 0 <= self.expiration_us <= 0xFFFFFFFFFFFFFFFF:
+            raise ValueError("expiration out of u64 range")
         check_label(self.attribute)
 
     def signing_bytes(self) -> bytes:

@@ -14,6 +14,7 @@ rng_seed and operation sequence. Hop counts are modeled as ceil(log2(N)).
 """
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 import os
@@ -271,7 +272,11 @@ class SimulatedDht(NameSystemBackend):
                 b"abd-dht-node:%d:%d" % (self.config.rng_seed, index)
             ).digest()
             self.nodes.append(_DhtNode(index=index, node_id=int.from_bytes(digest, "big")))
-        self._ring = sorted(self.nodes, key=lambda n: n.node_id)
+        ring = sorted(self.nodes, key=lambda n: n.node_id)
+        self._ring_ids = [node.node_id for node in ring]
+        self._ring_indices = [node.index for node in ring]
+        # Live nodes in index order; only fail_nodes and heal_nodes change it.
+        self._live = list(self.nodes)
 
     # --- topology ---------------------------------------------------------
 
@@ -280,14 +285,10 @@ class SimulatedDht(NameSystemBackend):
 
     def replica_nodes(self, query_key: bytes) -> list[int]:
         """Indices of the nodes assigned to hold this key, in ring order."""
-        key_int = int.from_bytes(query_key, "big")
-        start = 0
-        while start < len(self._ring) and self._ring[start].node_id < key_int:
-            start += 1
-        count = min(self.config.replication_factor, len(self._ring))
-        return [
-            self._ring[(start + i) % len(self._ring)].index for i in range(count)
-        ]
+        ring = self._ring_indices
+        start = bisect.bisect_left(self._ring_ids, int.from_bytes(query_key, "big"))
+        count = min(self.config.replication_factor, len(ring))
+        return [ring[(start + i) % len(ring)] for i in range(count)]
 
     def _check_node_ids(self, node_ids: list[int]) -> list[_DhtNode]:
         out = []
@@ -303,11 +304,13 @@ class SimulatedDht(NameSystemBackend):
             node.failed = True
             node.storage.clear()
             node.cache.clear()
+        self._live = [node for node in self.nodes if not node.failed]
 
     def heal_nodes(self, node_ids: list[int]) -> None:
         """Healed nodes rejoin empty; data returns only via republish."""
         for node in self._check_node_ids(node_ids):
             node.failed = False
+        self._live = [node for node in self.nodes if not node.failed]
 
     def advance_clock(self, delta_us: int) -> None:
         """Move simulated time forward, evicting everything past its TTL."""
@@ -332,7 +335,7 @@ class SimulatedDht(NameSystemBackend):
 
     def put(self, query_key: bytes, record_set: RecordSet, clock: int) -> None:
         _check_signed(query_key, record_set)
-        assigned = self._check_node_ids(self.replica_nodes(query_key))
+        assigned = [self.nodes[i] for i in self.replica_nodes(query_key)]
         live = [n for n in assigned if not n.failed]
         if not live:
             raise BackendUnavailable("all replica nodes for this key are down")
@@ -347,11 +350,10 @@ class SimulatedDht(NameSystemBackend):
         self, query_key: bytes, clock: int, entry_node: Optional[int] = None
     ) -> Optional[RecordSet]:
         self._stats.lookups += 1
-        live_nodes = [n for n in self.nodes if not n.failed]
-        if not live_nodes:
+        if not self._live:
             raise AllReplicasDown("no live nodes in the network")
         if entry_node is None:
-            entry = self._rng.choice(live_nodes)
+            entry = self._rng.choice(self._live)
         else:
             (entry,) = self._check_node_ids([entry_node])
             if entry.failed:
@@ -370,7 +372,7 @@ class SimulatedDht(NameSystemBackend):
         self._stats.messages += hops
         self._stats.max_hops = max(self._stats.max_hops, hops)
 
-        assigned = self._check_node_ids(self.replica_nodes(query_key))
+        assigned = [self.nodes[i] for i in self.replica_nodes(query_key)]
         self._stats.messages += sum(1 for n in assigned if not n.failed)
         for node in assigned:
             if node.failed:

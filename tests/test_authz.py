@@ -9,6 +9,7 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from abd import authz, scenario
 from abd.authz import (
@@ -671,6 +672,140 @@ def test_http_checks_content_length_before_reading(endpoint, content_length, sta
     assert got == status
     assert payload["decision"] == ERROR
     assert payload["reasons"] and payload["chain_summaries"] == []
+
+
+def send_raw(endpoint: str, request: bytes) -> tuple[int, dict]:
+    """Send raw request bytes, close the sending half, read the reply to EOF."""
+    host, port = endpoint.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    status = int(head.split(b" ", 2)[1])
+    return status, json.loads(body)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8,
+)
+
+
+def hex_of(size: int) -> st.SearchStrategy:
+    return st.binary(min_size=size, max_size=size).map(bytes.hex)
+
+
+def json_object(fields: dict) -> st.SearchStrategy:
+    """Objects with these fields, of which at most one is left out or
+    replaced by a JSON value or a hex string of any length."""
+
+    def damage(parts):
+        obj, name, value, drop = parts
+        if name is not None:
+            if drop:
+                del obj[name]
+            else:
+                obj[name] = value
+        return obj
+
+    return st.tuples(
+        st.fixed_dictionaries(fields),
+        st.none() | st.sampled_from(sorted(fields)),
+        JSON_VALUES | st.binary(max_size=70).map(bytes.hex),
+        st.booleans(),
+    ).map(damage)
+
+
+CREDENTIAL_JSON = json_object(
+    {
+        "issuer": hex_of(32),
+        "subject": hex_of(32),
+        "attribute": st.sampled_from(["user", "employee"]),
+        "expiration_us": st.integers(min_value=-(2**70), max_value=2**70),
+        "signature": hex_of(64),
+    }
+)
+# Near-valid requests get past the parser into authorize_payload's field
+# checks and authorize itself; raw bytes and bare JSON values try the parser.
+AUTHORIZE_JSON = json_object(
+    {
+        "resource_id": st.just(scenario.RESOURCE_ID),
+        "nonce": hex_of(16),
+        "subject": hex_of(32),
+        "signature": hex_of(64),
+        "credential_sets": st.dictionaries(
+            st.sampled_from(["user", "employee"]) | st.text(max_size=8),
+            st.lists(CREDENTIAL_JSON, max_size=2) | JSON_VALUES,
+            max_size=2,
+        ),
+    }
+)
+BODIES = AUTHORIZE_JSON.map(lambda value: json.dumps(value).encode()) | st.one_of(
+    st.binary(max_size=200),
+    JSON_VALUES.map(lambda value: json.dumps(value).encode()),
+)
+HEADER_TEXT = st.text(
+    alphabet=st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=24
+)
+
+
+def authorize_body(resource_id=scenario.RESOURCE_ID, credential=None) -> bytes:
+    credentials = [] if credential is None else [credential]
+    return json.dumps(
+        {
+            "resource_id": resource_id,
+            "nonce": "00" * 16,
+            "subject": "00" * 32,
+            "signature": "00" * 64,
+            "credential_sets": {"user": credentials},
+        }
+    ).encode()
+
+
+# Each example once closed the connection without a reply.
+@example(body=authorize_body(resource_id=["wiki"]), content_length="exact", content_type=None)
+@example(
+    body=authorize_body(
+        credential={
+            "issuer": "00" * 32,
+            "subject": "00" * 32,
+            "attribute": "user",
+            "expiration_us": 2**64,
+            "signature": "00" * 64,
+        }
+    ),
+    content_length="exact",
+    content_type=None,
+)
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    body=BODIES,
+    content_length=st.just("exact")
+    | st.one_of(
+        st.none(),
+        st.integers(min_value=-10, max_value=2 * MAX_BODY_BYTES).map(str),
+        HEADER_TEXT,
+    ),
+    content_type=st.none() | st.just("application/json") | HEADER_TEXT,
+)
+def test_http_answers_every_authorize_request_with_a_json_decision(
+    endpoint, body, content_length, content_type
+):
+    headers = [b"POST /authorize HTTP/1.1", b"Host: 127.0.0.1"]
+    if content_length == "exact":
+        content_length = str(len(body))
+    if content_length is not None:
+        headers.append(b"Content-Length: " + content_length.encode())
+    if content_type is not None:
+        headers.append(b"Content-Type: " + content_type.encode())
+    status, payload = send_raw(endpoint, b"\r\n".join(headers) + b"\r\n\r\n" + body)
+    assert 200 <= status < 600
+    assert payload["decision"] in (GRANT, DENY, ERROR)
 
 
 def test_http_outage_is_503_not_deny(endpoint, service, fixture, backend, clock):

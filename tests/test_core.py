@@ -2,12 +2,17 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import struct
+import sys
+import threading
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, strategies as st
 
 from abd import core
+from abd.authz import build_response
 from abd.core import (
     NamespaceKey,
     RecordSet,
@@ -18,6 +23,7 @@ from abd.core import (
     sign_record_set,
     verify_record_set_signature,
 )
+from abd.credential import issue_credential, verify_credential
 from abd.errors import DecodeError, InvalidLabel, MissingPrivateKey
 
 # Ed25519 public key for the all-zeros seed, computed once from the raw
@@ -244,3 +250,141 @@ def test_serialization_injective_on_distinct_payload_sets(data):
     ra = sign_record_set(key, "user", [attr_record(entity_payload(p)) for p in a])
     rb = sign_record_set(key, "user", [attr_record(entity_payload(p)) for p in b])
     assert (canonical_serialize(ra) == canonical_serialize(rb)) == (a == b)
+
+
+# --- signature check cache ----------------------------------------------------
+
+
+def flip(data: bytes, index: int) -> bytes:
+    """``data`` with one bit of the byte at ``index`` changed."""
+    index %= len(data)
+    return data[:index] + bytes([data[index] ^ 0x01]) + data[index + 1 :]
+
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    """An empty table for one test; the process-wide one is put back after."""
+    monkeypatch.setattr(core, "_verified", OrderedDict())
+
+
+def test_a_repeated_success_skips_the_ed25519_check(fresh_table, monkeypatch):
+    key = make_key(b"repeat")
+    message = b"checked once"
+    signature = key.sign(message)
+    checks = []
+    real = core.Ed25519PublicKey
+
+    class Counting:
+        @staticmethod
+        def from_public_bytes(data):
+            checks.append(data)
+            return real.from_public_bytes(data)
+
+    monkeypatch.setattr(core, "Ed25519PublicKey", Counting)
+    for _ in range(3):
+        assert core.verify_signature(key.public_key, signature, message)
+    assert len(checks) == 1
+
+
+def test_failures_are_not_remembered(fresh_table):
+    key = make_key(b"forged")
+    for _ in range(2):
+        assert not core.verify_signature(key.public_key, bytes(64), b"message")
+    assert len(core._verified) == 0
+
+
+@pytest.mark.parametrize("part", [0, 1, 2], ids=["public-key", "signature", "message"])
+@pytest.mark.parametrize("index", [0, -1], ids=["first-byte", "last-byte"])
+def test_a_cached_success_does_not_cover_a_changed_byte(fresh_table, part, index):
+    key = make_key(b"cached")
+    message = b"a message checked before"
+    args = [key.public_key, key.sign(message), message]
+    assert core.verify_signature(*args)
+    assert core.verify_signature(*args)  # answered from the table
+    args[part] = flip(args[part], index)
+    assert not core.verify_signature(*args)
+
+
+def test_a_cached_record_set_fails_once_its_payload_changes(fresh_table):
+    rset = sign_record_set(make_key(), "user", [attr_record(entity_payload(b"\x01"))])
+    assert verify_record_set_signature(rset)
+    (record,) = rset.records
+    changed = dataclasses.replace(record, payload=flip(record.payload, -1))
+    assert not verify_record_set_signature(dataclasses.replace(rset, records=(changed,)))
+    assert verify_record_set_signature(rset)
+
+
+def test_a_cached_credential_fails_once_its_attribute_changes(fresh_table):
+    issuer, subject = make_key(b"issuer"), make_key(b"subject")
+    credential = issue_credential(
+        issuer, subject.public_key, "employee", clock=CLOCK, lifetime_us=1_000_000
+    )
+    assert verify_credential(credential, CLOCK)
+    renamed = dataclasses.replace(credential, attribute="employef")
+    assert not verify_credential(renamed, CLOCK)
+    assert verify_credential(credential, CLOCK)
+
+
+def test_a_cached_response_fails_once_its_nonce_changes(fresh_table):
+    response = build_response(make_key(b"subject"), b"\x07" * 16, {})
+
+    def check(r):
+        return core.verify_signature(r.subject, r.signature, r.signing_bytes())
+
+    assert check(response)
+    assert not check(dataclasses.replace(response, nonce=flip(response.nonce, 0)))
+    assert check(response)
+
+
+def test_the_table_holds_at_most_its_bound_and_drops_the_least_recent(
+    fresh_table, monkeypatch
+):
+    monkeypatch.setattr(core, "VERIFIED_CACHE_SIZE", 8)
+    key = make_key(b"bound")
+    signed = [(b"m%d" % i, key.sign(b"m%d" % i)) for i in range(20)]
+    for message, signature in signed:
+        assert core.verify_signature(key.public_key, signature, message)
+        assert len(core._verified) <= 8
+
+    def cached(message, signature):
+        return hashlib.sha256(key.public_key + signature + message).digest() in core._verified
+
+    assert [cached(*pair) for pair in signed] == [False] * 12 + [True] * 8
+    # A hit makes the oldest entry the newest, so the next success evicts
+    # the second oldest instead.
+    assert core.verify_signature(key.public_key, signed[12][1], signed[12][0])
+    message = b"one more"
+    assert core.verify_signature(key.public_key, key.sign(message), message)
+    assert cached(*signed[12]) and not cached(*signed[13])
+    assert len(core._verified) == 8
+
+
+def test_concurrent_checks_get_the_right_answers(fresh_table, monkeypatch):
+    # A small bound makes the threads insert and evict while others look up.
+    monkeypatch.setattr(core, "VERIFIED_CACHE_SIZE", 16)
+    key = make_key(b"threads")
+    cases = []
+    for i in range(40):
+        message = b"t%d" % i
+        signature = key.sign(message)
+        cases += [(signature, message, True), (signature, message + b"!", False)]
+    wrong = []
+
+    def worker(offset: int) -> None:
+        for signature, message, expected in (cases[offset:] + cases[:offset]) * 3:
+            if core.verify_signature(key.public_key, signature, message) is not expected:
+                wrong.append((message, expected))
+
+    threads = [threading.Thread(target=worker, args=(i * 10,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert len(core._verified) <= 16

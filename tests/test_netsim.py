@@ -8,6 +8,7 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, strategies as st
 
 from abd.core import NamespaceKey, RecordType, ResourceRecord, sign_record_set
 from abd.delegation import encode_attr_payload, expression
@@ -396,6 +397,110 @@ def test_hostile_replica_is_skipped():
     entry = next(i for i in range(16) if i not in replicas)
     assert network.get(query_key, CLOCK, entry_node=entry) == rset
     assert network.stats().bad_signatures == 1
+
+
+# --- DHT lookups against slow references ----------------------------------------------
+
+
+def linear_replicas(network: SimulatedDht, query_key: bytes) -> list[int]:
+    """Reference placement: walk the ring in node-id order from the first
+    id at or past the key, wrapping to the smallest id."""
+    ring = sorted(network.nodes, key=lambda node: node.node_id)
+    key_int = int.from_bytes(query_key, "big")
+    start = 0
+    while start < len(ring) and ring[start].node_id < key_int:
+        start += 1
+    count = min(network.config.replication_factor, len(ring))
+    return [ring[(start + i) % len(ring)].index for i in range(count)]
+
+
+@given(
+    node_count=st.integers(min_value=1, max_value=64),
+    replication=st.integers(min_value=1, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**16),
+    data=st.data(),
+)
+def test_replica_nodes_match_a_linear_scan(node_count, replication, seed, data):
+    network = dht(node_count=node_count, replication_factor=replication, rng_seed=seed)
+    ids = sorted(node.node_id for node in network.nodes)
+    past_the_last = data.draw(st.integers(min_value=ids[-1] + 1, max_value=2**256 - 1))
+    on_a_node = data.draw(st.sampled_from(ids))
+    keys = [
+        bytes(32),
+        b"\xff" * 32,
+        past_the_last.to_bytes(32, "big"),
+        on_a_node.to_bytes(32, "big"),
+        data.draw(st.binary(min_size=32, max_size=32)),
+    ]
+    for query_key in keys:
+        assert network.replica_nodes(query_key) == linear_replicas(network, query_key)
+    # Keys past the largest node id wrap to the start of the ring.
+    smallest = min(network.nodes, key=lambda node: node.node_id).index
+    assert network.replica_nodes(past_the_last.to_bytes(32, "big"))[0] == smallest
+    assert network.replica_nodes(on_a_node.to_bytes(32, "big"))[0] == next(
+        node.index for node in network.nodes if node.node_id == on_a_node
+    )
+
+
+class LiveListPerCall(SimulatedDht):
+    """Reference: the list of live nodes rebuilt from the node flags at
+    every get, instead of kept up to date by fail_nodes and heal_nodes."""
+
+    def get(self, query_key, clock, entry_node=None):
+        self._live = [node for node in self.nodes if not node.failed]
+        return super().get(query_key, clock, entry_node)
+
+
+def run_fixed_sequence(network: SimulatedDht) -> tuple[list, list, dict]:
+    """Put, get, fail, get, heal, get; returns the outcomes, the entry node
+    of every get that picked one at random, and the lookup stats."""
+    entries = []
+    choose = network._rng.choice
+
+    def recording_choice(nodes):
+        node = choose(nodes)
+        entries.append(node.index)
+        return node
+
+    network._rng.choice = recording_choice
+    sets = [make_set(label=f"label-{i}", expiration=CLOCK + 10 * HOUR) for i in range(6)]
+    keys = [put_set(network, rset) for rset in sets]
+    outcomes = []
+
+    def get_all(phase: int) -> None:
+        # Each phase starts one cache TTL after the last, so its first round
+        # misses every response cache and its second can hit them.
+        for _ in range(2):
+            for query_key in keys:
+                try:
+                    found = network.get(query_key, CLOCK + phase * HOUR)
+                    outcomes.append(found is not None)
+                except AllReplicasDown:
+                    outcomes.append("down")
+
+    get_all(0)
+    down = network.replica_nodes(keys[0]) + [0, 7, 11]
+    network.fail_nodes(down)
+    get_all(1)
+    outcomes.append(network.get(keys[1], CLOCK, entry_node=2) is not None)
+    network.heal_nodes(down[:3])
+    get_all(2)
+    network.heal_nodes(down)
+    get_all(3)
+    put_set(network, sets[0])
+    get_all(4)
+    return outcomes, entries, network.stats().as_dict()
+
+
+@pytest.mark.parametrize("rng_seed", [1, 5, 29])
+def test_gets_pick_the_same_entry_nodes_as_a_per_call_live_list(rng_seed):
+    fast = run_fixed_sequence(dht(rng_seed=rng_seed))
+    reference = run_fixed_sequence(LiveListPerCall(dht(rng_seed=rng_seed).config))
+    assert fast == reference
+    outcomes, entries, stats = fast
+    # The sequence reached outages, healed-empty replicas and cache hits.
+    assert "down" in outcomes and False in outcomes and stats["cache_hits"] > 0
+    assert len(entries) == 6 * 10 and stats["lookups"] == 6 * 10 + 1
 
 
 # --- resolve ------------------------------------------------------------------------------
