@@ -41,6 +41,7 @@ NONCE_LEN = 16
 NONCE_LIFETIME_US = 120_000_000  # two minutes
 MAX_BODY_BYTES = 1 << 20  # an /authorize body for a few attributes is a few KB
 MAX_NONCES = 65_536  # outstanding nonces; a few hundred bytes each
+READ_TIMEOUT_S = 10.0  # a connection that stalls this long mid-request is closed
 
 GRANT, DENY, ERROR = "grant", "deny", "error"
 
@@ -218,15 +219,12 @@ class AuthzDecision:
 
 def _summarize_chain(chain: DelegationChain) -> str:
     hops = [f"{chain.issuer.hex()[:8]}.{chain.attribute}"]
-    hops += [f"{step.subject.hex()[:8]}.{'.'.join(step.trail)}" for step in chain.steps[1:]]
-    leaf_bits = []
-    for leaf in chain.leaves:
-        if leaf.credential is not None:
-            leaf_bits.append(
-                f"cred {leaf.credential.issuer.hex()[:8]}.{leaf.credential.attribute}"
-            )
-        else:
-            leaf_bits.append("subject key")
+    hops += [f"{step.subject.hex()[:8]}.{step.label}" for step in chain.steps[1:]]
+    # Without a credential, a record named the subject's key itself.
+    leaf_bits = [
+        f"cred {leaf.credential.issuer.hex()[:8]}.{leaf.credential.attribute}"
+        for leaf in chain.leaves
+    ] or ["subject key"]
     return " -> ".join(hops) + " -> " + ", ".join(leaf_bits)
 
 
@@ -253,7 +251,7 @@ def authorize(
     if len(response.subject) != KEY_LEN:
         return AuthzDecision(decision=DENY, reasons=("malformed subject key",))
     if not verify_signature(
-        response.subject, response.signature, response.signing_bytes()
+        response.subject, response.signature, response.signing_bytes(), remember=False
     ):
         return AuthzDecision(decision=DENY, reasons=("response signature invalid",))
 
@@ -420,7 +418,12 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 def make_server(service: VerifierService, host: str, port: int) -> ThreadingHTTPServer:
-    handler = type("BoundHandler", (_Handler,), {"service": service})
+    # ``timeout`` is set on each connection's socket: a body shorter than its
+    # Content-Length ends in a timeout that closes the connection, rather
+    # than in a handler thread blocked for good.
+    handler = type(
+        "BoundHandler", (_Handler,), {"service": service, "timeout": READ_TIMEOUT_S}
+    )
     return ThreadingHTTPServer((host, port), handler)
 
 

@@ -122,12 +122,16 @@ _verified: OrderedDict[bytes, None] = OrderedDict()
 _verified_lock = threading.Lock()
 
 
-def verify_signature(public_key: bytes, signature: bytes, message: bytes) -> bool:
+def verify_signature(
+    public_key: bytes, signature: bytes, message: bytes, remember: bool = True
+) -> bool:
     """Ed25519 check; a repeat of a check that passed is a table lookup.
 
     Verification is deterministic, so a remembered success stays valid.
     Failures are not remembered: forged signatures cost their sender
-    nothing and must not evict good entries.
+    nothing and must not evict good entries. Pass ``remember=False`` for a
+    signature that is never checked again, such as one over a single-use
+    nonce, so it does not evict entries that could be hits.
     """
     if len(public_key) != KEY_LEN or len(signature) != SIGNATURE_LEN:
         return False
@@ -140,6 +144,8 @@ def verify_signature(public_key: bytes, signature: bytes, message: bytes) -> boo
         Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
     except (InvalidSignature, ValueError):
         return False
+    if not remember:
+        return True
     with _verified_lock:
         _verified[digest] = None
         if len(_verified) > VERIFIED_CACHE_SIZE:

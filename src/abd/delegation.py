@@ -33,9 +33,6 @@ from .core import (
 from .errors import DecodeError, DuplicateDelegation, ParseError, UnknownPetname
 from .namestore import NamespaceStore
 
-# Resolver guard against unbounded rewrite growth.
-MAX_TRAIL_LEN = 16
-
 DEFAULT_RECORD_LIFETIME_US = 30 * DAYS
 
 

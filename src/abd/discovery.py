@@ -1,20 +1,28 @@
-"""Delegation chain discovery: rewrite, resolve, check.
+"""Delegation chain discovery: a backward search over role memberships.
 
-The search starts from the asking namespace's attribute and rewrites it
-through published delegation records until every open obligation is closed
-by one of the subject's credentials (or by the subject's key itself). A node
-is one obligation: (namespace key, attribute trail). Expanding a node
-resolves the trail's first label in that namespace; each returned record is
-one alternative (OR), and each entry inside a record is one conjunct (AND)
-whose trail is prepended to the remaining suffix.
+A role is one namespace's attribute, ``A.r``, and its members are keys. Each
+delegation record under ``A.r`` is a rule: a key joins ``A.r`` once it
+satisfies every entry of the record (AND); each record is one alternative
+(OR). An entry that names a key is satisfied by that key alone, an entry
+``B.s`` by the members of role ``B.s``, and a trail ``B.s.t`` by the members
+of a linked role: for each member ``m`` of ``B.s``, the members of ``m.t``.
+The subject's credentials make it a member of the roles that issued them.
 
-Scheduling is deterministic and credential-guided. Obligations whose trail
-is longer than one can never be closed by a single credential, so they are
-resolved eagerly in FIFO order. Single-label obligations are checked against
-the credential set immediately on creation and resolved lazily otherwise,
-preferring namespaces that issued one of the subject's credentials. The
-result is a reproducible resolve sequence and no speculative lookups once
-the goal is reachable.
+The search is the backward chain discovery of Li, Winsborough and Mitchell
+(JCS 2003) for RT. It starts at the asking namespace's role and resolves
+roles until the subject is a member or nothing is left to resolve. A node is
+a role, or a link ``prefix.label`` for a trail longer than one label, and
+holds the members found so far. A link subscribes to its prefix: for each
+member ``m`` of the prefix it creates role ``m.label`` and takes its members.
+Nodes are therefore bounded by the records seen, and trails never grow.
+
+Scheduling is deterministic and credential-guided. A role whose every member
+matters (a link prefix, or an entry of a record under such a role) is
+resolved eagerly in FIFO order. For any other role only the subject's
+membership matters: it is checked against the credential set on creation
+and resolved lazily otherwise, preferring namespaces that issued one of the
+subject's credentials. The result is a reproducible resolve sequence and no
+speculative lookups once the goal is reachable.
 
 Every (namespace, label) pair is resolved at most once per call. Dead ends
 (authoritative absence) fail only their own branch; network-class backend
@@ -25,50 +33,19 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .core import RecordType, ResourceRecord, check_label
 from .credential import Credential, verify_credential
-from .delegation import (
-    MAX_TRAIL_LEN,
-    DelegationSetEntry,
-    decode_attr_payload,
-    render_term,
-)
-from .errors import (
-    BackendError,
-    DecodeError,
-    LimitExceeded,
-    NotFound,
-    TrailTooLong,
-)
+from .delegation import DelegationSetEntry, decode_attr_payload, render_term
+from .errors import BackendError, DecodeError, LimitExceeded, NotFound
 from .netsim import NameSystemBackend, resolve
 
 
 @dataclass(frozen=True)
 class Limits:
-    max_trail_len: int = MAX_TRAIL_LEN
     max_nodes: int = 10_000
     max_lookups: int = 10_000
-
-
-def rewrite(
-    entry: DelegationSetEntry,
-    suffix: tuple[str, ...],
-    max_trail_len: int = MAX_TRAIL_LEN,
-) -> tuple[bytes, tuple[str, ...]]:
-    """Prepend an entry's trail to the pending suffix.
-
-    The suffix is what remains of the parent obligation after its first
-    label was resolved; the entry must now satisfy its own trail plus that
-    remainder.
-    """
-    trail = entry.trail + suffix
-    if len(trail) > max_trail_len:
-        raise TrailTooLong(
-            f"rewritten trail has {len(trail)} labels (limit {max_trail_len})"
-        )
-    return entry.subject, trail
 
 
 # --- trace -------------------------------------------------------------------
@@ -77,10 +54,9 @@ def rewrite(
 @dataclass(frozen=True)
 class TraceEvent:
     kind: str  # resolve | expand | no_credential | credential_match |
-    #            entity_match | dead_end | chain_found | exhausted
+    #            dead_end | chain_found | exhausted
     subject: Optional[bytes] = None
     label: Optional[str] = None
-    trail: Optional[tuple[str, ...]] = None
     children: Optional[tuple[tuple[bytes, tuple[str, ...]], ...]] = None
     credential: Optional[Credential] = None
     note: Optional[str] = None
@@ -99,40 +75,23 @@ class DiscoveryTrace:
     def render(self, names_by_key: Optional[Mapping[bytes, str]] = None) -> list[str]:
         lines = []
         for event in self.events:
+            if event.kind in ("chain_found", "exhausted"):
+                lines.append(event.kind)
+                continue
+            role = render_term(event.subject, [event.label], names_by_key)
             if event.kind == "resolve":
-                lines.append(
-                    f"resolve {render_term(event.subject, [event.label], names_by_key)}"
-                    f" -> {event.note}"
-                )
+                lines.append(f"resolve {role} -> {event.note}")
             elif event.kind == "expand":
-                children = ", ".join(
+                children = " & ".join(
                     render_term(s, t, names_by_key) for s, t in event.children
                 )
-                lines.append(
-                    f"  rewrite {render_term(event.subject, event.trail, names_by_key)}"
-                    f" => {children}"
-                )
+                lines.append(f"  rule {role} <- {children}")
             elif event.kind == "no_credential":
-                lines.append(
-                    f"  no credential for"
-                    f" {render_term(event.subject, event.trail, names_by_key)}"
-                )
+                lines.append(f"  no credential for {role}")
             elif event.kind == "credential_match":
-                lines.append(
-                    f"  credential matches"
-                    f" {render_term(event.subject, event.trail, names_by_key)}"
-                )
-            elif event.kind == "entity_match":
-                lines.append(
-                    f"  subject key matches {render_term(event.subject, (), names_by_key)}"
-                )
+                lines.append(f"  credential matches {role}")
             elif event.kind == "dead_end":
-                lines.append(
-                    f"  dead end at {render_term(event.subject, event.trail, names_by_key)}"
-                    + (f": {event.note}" if event.note else "")
-                )
-            else:
-                lines.append(event.kind)
+                lines.append(f"  dead end at {role}: {event.note}")
         return lines
 
 
@@ -141,25 +100,28 @@ class DiscoveryTrace:
 
 @dataclass(frozen=True)
 class ChainStep:
-    """One resolved delegation: the record used and how it rewrote."""
+    """``member`` is in ``subject.label`` by ``record``.
 
+    ``via`` holds, per record entry, the intermediate members its trail
+    passes through: for an entry ``B.s.t``, the ``m`` with ``m`` in ``B.s``
+    and ``member`` in ``m.t``. A key or a one-label entry passes through none.
+    """
+
+    member: bytes
     subject: bytes
-    trail: tuple[str, ...]
+    label: str
     record: ResourceRecord
-    rewritten: tuple[tuple[bytes, tuple[str, ...]], ...]
-
-    @property
-    def label(self) -> str:
-        return self.trail[0]
+    via: tuple[tuple[bytes, ...], ...]
 
 
 @dataclass(frozen=True)
 class ChainLeaf:
-    """A closed obligation: by credential, or by the subject's own key."""
+    """``member`` is in ``subject.label`` by one of the subject's credentials."""
 
+    member: bytes
     subject: bytes
-    trail: tuple[str, ...]
-    credential: Optional[Credential] = None
+    label: str
+    credential: Credential
 
 
 @dataclass(frozen=True)
@@ -170,100 +132,113 @@ class DelegationChain:
     leaves: tuple[ChainLeaf, ...]
 
     def credentials(self) -> list[Credential]:
-        return [leaf.credential for leaf in self.leaves if leaf.credential is not None]
+        return [leaf.credential for leaf in self.leaves]
 
     def to_dict(self, names_by_key: Optional[Mapping[bytes, str]] = None) -> dict:
         from .credential import export_json
 
         names_by_key = names_by_key or {}
+
+        def name(key: bytes) -> str:
+            return names_by_key.get(key, key.hex())
+
         return {
             "root": render_term(self.issuer, (self.attribute,), names_by_key),
             "issuer": self.issuer.hex(),
             "attribute": self.attribute,
             "steps": [
                 {
-                    "at": render_term(step.subject, step.trail, names_by_key),
+                    "at": render_term(step.subject, (step.label,), names_by_key),
+                    "member": name(step.member),
                     "namespace": step.subject.hex(),
-                    "trail": list(step.trail),
+                    "label": step.label,
                     "record": step.record.canonical_bytes().hex(),
-                    "rewritten": [
-                        render_term(subject, trail, names_by_key)
-                        for subject, trail in step.rewritten
-                    ],
+                    "via": [[name(key) for key in keys] for keys in step.via],
                 }
                 for step in self.steps
             ],
             "leaves": [
                 {
-                    "at": render_term(leaf.subject, leaf.trail, names_by_key),
-                    "credential": (
-                        export_json(leaf.credential) if leaf.credential else None
-                    ),
+                    "at": render_term(leaf.subject, (leaf.label,), names_by_key),
+                    "member": name(leaf.member),
+                    "credential": export_json(leaf.credential),
                 }
                 for leaf in self.leaves
             ],
         }
 
 
+# (member, namespace, label): member is in the role namespace.label.
+_Obligation = tuple[bytes, bytes, str]
+
+
+def _obligations(
+    entry: DelegationSetEntry, via: tuple[bytes, ...], member: bytes
+) -> Iterator[_Obligation]:
+    """The memberships (member, namespace, label) by which ``member``
+    satisfies ``entry``, given the intermediate members of its trail."""
+    subject = entry.subject
+    for label, next_member in zip(entry.trail, via + (member,)):
+        yield next_member, subject, label
+        subject = next_member
+
+
 # --- search ------------------------------------------------------------------
-
-_PENDING, _SATISFIED, _DEAD = "pending", "satisfied", "dead"
-
-
-class _Group:
-    """One record alternative: satisfied when every member node is."""
-
-    __slots__ = ("node", "record", "members", "rewritten", "satisfied")
-
-    def __init__(self, node: "_Node", record: ResourceRecord, rewritten):
-        self.node = node
-        self.record = record
-        self.rewritten = rewritten
-        self.members: list[_Node] = []
-        self.satisfied = False
 
 
 class _Node:
+    """A role (one-label trail) or a link (longer trail) and its members.
+
+    ``members`` maps each member to how it joined: for a role, the
+    credential or rule that added it; for a link, the member of the prefix
+    whose role it came from.
+    """
+
     __slots__ = (
         "subject",
         "trail",
-        "status",
-        "groups",
-        "parents",
-        "credential",
-        "entity",
-        "satisfied_via",
+        "members",
+        "every",
+        "resolved",
+        "prefix",
+        "rules",
+        "links",
+        "feeds",
+        "terms",
     )
 
     def __init__(self, subject: bytes, trail: tuple[str, ...]):
         self.subject = subject
         self.trail = trail
-        self.status = _PENDING
-        self.groups: list[_Group] = []
-        self.parents: list[_Group] = []
-        self.credential: Optional[Credential] = None
-        self.entity = False
-        self.satisfied_via: Optional[_Group] = None
-
-    @property
-    def key(self) -> tuple[bytes, tuple[str, ...]]:
-        return (self.subject, self.trail)
+        self.members: dict[bytes, object] = {}
+        self.every = False  # every member wanted, not only the subject
+        self.resolved = False
+        self.prefix: Optional[_Node] = None  # links only
+        self.rules: list[_Rule] = []  # rules with this node as an entry
+        self.links: list[_Node] = []  # links with this node as their prefix
+        self.feeds: list[_Node] = []  # links that take this role's members
+        self.terms: list[_Node] = []  # entry nodes of this role's rules
 
 
-def _propagate(node: _Node) -> None:
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        for group in current.parents:
-            if group.satisfied:
-                continue
-            if all(member.status == _SATISFIED for member in group.members):
-                group.satisfied = True
-                owner = group.node
-                if owner.status != _SATISFIED:
-                    owner.status = _SATISFIED
-                    owner.satisfied_via = group
-                    stack.append(owner)
+class _Rule:
+    """One resolved record: adds a key to ``owner`` once every entry holds it.
+
+    ``terms`` has the node of each entry, or None for an entry naming a key.
+    """
+
+    __slots__ = ("owner", "record", "entries", "terms")
+
+    def __init__(self, owner: _Node, record: ResourceRecord, entries, terms):
+        self.owner = owner
+        self.record = record
+        self.entries: tuple[DelegationSetEntry, ...] = entries
+        self.terms: tuple[Optional[_Node], ...] = terms
+
+    def holds(self, key: bytes) -> bool:
+        return all(
+            key == entry.subject if term is None else key in term.members
+            for entry, term in zip(self.entries, self.terms)
+        )
 
 
 def discover(
@@ -279,13 +254,11 @@ def discover(
     """Find a delegation chain from issuer.attribute to the subject.
 
     Returns None when the search space is exhausted without a chain. The
-    trail bound prunes alternatives that can only grow past it, keeping the
-    node space finite; the node and lookup budgets raise LimitExceeded when
-    hit. Network-class backend errors propagate: an unreachable name system
-    is not a denial.
+    node and lookup budgets raise LimitExceeded when hit. Network-class
+    backend errors propagate: an unreachable name system is not a denial.
     """
     check_label(attribute)
-    trace = trace if trace is not None else DiscoveryTrace()
+    tracing = trace is not None
 
     # Foreign or expired credentials can never close an obligation; drop
     # them up front. Deterministic order makes credential choice stable.
@@ -303,200 +276,223 @@ def discover(
     hinted_issuers = {cred.issuer for cred in usable}
 
     nodes: dict[tuple[bytes, tuple[str, ...]], _Node] = {}
-    queue_must: deque[_Node] = deque()  # trails >= 2: only resolution helps
-    queue_hinted: deque[_Node] = deque()  # trail == 1, namespace issued a credential
+    queue_every: deque[_Node] = deque()
+    queue_hinted: deque[_Node] = deque()  # namespace issued a credential
     queue_cold: deque[_Node] = deque()
-    resolve_memo: dict[tuple[bytes, str], Optional[list[ResourceRecord]]] = {}
     lookups = 0
 
-    def get_or_create(subject: bytes, trail: tuple[str, ...]) -> _Node:
-        key = (subject, trail)
-        node = nodes.get(key)
-        if node is not None:
-            return node
+    def new_node(subject: bytes, trail: tuple[str, ...]) -> _Node:
         if len(nodes) >= limits.max_nodes:
             raise LimitExceeded("max_nodes", limits.max_nodes)
-        node = _Node(subject, trail)
-        nodes[key] = node
-        if len(trail) == 1:
-            credential = cred_index.get((subject, trail[0]))
-            if credential is not None:
-                node.status = _SATISFIED
-                node.credential = credential
-                trace.add(
-                    kind="credential_match",
-                    subject=subject,
-                    trail=trail,
-                    credential=credential,
-                )
-                return node
-            trace.add(kind="no_credential", subject=subject, trail=trail)
-            if subject in hinted_issuers:
-                queue_hinted.append(node)
-            else:
-                queue_cold.append(node)
-        elif len(trail) == 0:
-            if subject == subject_pub:
-                node.status = _SATISFIED
-                node.entity = True
-                trace.add(kind="entity_match", subject=subject)
-            else:
-                node.status = _DEAD
-                trace.add(
-                    kind="dead_end",
-                    subject=subject,
-                    trail=trail,
-                    note="foreign key, no attribute left to resolve",
-                )
-        else:
-            queue_must.append(node)
+        node = nodes[(subject, trail)] = _Node(subject, trail)
         return node
 
-    def resolve_once(subject: bytes, label: str) -> Optional[list[ResourceRecord]]:
+    def role(subject: bytes, label: str, every: bool) -> _Node:
+        node = nodes.get((subject, (label,)))
+        if node is not None:
+            if every:
+                want_all(node)
+            return node
+        node = new_node(subject, (label,))
+        credential = cred_index.get((subject, label))
+        if tracing:
+            trace.add(
+                kind="no_credential" if credential is None else "credential_match",
+                subject=subject,
+                label=label,
+                credential=credential,
+            )
+        if credential is not None:
+            add(node, subject_pub, credential)
+        node.every = every
+        if every:
+            queue_every.append(node)
+        elif credential is None:
+            (queue_hinted if subject in hinted_issuers else queue_cold).append(node)
+        return node
+
+    def link(prefix: _Node, label: str, every: bool) -> _Node:
+        trail = prefix.trail + (label,)
+        node = nodes.get((prefix.subject, trail))
+        if node is not None:
+            if every:
+                want_all(node)
+            return node
+        node = new_node(prefix.subject, trail)
+        node.prefix = prefix
+        node.every = every
+        prefix.links.append(node)
+        for member in list(prefix.members):
+            join(node, member)
+        return node
+
+    def term(entry: DelegationSetEntry, every: bool) -> _Node:
+        """The node whose members satisfy a one-or-more-label entry."""
+        trail = entry.trail
+        node = role(entry.subject, trail[0], every or len(trail) > 1)
+        for position in range(1, len(trail)):
+            node = link(node, trail[position], every or position < len(trail) - 1)
+        return node
+
+    def join(target: _Node, member: bytes) -> None:
+        """``member`` joined the prefix of ``target``: take member.label's members."""
+        source = role(member, target.trail[-1], target.every)
+        source.feeds.append(target)
+        for key in list(source.members):
+            add(target, key, member)
+
+    def add(node: _Node, member: bytes, why: object) -> None:
+        pending = deque([(node, member, why)])
+        while pending:
+            node, member, why = pending.popleft()
+            if member in node.members:
+                continue
+            node.members[member] = why
+            for rule in node.rules:
+                if rule.holds(member):
+                    pending.append((rule.owner, member, rule))
+            for target in node.feeds:
+                pending.append((target, member, node.subject))
+            for target in node.links:
+                join(target, member)
+
+    def want_all(node: _Node) -> None:
+        stack = [node]
+        while stack:
+            node = stack.pop()
+            if node.every:
+                continue
+            node.every = True
+            if node.prefix is not None:
+                # A member whose join is still to come gets its role from
+                # ``join``, which reads ``every`` then.
+                label = node.trail[-1:]
+                roles = (nodes.get((m, label)) for m in node.prefix.members)
+                stack.extend(r for r in roles if r is not None)
+            else:
+                if not node.resolved:
+                    queue_every.append(node)
+                stack.extend(node.terms)
+
+    def expand(node: _Node) -> None:
         nonlocal lookups
-        key = (subject, label)
-        if key in resolve_memo:
-            return resolve_memo[key]
+        node.resolved = True
+        subject, label = node.subject, node.trail[0]
         if lookups >= limits.max_lookups:
             raise LimitExceeded("max_lookups", limits.max_lookups)
         lookups += 1
         try:
             records = resolve(label, subject, RecordType.ATTR, backend, clock)
         except NotFound:
-            resolve_memo[key] = None
-            trace.add(kind="resolve", subject=subject, label=label, note="not found")
-            return None
-        resolve_memo[key] = records
-        trace.add(
-            kind="resolve",
-            subject=subject,
-            label=label,
-            note=f"{len(records)} record(s)",
-        )
-        return records
-
-    def expand(node: _Node) -> None:
-        head, rest = node.trail[0], node.trail[1:]
-        records = resolve_once(node.subject, head)
-        if not records:
-            node.status = _DEAD
+            records = None
+        if tracing:
             trace.add(
-                kind="dead_end",
-                subject=node.subject,
-                trail=node.trail,
-                note="nothing delegated" if records is not None else "no record set",
+                kind="resolve",
+                subject=subject,
+                label=label,
+                note="not found" if records is None else f"{len(records)} record(s)",
             )
+        if not records:
+            if tracing:
+                trace.add(
+                    kind="dead_end",
+                    subject=subject,
+                    label=label,
+                    note="nothing delegated" if records is not None else "no record set",
+                )
             return
-        satisfied_any = False
         for record in records:
             try:
                 expr = decode_attr_payload(record.payload)
             except DecodeError as exc:
-                trace.add(
-                    kind="dead_end",
-                    subject=node.subject,
-                    trail=node.trail,
-                    note=f"malformed record skipped: {exc}",
-                )
+                if tracing:
+                    trace.add(
+                        kind="dead_end",
+                        subject=subject,
+                        label=label,
+                        note=f"malformed record skipped: {exc}",
+                    )
                 continue
-            try:
-                rewritten = tuple(
-                    rewrite(entry, rest, limits.max_trail_len)
-                    for entry in expr.entries
-                )
-            except TrailTooLong:
-                # This alternative can only grow; it cannot be satisfied
-                # within the trail bound. Other alternatives keep going.
+            if tracing:
                 trace.add(
-                    kind="dead_end",
-                    subject=node.subject,
-                    trail=node.trail,
-                    note=f"rewrite exceeds the {limits.max_trail_len}-label trail bound",
+                    kind="expand",
+                    subject=subject,
+                    label=label,
+                    children=tuple((e.subject, e.trail) for e in expr.entries),
                 )
-                continue
-            group = _Group(node, record, rewritten)
-            trace.add(
-                kind="expand",
-                subject=node.subject,
-                trail=node.trail,
-                children=rewritten,
+            terms = tuple(
+                term(entry, node.every) if entry.trail else None
+                for entry in expr.entries
             )
-            seen: set[tuple[bytes, tuple[str, ...]]] = set()
-            for child_subject, child_trail in rewritten:
-                child_key = (child_subject, child_trail)
-                if child_key in seen:
-                    continue
-                seen.add(child_key)
-                child = get_or_create(child_subject, child_trail)
-                group.members.append(child)
-                child.parents.append(group)
-            node.groups.append(group)
-            if all(member.status == _SATISFIED for member in group.members):
-                group.satisfied = True
-                if node.status != _SATISFIED:
-                    node.status = _SATISFIED
-                    node.satisfied_via = group
-                    satisfied_any = True
-        if satisfied_any:
-            _propagate(node)
+            rule = _Rule(node, record, expr.entries, terms)
+            for entry_node in dict.fromkeys(t for t in terms if t is not None):
+                # A term's creation may have made this role want every member.
+                if node.every:
+                    want_all(entry_node)
+                node.terms.append(entry_node)
+                entry_node.rules.append(rule)
+            first = terms[0]
+            candidates = [expr.entries[0].subject] if first is None else list(first.members)
+            for key in candidates:
+                if rule.holds(key):
+                    add(node, key, rule)
 
-    root = get_or_create(issuer_pub, (attribute,))
-    while root.status != _SATISFIED:
-        if queue_must:
-            node = queue_must.popleft()
-        elif queue_hinted:
-            node = queue_hinted.popleft()
-        elif queue_cold:
-            node = queue_cold.popleft()
+    root = role(issuer_pub, attribute, False)
+    while subject_pub not in root.members:
+        for queue in (queue_every, queue_hinted, queue_cold):
+            if queue:
+                node = queue.popleft()
+                break
         else:
             break
-        if node.status != _PENDING:
-            continue
-        expand(node)
+        if not node.resolved:
+            expand(node)
 
-    if root.status != _SATISFIED:
-        trace.add(kind="exhausted")
+    if subject_pub not in root.members:
+        if tracing:
+            trace.add(kind="exhausted")
         return None
+    if tracing:
+        trace.add(kind="chain_found")
+    return _build_chain(nodes, issuer_pub, attribute, subject_pub)
 
-    trace.add(kind="chain_found")
-    return _build_chain(root)
+
+def _via(node: _Node, member: bytes) -> tuple[bytes, ...]:
+    """The intermediate members by which ``member`` joined a term's node."""
+    path = []
+    while node.prefix is not None:
+        member = node.members[member]
+        path.append(member)
+        node = node.prefix
+    return tuple(reversed(path))
 
 
-def _build_chain(root: _Node) -> DelegationChain:
+def _build_chain(
+    nodes: Mapping[tuple[bytes, tuple[str, ...]], _Node],
+    issuer: bytes,
+    attribute: str,
+    subject_pub: bytes,
+) -> DelegationChain:
     steps: list[ChainStep] = []
     leaves: list[ChainLeaf] = []
-    seen: set[tuple[bytes, tuple[str, ...]]] = set()
-    queue: deque[_Node] = deque([root])
+    seen: set[_Obligation] = set()
+    queue = deque([(subject_pub, issuer, attribute)])
     while queue:
-        node = queue.popleft()
-        if node.key in seen:
+        obligation = queue.popleft()
+        if obligation in seen:
             continue
-        seen.add(node.key)
-        if node.credential is not None:
-            leaves.append(
-                ChainLeaf(
-                    subject=node.subject, trail=node.trail, credential=node.credential
-                )
-            )
-        elif node.entity:
-            leaves.append(ChainLeaf(subject=node.subject, trail=node.trail))
-        else:
-            group = node.satisfied_via
-            assert group is not None
-            steps.append(
-                ChainStep(
-                    subject=node.subject,
-                    trail=node.trail,
-                    record=group.record,
-                    rewritten=group.rewritten,
-                )
-            )
-            queue.extend(group.members)
+        seen.add(obligation)
+        member, subject, label = obligation
+        why = nodes[(subject, (label,))].members[member]
+        if isinstance(why, Credential):
+            leaves.append(ChainLeaf(member, subject, label, why))
+            continue
+        via = tuple(() if t is None else _via(t, member) for t in why.terms)
+        steps.append(ChainStep(member, subject, label, why.record, via))
+        for entry, keys in zip(why.entries, via):
+            queue.extend(_obligations(entry, keys, member))
     return DelegationChain(
-        issuer=root.subject,
-        attribute=root.trail[0],
-        steps=tuple(steps),
-        leaves=tuple(leaves),
+        issuer=issuer, attribute=attribute, steps=tuple(steps), leaves=tuple(leaves)
     )
 
 
@@ -511,113 +507,104 @@ def verify_chain(
 ) -> tuple[bool, list[str]]:
     """Re-check a chain against the current name system state.
 
-    Every step's record must resolve right now, every rewrite must follow
-    from the record's entries, every conjunct must be covered, and every
-    leaf must be a live credential for the subject (or the subject's key).
-    Returns (ok, diagnostics); never raises.
+    The subject must be a member of the chain's root. Every membership a
+    step claims must follow from a record that resolves right now, each of
+    that record's entries must hold for the member through the intermediate
+    members the step names, and each of those memberships is an obligation
+    of its own. Every leaf must be a live credential for the subject.
+    Obligations are walked depth first without recursion, so a chain of
+    any length is checked. Returns (ok, diagnostics); never raises.
     """
     diagnostics: list[str] = []
-    steps = {(step.subject, step.trail): step for step in chain.steps}
-    leaves = {(leaf.subject, leaf.trail): leaf for leaf in chain.leaves}
-    memo: dict[tuple[bytes, tuple[str, ...]], bool] = {}
-    in_progress: set[tuple[bytes, tuple[str, ...]]] = set()
+    steps = {(step.member, step.subject, step.label): step for step in chain.steps}
 
-    def describe(subject: bytes, trail: tuple[str, ...]) -> str:
-        return render_term(subject, trail)
+    def describe(member: bytes, subject: bytes, label: str) -> str:
+        return f"{member.hex()[:16]} in {render_term(subject, (label,))}"
 
-    def check(subject: bytes, trail: tuple[str, ...]) -> bool:
-        key = (subject, trail)
-        if key in memo:
-            return memo[key]
-        if key in in_progress:
-            diagnostics.append(f"cycle through {describe(subject, trail)}")
+    def check_leaf(leaf: ChainLeaf) -> bool:
+        credential = leaf.credential
+        where = render_term(leaf.subject, (leaf.label,))
+        if credential.issuer != leaf.subject or credential.attribute != leaf.label:
+            diagnostics.append(f"credential at {where} asserts a different attribute")
             return False
-        in_progress.add(key)
-        try:
-            ok = _check_inner(subject, trail)
-        finally:
-            in_progress.discard(key)
-        memo[key] = ok
-        return ok
+        if credential.subject != leaf.member or leaf.member != subject_pub:
+            diagnostics.append(f"credential at {where} names a different subject")
+            return False
+        if not verify_credential(credential, clock):
+            diagnostics.append(f"credential at {where} is expired or forged")
+            return False
+        return True
 
-    def _check_inner(subject: bytes, trail: tuple[str, ...]) -> bool:
-        key = (subject, trail)
-        leaf = leaves.get(key)
-        if leaf is not None:
-            if leaf.credential is None:
-                if trail or subject != subject_pub:
-                    diagnostics.append(
-                        f"entity leaf {describe(subject, trail)} does not name the subject"
-                    )
-                    return False
-                return True
-            credential = leaf.credential
-            if len(trail) != 1:
-                diagnostics.append(
-                    f"credential leaf at {describe(subject, trail)} closes a trail"
-                )
-                return False
-            if credential.issuer != subject or credential.attribute != trail[0]:
-                diagnostics.append(
-                    f"credential at {describe(subject, trail)} asserts a different attribute"
-                )
-                return False
-            if credential.subject != subject_pub:
-                diagnostics.append(
-                    f"credential at {describe(subject, trail)} names a different subject"
-                )
-                return False
-            if not verify_credential(credential, clock):
-                diagnostics.append(
-                    f"credential at {describe(subject, trail)} is expired or forged"
-                )
-                return False
-            return True
-        step = steps.get(key)
+    def check_step(member: bytes, subject: bytes, label: str) -> Optional[list[_Obligation]]:
+        """The obligations a step rests on, or None when the step is wrong."""
+        step = steps.get((member, subject, label))
         if step is None:
-            diagnostics.append(f"no step or leaf covers {describe(subject, trail)}")
-            return False
-        if not trail:
-            diagnostics.append(f"step at {describe(subject, trail)} has no label")
-            return False
+            diagnostics.append(
+                f"no step or leaf covers {describe(member, subject, label)}"
+            )
+            return None
+        where = render_term(subject, (label,))
         try:
-            records = resolve(trail[0], subject, RecordType.ATTR, backend, clock)
+            records = resolve(label, subject, RecordType.ATTR, backend, clock)
         except NotFound:
-            diagnostics.append(
-                f"record for {describe(subject, trail)} no longer resolves"
-            )
-            return False
+            diagnostics.append(f"record for {where} no longer resolves")
+            return None
         except BackendError as exc:
-            diagnostics.append(
-                f"network failure re-resolving {describe(subject, trail)}: {exc}"
-            )
-            return False
+            diagnostics.append(f"network failure re-resolving {where}: {exc}")
+            return None
         wanted = step.record.canonical_bytes()
         if not any(r.canonical_bytes() == wanted for r in records):
-            diagnostics.append(
-                f"record used at {describe(subject, trail)} is not currently published"
-            )
-            return False
+            diagnostics.append(f"record used at {where} is not currently published")
+            return None
         try:
             expr = decode_attr_payload(step.record.payload)
         except DecodeError as exc:
-            diagnostics.append(f"record at {describe(subject, trail)} is malformed: {exc}")
-            return False
-        expected = tuple(
-            (entry.subject, entry.trail + trail[1:]) for entry in expr.entries
-        )
-        if step.rewritten != expected:
-            diagnostics.append(
-                f"rewrites at {describe(subject, trail)} do not follow from the record"
-            )
-            return False
-        ok = True
-        for child_subject, child_trail in dict.fromkeys(expected):
-            if not check(child_subject, child_trail):
-                ok = False
-        return ok
+            diagnostics.append(f"record at {where} is malformed: {exc}")
+            return None
+        if len(step.via) != len(expr.entries) or any(
+            len(keys) != max(len(entry.trail) - 1, 0)
+            for entry, keys in zip(expr.entries, step.via)
+        ):
+            diagnostics.append(f"via at {where} does not follow from the record")
+            return None
+        if any(not e.trail and e.subject != member for e in expr.entries):
+            diagnostics.append(f"record at {where} names another key")
+            return None
+        return [
+            obligation
+            for entry, keys in zip(expr.entries, step.via)
+            for obligation in _obligations(entry, keys, member)
+        ]
 
-    ok = check(chain.issuer, (chain.attribute,))
+    leaves = {
+        (leaf.member, leaf.subject, leaf.label): check_leaf(leaf) for leaf in chain.leaves
+    }
+    ok = all(leaves.values())
+    # False while an obligation's own obligations are open, True once done:
+    # meeting a False one again closes a cycle.
+    done: dict[_Obligation, bool] = {}
+    stack: list[tuple[_Obligation, bool]] = [
+        ((subject_pub, chain.issuer, chain.attribute), False)
+    ]
+    while stack:
+        obligation, leaving = stack.pop()
+        if leaving:
+            done[obligation] = True
+        elif obligation in leaves:
+            continue
+        elif obligation in done:
+            if not done[obligation]:
+                diagnostics.append(f"cycle through {describe(*obligation)}")
+                ok = False
+        else:
+            below = check_step(*obligation)
+            if below is None:
+                ok = False
+                done[obligation] = True
+            else:
+                done[obligation] = False
+                stack.append((obligation, True))
+                stack.extend((o, False) for o in reversed(below))
     return ok, diagnostics
 
 

@@ -66,10 +66,6 @@ class DuplicateDelegation(AbdError):
     """The identical delegation expression is already present under the label."""
 
 
-class TrailTooLong(AbdError):
-    """A rewritten attribute trail exceeded the configured maximum length."""
-
-
 class LimitExceeded(AbdError):
     """Discovery hit a resource limit; ``limit`` names which one."""
 

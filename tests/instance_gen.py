@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from abd.core import NamespaceKey, RecordType, ResourceRecord, sign_record_set
 from abd.credential import Credential, issue_credential, verify_credential
 from abd.delegation import DelegationExpression, encode_attr_payload, expression
-from abd.discovery import ChainLeaf, DelegationChain
+from abd.discovery import DelegationChain
 from abd.netsim import InMemoryBackend, derive_query_key
 
 CLOCK = 1_750_000_000_000_000
@@ -125,12 +125,10 @@ def mutate_chain(
         return dataclasses.replace(
             chain, steps=chain.steps[:index] + chain.steps[index + 1 :]
         )
-    credential_leaves = [
-        (i, leaf) for i, leaf in enumerate(chain.leaves) if leaf.credential is not None
-    ]
-    if not credential_leaves:
+    if not chain.leaves:
         return None
-    index, leaf = credential_leaves[rng.randrange(len(credential_leaves))]
+    index = rng.randrange(len(chain.leaves))
+    leaf = chain.leaves[index]
     issuer = keys_by_pub.get(leaf.credential.issuer)
     if issuer is None:
         return None
@@ -147,6 +145,36 @@ def mutate_chain(
         )
     else:
         raise ValueError(f"unknown mutation {kind!r}")
-    mutated = ChainLeaf(subject=leaf.subject, trail=leaf.trail, credential=replacement)
+    mutated = dataclasses.replace(leaf, credential=replacement)
     leaves = chain.leaves[:index] + (mutated,) + chain.leaves[index + 1 :]
     return dataclasses.replace(chain, leaves=leaves)
+
+
+# --- a search too wide for the default node budget -----------------------------
+
+
+def publish_fan_out(
+    portal: NamespaceKey, width: int = 10_000, clock: int = CLOCK
+) -> InMemoryBackend:
+    """``portal.user <- portal.staff.a`` and ``width`` single-key records
+    under ``portal.staff``.
+
+    The link ``portal.staff.a`` makes one role per staff member, so at the
+    default width the search runs into the default node budget.
+    """
+    def records(exprs):
+        return [
+            ResourceRecord(RecordType.ATTR, encode_attr_payload(e), clock + 24 * HOUR)
+            for e in exprs
+        ]
+
+    user = [expression([(portal.public_key, ["staff", "a"])])]
+    staff = [expression([(i.to_bytes(32, "big"), [])]) for i in range(width)]
+    backend = InMemoryBackend()
+    for label, exprs in (("user", user), ("staff", staff)):
+        backend.put(
+            derive_query_key(portal.public_key, label),
+            sign_record_set(portal, label, records(exprs)),
+            clock,
+        )
+    return backend

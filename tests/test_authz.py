@@ -1,23 +1,26 @@
 """Policy handshake, signed responses, and the verifier service."""
 from __future__ import annotations
 
+import hashlib
 import http.client
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from abd import authz, scenario
+from abd import authz, core, scenario
 from abd.authz import (
     DENY,
     ERROR,
     GRANT,
     MAX_BODY_BYTES,
     AuthorizationResponse,
+    AuthzDecision,
     NonceTable,
     Policy,
     PolicyStore,
@@ -34,6 +37,7 @@ from abd.delegation import add_delegation, parse_expression, remove_delegation
 from abd.errors import BackendUnavailable, InvalidLabel, UnknownResource
 from abd.namestore import NamespaceStore
 from abd.netsim import FileBackend, InMemoryBackend, derive_query_key
+from instance_gen import publish_fan_out
 
 HOUR = 3_600_000_000
 
@@ -177,6 +181,22 @@ def test_authorize_grants_bob_and_consumes_nonce(fixture, backend, clock):
     )
     assert replay.decision == DENY
     assert "nonce" in replay.reasons[0]
+
+
+def test_a_decision_does_not_remember_its_response_signature(fixture, backend, clock):
+    response = build_response(fixture.key("bob"), b"\x0d" * 16, {"user": fixture.bob_creds})
+    decision = authorize(
+        verifier_pub=fixture.key("portal").public_key,
+        response=response,
+        policy=portal_policy(),
+        backend=backend,
+        clock=clock,
+    )
+    assert decision.granted
+    digest = hashlib.sha256(
+        response.subject + response.signature + response.signing_bytes()
+    ).digest()
+    assert digest not in core._verified
 
 
 def test_authorize_grants_alice(fixture, backend, clock):
@@ -462,20 +482,7 @@ def test_unreadable_backend_entry_is_an_error_not_a_deny(tmp_path, clock):
 # --- an exhausted discovery budget is an error ------------------------------------------
 
 
-@pytest.fixture
-def endless(tmp_path, clock):
-    """``portal.user <- portal.user.a`` and ``portal.user <- portal.user.b``.
-
-    Each alternative rewrites the trail longer, so the search runs into the
-    default node budget before it can decide.
-    """
-    store = NamespaceStore(tmp_path / "endless")
-    portal = store.create_identity(petname="portal", seed=b"\x07" * 32)
-    for suffix in ("a", "b"):
-        expr = parse_expression(f"portal.user.{suffix}", store.petname_table())
-        add_delegation(store, portal, "user", expr, clock=clock)
-    backend = InMemoryBackend()
-    assert store.publish(portal, backend, clock).ok
+def verifier_over(portal: NamespaceKey, backend, clock) -> VerifierService:
     return VerifierService(
         verifier_pub=portal.public_key,
         policies=PolicyStore({scenario.RESOURCE_ID: portal_policy()}),
@@ -484,29 +491,55 @@ def endless(tmp_path, clock):
     )
 
 
-def test_authorize_reports_an_exhausted_budget_as_error(endless, clock):
+@pytest.fixture
+def fan_out(clock):
+    """``portal.user <- portal.staff.a`` and 10,000 keys in ``portal.staff``.
+
+    One role per staff member runs the search into the default node budget
+    before it can decide.
+    """
+    portal = fresh_key(b"fan-out")
+    return verifier_over(portal, publish_fan_out(portal, clock=clock), clock)
+
+
+@pytest.fixture
+def self_linked(tmp_path, clock):
+    """``portal.user <- portal.user.a`` and ``portal.user <- portal.user.b``.
+
+    ``portal.user`` has no member to link through, so the search denies.
+    """
+    store = NamespaceStore(tmp_path / "self-linked")
+    portal = store.create_identity(petname="portal", seed=b"\x07" * 32)
+    for suffix in ("a", "b"):
+        expr = parse_expression(f"portal.user.{suffix}", store.petname_table())
+        add_delegation(store, portal, "user", expr, clock=clock)
+    backend = InMemoryBackend()
+    assert store.publish(portal, backend, clock).ok
+    return verifier_over(portal, backend, clock)
+
+
+def decide_in_process(service: VerifierService, clock) -> AuthzDecision:
     response = build_response(fresh_key(b"walker"), b"\x0c" * 16, {"user": ()})
-    decision = authorize(
-        verifier_pub=endless.verifier_pub,
+    return authorize(
+        verifier_pub=service.verifier_pub,
         response=response,
         policy=portal_policy(),
-        backend=endless.backend,
+        backend=service.backend,
         clock=clock,
     )
-    assert decision.decision == ERROR
-    assert "max_nodes" in decision.reasons[0]
 
 
-def test_exhausted_budget_is_503_over_http_and_an_error_for_the_client(endless, clock):
-    httpd = make_server(endless, "127.0.0.1", 0)
+def decide_over_http(service: VerifierService, clock):
+    """The raw reply to one empty presentation, and the client's decision."""
+    httpd = make_server(service, "127.0.0.1", 0)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
     endpoint = f"http://127.0.0.1:{httpd.server_address[1]}"
     try:
         walker = fresh_key(b"walker")
-        policy = endless.policy_payload(scenario.RESOURCE_ID)
+        policy = service.policy_payload(scenario.RESOURCE_ID)
         response = build_response(walker, bytes.fromhex(policy["nonce"]), {"user": ()})
-        status, payload = post_json(
+        reply = post_json(
             f"{endpoint}/authorize",
             {
                 "resource_id": scenario.RESOURCE_ID,
@@ -516,18 +549,35 @@ def test_exhausted_budget_is_503_over_http_and_an_error_for_the_client(endless, 
                 "credential_sets": {"user": []},
             },
         )
-        assert status == 503
-        assert payload["decision"] == ERROR
-        assert "max_nodes" in payload["reasons"][0]
-
         outcome = request_access(
-            endpoint, scenario.RESOURCE_ID, walker, [], endless.backend, clock
+            endpoint, scenario.RESOURCE_ID, walker, [], service.backend, clock
         )
-        assert outcome.decision == ERROR
-        assert "max_nodes" in outcome.reasons[0]
+        return reply, outcome
     finally:
         httpd.shutdown()
         httpd.server_close()
+
+
+def test_authorize_reports_an_exhausted_budget_as_error(fan_out, clock):
+    decision = decide_in_process(fan_out, clock)
+    assert decision.decision == ERROR
+    assert "max_nodes" in decision.reasons[0]
+
+
+def test_exhausted_budget_is_503_over_http_and_an_error_for_the_client(fan_out, clock):
+    (status, payload), outcome = decide_over_http(fan_out, clock)
+    assert status == 503
+    assert payload["decision"] == ERROR
+    assert "max_nodes" in payload["reasons"][0]
+    assert outcome.decision == ERROR
+    assert "max_nodes" in outcome.reasons[0]
+
+
+def test_self_linked_role_denies_in_process_and_over_http(self_linked, clock):
+    assert decide_in_process(self_linked, clock).decision == DENY
+    (status, payload), outcome = decide_over_http(self_linked, clock)
+    assert (status, payload["decision"]) == (200, DENY)
+    assert outcome.decision == DENY
 
 
 # --- verifier service over HTTP --------------------------------------------------------
@@ -686,6 +736,31 @@ def send_raw(endpoint: str, request: bytes) -> tuple[int, dict]:
     head, _, body = reply.partition(b"\r\n\r\n")
     status = int(head.split(b" ", 2)[1])
     return status, json.loads(body)
+
+
+def test_a_stalled_request_body_is_dropped_after_the_read_timeout(service, monkeypatch):
+    monkeypatch.setattr(authz, "READ_TIMEOUT_S", 0.2)
+    httpd = make_server(service, "127.0.0.1", 0)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    host, port = httpd.server_address
+    endpoint = f"http://{host}:{port}"
+    stalled = []
+    started = time.monotonic()
+    try:
+        for _ in range(3):
+            sock = socket.create_connection((host, int(port)), timeout=5)
+            stalled.append(sock)
+            sock.sendall(b"POST /authorize HTTP/1.0\r\nContent-Length: 10\r\n\r\n{}")
+        # Each connection is closed without a reply once its read times out.
+        assert [sock.recv(65536) for sock in stalled] == [b""] * 3
+        assert time.monotonic() - started < 4
+        assert raw_post(endpoint, "ten")[0] == 400
+    finally:
+        for sock in stalled:
+            sock.close()
+        httpd.shutdown()
+        httpd.server_close()
 
 
 JSON_VALUES = st.recursive(
