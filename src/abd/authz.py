@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import secrets
-import struct
 import threading
 import time
 import urllib.error
@@ -24,7 +23,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional
 
-from .core import KEY_LEN, NamespaceKey, check_label, verify_signature
+from .core import KEY_LEN, U32, NamespaceKey, check_label, pack_label, verify_signature
 from .credential import Credential, collect, export_json, import_json, verify_credential
 from .discovery import DelegationChain
 from .errors import (
@@ -156,15 +155,13 @@ def response_signing_bytes(
     out += AUTHZ_CONTEXT
     out += nonce
     out += subject
-    out += struct.pack(">I", len(credential_sets))
+    out += U32.pack(len(credential_sets))
     for attribute in sorted(credential_sets):
-        encoded = attribute.encode("utf-8")
-        out += struct.pack(">H", len(encoded))
-        out += encoded
+        out += pack_label(attribute)
         ordered = sorted(
             (credential.canonical_bytes() for credential in credential_sets[attribute])
         )
-        out += struct.pack(">I", len(ordered))
+        out += U32.pack(len(ordered))
         for blob in ordered:
             out += blob
     return bytes(out)
@@ -339,7 +336,7 @@ class VerifierService:
             subject = bytes.fromhex(body["subject"])
             signature = bytes.fromhex(body["signature"])
             credential_sets = {
-                attribute: tuple(import_json(item) for item in items)
+                check_label(attribute): tuple(import_json(item) for item in items)
                 for attribute, items in body["credential_sets"].items()
             }
         except KeyError as exc:

@@ -32,7 +32,7 @@ from .errors import (
 
 KEY_LEN = 32
 SIGNATURE_LEN = 64
-LABEL_RE = re.compile(r"^[a-z0-9_-]{1,63}$")
+LABEL_RE = re.compile(r"[a-z0-9_-]{1,63}")
 
 # Most successful signature checks remembered by verify_signature.
 VERIFIED_CACHE_SIZE = 8_192
@@ -58,13 +58,68 @@ class RecordType(IntEnum):
 
 
 def valid_label(label: str) -> bool:
-    return bool(LABEL_RE.match(label))
+    return bool(LABEL_RE.fullmatch(label))
 
 
 def check_label(label: str) -> str:
     if not valid_label(label):
         raise InvalidLabel(f"invalid label: {label!r}")
     return label
+
+
+# --- wire primitives ----------------------------------------------------------
+
+U16 = struct.Struct(">H")
+U32 = struct.Struct(">I")
+U64 = struct.Struct(">Q")
+# record type, flags, expiration, payload length
+_RECORD_HEADER = struct.Struct(">IIQI")
+
+
+def pack_label(label: str) -> bytes:
+    """A label on the wire: u16 byte length, then its UTF-8 bytes."""
+    encoded = label.encode("utf-8")
+    return U16.pack(len(encoded)) + encoded
+
+
+class Reader:
+    """A bounds-checked cursor over bytes that came from outside.
+
+    Every failure raises DecodeError carrying the offset where it happened,
+    so a decoder built on it can raise nothing else.
+    """
+
+    __slots__ = ("data", "pos")
+
+    def __init__(self, data: bytes):
+        self.data = bytes(data)
+        self.pos = 0
+
+    def take(self, n: int, what: str) -> bytes:
+        start = self.pos
+        if start + n > len(self.data):
+            raise DecodeError(f"truncated {what}", start)
+        self.pos = start + n
+        return self.data[start : self.pos]
+
+    def unpack(self, layout: struct.Struct, what: str) -> tuple:
+        return layout.unpack(self.take(layout.size, what))
+
+    def label(self, what: str) -> str:
+        """A label written by pack_label; it must be valid."""
+        (length,) = self.unpack(U16, f"{what} length")
+        start = self.pos
+        try:
+            label = self.take(length, what).decode("utf-8")
+        except UnicodeDecodeError:
+            raise DecodeError(f"{what} is not valid UTF-8", start)
+        if not valid_label(label):
+            raise DecodeError(f"invalid {what} {label!r}", start)
+        return label
+
+    def end(self, what: str) -> None:
+        if self.pos != len(self.data):
+            raise DecodeError(f"trailing bytes after {what}", self.pos)
 
 
 @dataclass(frozen=True)
@@ -193,12 +248,8 @@ class ResourceRecord:
 
     def canonical_bytes(self) -> bytes:
         return (
-            struct.pack(
-                ">IIQI",
-                self.record_type,
-                self.flags,
-                self.expiration_us,
-                len(self.payload),
+            _RECORD_HEADER.pack(
+                self.record_type, self.flags, self.expiration_us, len(self.payload)
             )
             + self.payload
         )
@@ -246,14 +297,12 @@ class RecordSet:
 def record_set_signing_bytes(
     public_key: bytes, label: str, records: Iterable[ResourceRecord]
 ) -> bytes:
-    label_bytes = label.encode("utf-8")
     ordered = sort_records(records)
     out = bytearray()
     out += RECORD_SET_CONTEXT
     out += public_key
-    out += struct.pack(">H", len(label_bytes))
-    out += label_bytes
-    out += struct.pack(">I", len(ordered))
+    out += pack_label(label)
+    out += U32.pack(len(ordered))
     for record in ordered:
         out += record.canonical_bytes()
     return bytes(out)
@@ -293,50 +342,30 @@ def canonical_serialize(record_set: RecordSet) -> bytes:
 def canonical_deserialize(data: bytes) -> RecordSet:
     """Inverse of canonical_serialize. Raises DecodeError with the offset
     of the first malformed byte; trailing garbage is an error."""
-    view = memoryview(data)
-    pos = 0
-
-    def need(n: int, what: str) -> memoryview:
-        nonlocal pos
-        if pos + n > len(view):
-            raise DecodeError(f"truncated {what}", pos)
-        chunk = view[pos : pos + n]
-        pos += n
-        return chunk
-
-    context = bytes(need(len(RECORD_SET_CONTEXT), "context tag"))
-    if context != RECORD_SET_CONTEXT:
+    reader = Reader(data)
+    if reader.take(len(RECORD_SET_CONTEXT), "context tag") != RECORD_SET_CONTEXT:
         raise DecodeError("bad context tag", 0)
-    public_key = bytes(need(KEY_LEN, "public key"))
-    (label_len,) = struct.unpack(">H", need(2, "label length"))
-    label_start = pos
-    try:
-        label = bytes(need(label_len, "label")).decode("utf-8")
-    except UnicodeDecodeError:
-        raise DecodeError("label is not valid UTF-8", label_start)
-    if not valid_label(label):
-        raise DecodeError(f"invalid label {label!r}", label_start)
-    (count,) = struct.unpack(">I", need(4, "record count"))
+    public_key = reader.take(KEY_LEN, "public key")
+    label = reader.label("label")
+    (count,) = reader.unpack(U32, "record count")
     records = []
     for _ in range(count):
-        header_start = pos
-        rtype, flags, expiration, payload_len = struct.unpack(
-            ">IIQI", need(20, "record header")
+        header_start = reader.pos
+        rtype, flags, expiration, payload_len = reader.unpack(
+            _RECORD_HEADER, "record header"
         )
         if flags & ~FLAG_RELATIVE_EXPIRATION:
             raise DecodeError(f"unknown flags {flags:#x}", header_start + 4)
-        payload = bytes(need(payload_len, "record payload"))
         records.append(
             ResourceRecord(
                 record_type=rtype,
-                payload=payload,
+                payload=reader.take(payload_len, "record payload"),
                 expiration_us=expiration,
                 relative=bool(flags & FLAG_RELATIVE_EXPIRATION),
             )
         )
-    signature = bytes(need(SIGNATURE_LEN, "signature"))
-    if pos != len(view):
-        raise DecodeError("trailing bytes after signature", pos)
+    signature = reader.take(SIGNATURE_LEN, "signature")
+    reader.end("signature")
     ordered = sort_records(records)
     if tuple(records) != ordered:
         raise DecodeError("records not in canonical order", 0)

@@ -8,20 +8,22 @@ subject's message to a verifier.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Iterable
 
 from .core import (
     KEY_LEN,
     SIGNATURE_LEN,
+    U64,
     NamespaceKey,
+    Reader,
     RecordType,
     ResourceRecord,
     check_label,
+    pack_label,
     verify_signature,
 )
-from .errors import BackendError, BadSignature, CollectionIncomplete, DecodeError, JsonError
+from .errors import BackendError, BadSignature, CollectionIncomplete, JsonError
 from .namestore import NamespaceStore
 from .netsim import NameSystemBackend
 
@@ -50,13 +52,11 @@ class Credential:
 
     def canonical_bytes(self) -> bytes:
         """CRED payload: issuer | subject | expiration | attribute | signature."""
-        attribute = self.attribute.encode("utf-8")
         return (
             self.issuer
             + self.subject
-            + struct.pack(">Q", self.expiration_us)
-            + struct.pack(">H", len(attribute))
-            + attribute
+            + U64.pack(self.expiration_us)
+            + pack_label(self.attribute)
             + self.signature
         )
 
@@ -68,7 +68,7 @@ def credential_signing_bytes(
         CREDENTIAL_CONTEXT
         + issuer
         + subject
-        + struct.pack(">Q", expiration_us)
+        + U64.pack(expiration_us)
         + attribute.encode("utf-8")
     )
 
@@ -113,39 +113,20 @@ def verify_credential(credential: Credential, clock: int) -> bool:
 
 
 def decode_cred_payload(data: bytes) -> Credential:
-    view = memoryview(data)
-    pos = 0
-
-    def need(n: int, what: str) -> bytes:
-        nonlocal pos
-        if pos + n > len(view):
-            raise DecodeError(f"truncated {what}", pos)
-        chunk = bytes(view[pos : pos + n])
-        pos += n
-        return chunk
-
-    issuer = need(KEY_LEN, "issuer key")
-    subject = need(KEY_LEN, "subject key")
-    (expiration,) = struct.unpack(">Q", need(8, "expiration"))
-    (attr_len,) = struct.unpack(">H", need(2, "attribute length"))
-    attr_start = pos
-    try:
-        attribute = need(attr_len, "attribute").decode("utf-8")
-    except UnicodeDecodeError:
-        raise DecodeError("attribute is not valid UTF-8", attr_start)
-    signature = need(SIGNATURE_LEN, "signature")
-    if pos != len(view):
-        raise DecodeError("trailing bytes after signature", pos)
-    try:
-        return Credential(
-            issuer=issuer,
-            subject=subject,
-            attribute=attribute,
-            expiration_us=expiration,
-            signature=signature,
-        )
-    except Exception as exc:
-        raise DecodeError(f"invalid credential fields: {exc}", 0)
+    reader = Reader(data)
+    issuer = reader.take(KEY_LEN, "issuer key")
+    subject = reader.take(KEY_LEN, "subject key")
+    (expiration,) = reader.unpack(U64, "expiration")
+    attribute = reader.label("attribute")
+    signature = reader.take(SIGNATURE_LEN, "signature")
+    reader.end("signature")
+    return Credential(
+        issuer=issuer,
+        subject=subject,
+        attribute=attribute,
+        expiration_us=expiration,
+        signature=signature,
+    )
 
 
 def credential_record(credential: Credential) -> ResourceRecord:

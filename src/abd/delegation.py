@@ -17,17 +17,20 @@ names, only as raw bytes.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .core import (
     DAYS,
     KEY_LEN,
+    U16,
+    U32,
     NamespaceKey,
+    Reader,
     RecordType,
     ResourceRecord,
     check_label,
+    pack_label,
     valid_label,
 )
 from .errors import DecodeError, DuplicateDelegation, ParseError, UnknownPetname
@@ -69,50 +72,27 @@ def expression(terms: Iterable[tuple[bytes, Iterable[str]]]) -> DelegationExpres
 
 
 def encode_attr_payload(expr: DelegationExpression) -> bytes:
-    out = bytearray(struct.pack(">I", len(expr.entries)))
+    out = bytearray(U32.pack(len(expr.entries)))
     for entry in expr.entries:
         out += entry.subject
-        out += struct.pack(">H", len(entry.trail))
+        out += U16.pack(len(entry.trail))
         for label in entry.trail:
-            encoded = label.encode("utf-8")
-            out += struct.pack(">H", len(encoded))
-            out += encoded
+            out += pack_label(label)
     return bytes(out)
 
 
 def decode_attr_payload(data: bytes) -> DelegationExpression:
-    view = memoryview(data)
-    pos = 0
-
-    def need(n: int, what: str) -> memoryview:
-        nonlocal pos
-        if pos + n > len(view):
-            raise DecodeError(f"truncated {what}", pos)
-        chunk = view[pos : pos + n]
-        pos += n
-        return chunk
-
-    (entry_count,) = struct.unpack(">I", need(4, "entry count"))
+    reader = Reader(data)
+    (entry_count,) = reader.unpack(U32, "entry count")
     if entry_count == 0:
         raise DecodeError("delegation payload with zero entries", 0)
     entries = []
     for _ in range(entry_count):
-        subject = bytes(need(KEY_LEN, "subject key"))
-        (trail_count,) = struct.unpack(">H", need(2, "trail count"))
-        trail = []
-        for _ in range(trail_count):
-            (label_len,) = struct.unpack(">H", need(2, "label length"))
-            label_start = pos
-            try:
-                label = bytes(need(label_len, "label")).decode("utf-8")
-            except UnicodeDecodeError:
-                raise DecodeError("label is not valid UTF-8", label_start)
-            if not valid_label(label):
-                raise DecodeError(f"invalid label {label!r}", label_start)
-            trail.append(label)
-        entries.append(DelegationSetEntry(subject=subject, trail=tuple(trail)))
-    if pos != len(view):
-        raise DecodeError("trailing bytes after last entry", pos)
+        subject = reader.take(KEY_LEN, "subject key")
+        (trail_count,) = reader.unpack(U16, "trail count")
+        trail = tuple(reader.label("label") for _ in range(trail_count))
+        entries.append(DelegationSetEntry(subject=subject, trail=trail))
+    reader.end("last entry")
     return DelegationExpression(entries=tuple(entries))
 
 

@@ -42,10 +42,9 @@ from .errors import BackendError, DecodeError, LimitExceeded, NotFound
 from .netsim import NameSystemBackend, resolve
 
 
-@dataclass(frozen=True)
-class Limits:
-    max_nodes: int = 10_000
-    max_lookups: int = 10_000
+# Most role and link nodes one search may create. Each node is resolved at
+# most once, so this also bounds the lookups.
+MAX_NODES = 10_000
 
 
 # --- trace -------------------------------------------------------------------
@@ -248,13 +247,12 @@ def discover(
     subject_creds: Iterable[Credential],
     backend: NameSystemBackend,
     clock: int,
-    limits: Limits = Limits(),
     trace: Optional[DiscoveryTrace] = None,
 ) -> Optional[DelegationChain]:
     """Find a delegation chain from issuer.attribute to the subject.
 
     Returns None when the search space is exhausted without a chain. The
-    node and lookup budgets raise LimitExceeded when hit. Network-class
+    node budget, MAX_NODES, raises LimitExceeded when hit. Network-class
     backend errors propagate: an unreachable name system is not a denial.
     """
     check_label(attribute)
@@ -279,11 +277,10 @@ def discover(
     queue_every: deque[_Node] = deque()
     queue_hinted: deque[_Node] = deque()  # namespace issued a credential
     queue_cold: deque[_Node] = deque()
-    lookups = 0
 
     def new_node(subject: bytes, trail: tuple[str, ...]) -> _Node:
-        if len(nodes) >= limits.max_nodes:
-            raise LimitExceeded("max_nodes", limits.max_nodes)
+        if len(nodes) >= MAX_NODES:
+            raise LimitExceeded("max_nodes", MAX_NODES)
         node = nodes[(subject, trail)] = _Node(subject, trail)
         return node
 
@@ -375,12 +372,8 @@ def discover(
                 stack.extend(node.terms)
 
     def expand(node: _Node) -> None:
-        nonlocal lookups
         node.resolved = True
         subject, label = node.subject, node.trail[0]
-        if lookups >= limits.max_lookups:
-            raise LimitExceeded("max_lookups", limits.max_lookups)
-        lookups += 1
         try:
             records = resolve(label, subject, RecordType.ATTR, backend, clock)
         except NotFound:

@@ -18,7 +18,7 @@ from abd import scenario
 from abd.authz import Policy, authorize, build_response, request_access
 from abd.core import NamespaceKey, canonical_deserialize, canonical_serialize
 from abd.delegation import parse_expression, remove_delegation
-from abd.discovery import DiscoveryTrace, Limits, discover, oracle_entailed, verify_chain
+from abd.discovery import DiscoveryTrace, discover, oracle_entailed, verify_chain
 from abd.errors import BackendError, LimitExceeded
 from abd.namestore import NamespaceStore
 from abd.netsim import (
@@ -41,7 +41,6 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 PORTAL_POLICY = Policy(resource_id=scenario.RESOURCE_ID, required_attributes=("user",))
 
 SCAN_TARGET = 500
-SCAN_LIMITS = Limits(max_nodes=5_000, max_lookups=10_000)
 
 
 def bob_discovery(fixture, backend, trace=None):
@@ -172,8 +171,8 @@ def equivalence_scan():
     """Sequential seeds until SCAN_TARGET instances reach a verdict.
 
     Each verdict is compared against the reference fixpoint decision and
-    kept for the soundness test. An instance that exhausts the node or
-    lookup budget yields no verdict; it is counted as skipped.
+    kept for the soundness test. An instance that exhausts the node
+    budget yields no verdict; it is counted as skipped.
     """
     cases = []
     mismatches = []
@@ -192,7 +191,6 @@ def equivalence_scan():
                 subject_creds=instance.credentials,
                 backend=backend,
                 clock=GEN_CLOCK,
-                limits=SCAN_LIMITS,
             )
         except LimitExceeded:
             skipped += 1

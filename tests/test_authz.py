@@ -647,6 +647,22 @@ def test_authorize_payload_rejects_bad_hex(service):
     assert payload["decision"] == ERROR
 
 
+def test_authorize_payload_rejects_an_attribute_that_is_not_a_label(service):
+    nonce = service.policy_payload(scenario.RESOURCE_ID)["nonce"]
+    status, payload = service.authorize_payload(
+        {
+            "resource_id": scenario.RESOURCE_ID,
+            "nonce": nonce,
+            "subject": "00" * 32,
+            "signature": "00" * 64,
+            # Too long for the u16 length the response signature packs it with.
+            "credential_sets": {"a" * 70_000: []},
+        }
+    )
+    assert status == 400
+    assert payload["decision"] == ERROR
+
+
 def test_authorize_payload_unknown_resource(service):
     status, payload = service.authorize_payload(
         {

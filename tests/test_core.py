@@ -175,7 +175,7 @@ def test_signature_independent_of_insertion_order():
 
 def test_invalid_label_rejected():
     key = make_key()
-    for label in ("", "UPPER", "has.dot", "x" * 64, "spa ce"):
+    for label in ("", "UPPER", "has.dot", "x" * 64, "spa ce", "newline\n"):
         with pytest.raises(InvalidLabel):
             sign_record_set(key, label, [])
     # 63 characters is the longest legal label.

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from abd import discovery
 from abd.core import NamespaceKey, RecordType, ResourceRecord, sign_record_set
 from abd.credential import issue_credential
 from abd.delegation import encode_attr_payload, expression
@@ -13,7 +14,6 @@ from abd.discovery import (
     ChainStep,
     DelegationChain,
     DiscoveryTrace,
-    Limits,
     discover,
     oracle_entailed,
     verify_chain,
@@ -31,10 +31,6 @@ from instance_gen import (
 )
 
 HOUR = 3_600_000_000
-
-# Generated instances stay far below these budgets: the search's nodes are
-# bounded by the records an instance publishes.
-EQUIVALENCE_LIMITS = Limits(max_nodes=5_000, max_lookups=10_000)
 
 
 def key(tag: bytes) -> NamespaceKey:
@@ -349,7 +345,8 @@ def test_node_budget_raises():
     assert exc.value.limit == "max_nodes"
 
 
-def test_lookup_budget_raises(fixture, backend, clock):
+def test_patched_node_budget_raises(fixture, backend, clock, monkeypatch):
+    monkeypatch.setattr(discovery, "MAX_NODES", 2)
     with pytest.raises(LimitExceeded) as exc:
         discover(
             issuer_pub=fixture.key("portal").public_key,
@@ -358,9 +355,9 @@ def test_lookup_budget_raises(fixture, backend, clock):
             subject_creds=[],
             backend=backend,
             clock=clock,
-            limits=Limits(max_lookups=2),
         )
-    assert exc.value.limit == "max_lookups"
+    assert exc.value.limit == "max_nodes"
+    assert exc.value.value == 2
 
 
 # --- verify_chain ---------------------------------------------------------------------
@@ -560,7 +557,6 @@ def run_equivalence_case(seed: int):
         subject_creds=instance.credentials,
         backend=backend,
         clock=GEN_CLOCK,
-        limits=EQUIVALENCE_LIMITS,
     )
     entailed = oracle_entailed(
         instance.delegations,
@@ -597,7 +593,6 @@ def test_adding_grants_is_monotone(seed, data):
         subject_creds=instance.credentials,
         backend=backend,
         clock=GEN_CLOCK,
-        limits=EQUIVALENCE_LIMITS,
     )
     if base is None:
         return
@@ -614,7 +609,6 @@ def test_adding_grants_is_monotone(seed, data):
         subject_creds=list(instance.credentials) + [extra],
         backend=backend,
         clock=GEN_CLOCK,
-        limits=EQUIVALENCE_LIMITS,
     )
     assert widened is not None
 

@@ -1,8 +1,6 @@
 """Disk store: identities, record-set persistence, quarantine, publication."""
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from abd.core import (
@@ -14,7 +12,7 @@ from abd.core import (
 )
 from abd.credential import issue_credential
 from abd.delegation import add_delegation, encode_attr_payload, expression
-from abd.errors import MissingPrivateKey, NotFound, UnknownPetname
+from abd.errors import MissingPrivateKey, UnknownPetname
 from abd.namestore import NamespaceStore
 from abd.netsim import InMemoryBackend, derive_query_key
 
@@ -114,21 +112,6 @@ def test_entry_bound_to_wrong_label_is_quarantined(tmp_path):
     assert "boss" in namespace.quarantined
 
 
-def test_remove_queues_pending_removal(tmp_path):
-    store = NamespaceStore(tmp_path)
-    owner = store.create_identity(petname="owner", seed=b"o".ljust(32, b"\0"))
-    store.store(owner, "boss", [attr_record(key(b"s").public_key)])
-    store.remove(owner, "boss")
-    assert store.list_labels(owner.public_key) == []
-    pending = json.loads((tmp_path / "names" / owner.hex / ".pending-removals").read_text())
-    assert pending == ["boss"]
-    with pytest.raises(NotFound):
-        store.remove(owner, "boss")
-    # Re-storing the label cancels the queued deletion.
-    store.store(owner, "boss", [attr_record(key(b"s").public_key)])
-    assert not (tmp_path / "names" / owner.hex / ".pending-removals").exists()
-
-
 # --- publication -----------------------------------------------------------------------
 
 
@@ -188,12 +171,10 @@ def test_publish_propagates_removal_as_empty_set(tmp_path):
     query_key = derive_query_key(owner.public_key, "boss")
     assert backend.get(query_key, CLOCK) is not None
 
-    store.remove(owner, "boss")
+    store.store(owner, "boss", [])
     report = store.publish(owner, backend, CLOCK)
     assert {e.label: e.action for e in report.entries} == {"boss": "deleted"}
     assert backend.get(query_key, CLOCK) is None
-    # The queue drains once the deletion lands.
-    assert store._pending_removals(owner.public_key) == set()
 
 
 def test_publish_keeps_pending_removal_on_outage(tmp_path):
@@ -202,18 +183,21 @@ def test_publish_keeps_pending_removal_on_outage(tmp_path):
     backend = InMemoryBackend()
     store.store(owner, "boss", [attr_record(key(b"s").public_key)])
     store.publish(owner, backend, CLOCK)
-    store.remove(owner, "boss")
+    query_key = derive_query_key(owner.public_key, "boss")
+    store.store(owner, "boss", [])
 
     backend.set_available(False)
     report = store.publish(owner, backend, CLOCK)
     assert not report.ok
-    assert store._pending_removals(owner.public_key) == {"boss"}
-
+    assert {e.label: e.action for e in report.entries} == {"boss": "failed"}
     backend.set_available(True)
+    assert backend.get(query_key, CLOCK) is not None
+
+    # The empty set is still stored, so the next publish retries the deletion.
     report = store.publish(owner, backend, CLOCK)
     assert report.ok
-    assert backend.get(derive_query_key(owner.public_key, "boss"), CLOCK) is None
-    assert store._pending_removals(owner.public_key) == set()
+    assert {e.label: e.action for e in report.entries} == {"boss": "deleted"}
+    assert backend.get(query_key, CLOCK) is None
 
 
 def test_publish_failure_is_per_label(tmp_path):
