@@ -13,6 +13,10 @@ replica-failures
     With cold caches, fail k of the replicas holding the root label and
     observe whether discovery succeeds, denies, or reports an outage.
 
+The script exits 1 when a revocation did not show within one cache TTL,
+or when a replica-failure run denied: losing replicas may cost an outage
+(``error``), never a wrong answer.
+
 Example:
     python scripts/dht_staleness.py --cache-ttl-s 30 60 120 --probe-interval-s 10
 """
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -70,7 +75,9 @@ def bob_outcome(fixture, dht) -> str:
     return "grant" if chain is not None else "deny"
 
 
-def revocation_lag(tmp: Path, args: Args) -> None:
+def revocation_lag(tmp: Path, args: Args) -> list[str]:
+    """Run the experiment; return a problem line per TTL that lagged."""
+    problems = []
     for ttl_s in args.cache_ttl_s:
         config = DhtConfig(
             node_count=args.node_count,
@@ -112,16 +119,22 @@ def revocation_lag(tmp: Path, args: Args) -> None:
                 break
             dht.advance_clock(args.probe_interval_s * SECOND)
             elapsed_s += args.probe_interval_s
+        within_one_ttl = deny_after_s is not None and deny_after_s <= ttl_s
         emit(
             experiment="revocation-lag",
             cache_ttl_s=ttl_s,
             summary=True,
             deny_after_s=deny_after_s,
-            within_one_ttl=deny_after_s is not None and deny_after_s <= ttl_s,
+            within_one_ttl=within_one_ttl,
         )
+        if not within_one_ttl:
+            problems.append(f"revocation not seen within one {ttl_s} s TTL")
+    return problems
 
 
-def replica_failures(tmp: Path, args: Args) -> None:
+def replica_failures(tmp: Path, args: Args) -> list[str]:
+    """Run the experiment; return a problem line per run that denied."""
+    problems = []
     for failed in range(args.replicas + 1):
         config = DhtConfig(
             node_count=args.node_count,
@@ -132,13 +145,17 @@ def replica_failures(tmp: Path, args: Args) -> None:
         dht, store, fixture = build_world(tmp, f"fail-{failed}", config)
         key = derive_query_key(fixture.key("portal").public_key, "user")
         dht.fail_nodes(dht.replica_nodes(key)[:failed])
+        outcome = bob_outcome(fixture, dht)
         emit(
             experiment="replica-failures",
             failed_replicas=failed,
-            outcome=bob_outcome(fixture, dht),
+            outcome=outcome,
             max_hops=dht.stats().max_hops,
             messages=dht.stats().messages,
         )
+        if outcome == "deny":
+            problems.append(f"deny with {failed} failed replica(s)")
+    return problems
 
 
 def main() -> int:
@@ -152,9 +169,10 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = Args(**vars(parser.parse_args()))
     with tempfile.TemporaryDirectory() as tmp:
-        revocation_lag(Path(tmp), args)
-        replica_failures(Path(tmp), args)
-    return 0
+        problems = revocation_lag(Path(tmp), args) + replica_failures(Path(tmp), args)
+    for problem in problems:
+        print(f"dht_staleness: {problem}", file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional
 
-from .core import KEY_LEN, U32, NamespaceKey, check_label, pack_label, verify_signature
+from .core import KEY_LEN, U32, NamespaceKey, check_label, clip, pack_label, verify_signature
 from .credential import Credential, collect, export_json, import_json, verify_credential
 from .discovery import DelegationChain
 from .errors import (
@@ -81,7 +81,7 @@ class PolicyStore:
     def get_policy(self, resource_id: str) -> Policy:
         policy = self._policies.get(resource_id)
         if policy is None:
-            raise UnknownResource(f"no policy for resource {resource_id!r}")
+            raise UnknownResource(f"no policy for resource {clip(resource_id)}")
         return policy
 
 

@@ -9,13 +9,16 @@ Nothing in this module reads the wall clock.
 """
 from __future__ import annotations
 
+import bisect
 import hashlib
+import math
 import re
 import struct
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 from typing import Iterable, Optional
 
 from cryptography.exceptions import InvalidSignature
@@ -36,6 +39,9 @@ LABEL_RE = re.compile(r"[a-z0-9_-]{1,63}")
 
 # Most successful signature checks remembered by verify_signature.
 VERIFIED_CACHE_SIZE = 8_192
+
+# Characters of a client-supplied string that an error message quotes.
+CLIP_CHARS = 32
 
 # Domain-separation tag for record set signatures.
 RECORD_SET_CONTEXT = b"ABD-RRSET-V1"
@@ -61,9 +67,17 @@ def valid_label(label: str) -> bool:
     return bool(LABEL_RE.fullmatch(label))
 
 
+def clip(text: str) -> str:
+    """Quote a client-supplied string for an error message, cut to
+    CLIP_CHARS characters plus its length, so a reply never echoes it whole."""
+    if len(text) <= CLIP_CHARS:
+        return repr(text)
+    return f"{text[:CLIP_CHARS]!r}... ({len(text)} characters)"
+
+
 def check_label(label: str) -> str:
     if not valid_label(label):
-        raise InvalidLabel(f"invalid label: {label!r}")
+        raise InvalidLabel(f"invalid label: {clip(label)}")
     return label
 
 
@@ -114,7 +128,7 @@ class Reader:
         except UnicodeDecodeError:
             raise DecodeError(f"{what} is not valid UTF-8", start)
         if not valid_label(label):
-            raise DecodeError(f"invalid {what} {label!r}", start)
+            raise DecodeError(f"invalid {what} {clip(label)}", start)
         return label
 
     def end(self, what: str) -> None:
@@ -270,7 +284,10 @@ class RecordSet:
     """All records published under one (namespace, label), signed as a unit.
 
     ``records`` is kept in canonical order; an empty tuple is legal and means
-    "nothing delegated here".
+    "nothing delegated here". A set is a frozen value, so its signing bytes
+    and its expirations are computed at most once, on first use, or handed
+    over by sign_record_set and canonical_deserialize. They are not fields:
+    equality, hashing and repr see only the four fields.
     """
 
     public_key: bytes
@@ -278,20 +295,35 @@ class RecordSet:
     records: tuple[ResourceRecord, ...]
     signature: bytes
 
-    def signing_bytes(self) -> bytes:
+    @cached_property
+    def _signing_bytes(self) -> bytes:
         return record_set_signing_bytes(self.public_key, self.label, self.records)
+
+    @cached_property
+    def _expirations(self) -> tuple[int, ...]:
+        """Absolute record expirations, earliest first."""
+        return tuple(sorted(r.expiration_us for r in self.records if not r.relative))
+
+    @cached_property
+    def live_until(self) -> float:
+        """The set has a live record exactly while the clock is below this:
+        the last absolute expiration, inf with a relative record (it never
+        expires), -inf for an empty set."""
+        if any(r.relative for r in self.records):
+            return math.inf
+        return self._expirations[-1] if self._expirations else -math.inf
+
+    def signing_bytes(self) -> bytes:
+        return self._signing_bytes
 
     def min_expiration(self, clock: int) -> Optional[int]:
         """Earliest absolute expiration among unexpired records, if any."""
-        live = [
-            r.expiration_us
-            for r in self.records
-            if not r.relative and not r.is_expired(clock)
-        ]
-        return min(live) if live else None
+        expirations = self._expirations
+        index = bisect.bisect_right(expirations, clock)
+        return expirations[index] if index < len(expirations) else None
 
     def has_live_record(self, clock: int) -> bool:
-        return any(not r.is_expired(clock) for r in self.records)
+        return clock < self.live_until
 
 
 def record_set_signing_bytes(
@@ -320,12 +352,23 @@ def sign_record_set(
     ordered = sort_records(records)
     message = record_set_signing_bytes(owner.public_key, label, ordered)
     signature = owner.sign(message)
-    return RecordSet(
-        public_key=owner.public_key,
-        label=label,
-        records=ordered,
-        signature=signature,
+    return _with_signing_bytes(
+        RecordSet(
+            public_key=owner.public_key,
+            label=label,
+            records=ordered,
+            signature=signature,
+        ),
+        message,
     )
+
+
+def _with_signing_bytes(record_set: RecordSet, message: bytes) -> RecordSet:
+    """Give a new set the signing bytes its caller already holds: built from,
+    or read off the wire for, exactly its fields. Only a new set may be
+    given them; ``dataclasses.replace`` makes a set that computes its own."""
+    record_set.__dict__["_signing_bytes"] = message
+    return record_set
 
 
 def verify_record_set_signature(record_set: RecordSet) -> bool:
@@ -369,9 +412,14 @@ def canonical_deserialize(data: bytes) -> RecordSet:
     ordered = sort_records(records)
     if tuple(records) != ordered:
         raise DecodeError("records not in canonical order", 0)
-    return RecordSet(
-        public_key=public_key,
-        label=label,
-        records=ordered,
-        signature=signature,
+    # Canonical order is checked and every field re-encodes to the bytes it
+    # came from, so the bytes before the signature are the signing bytes.
+    return _with_signing_bytes(
+        RecordSet(
+            public_key=public_key,
+            label=label,
+            records=ordered,
+            signature=signature,
+        ),
+        reader.data[: -SIGNATURE_LEN],
     )

@@ -18,6 +18,7 @@ names, only as raw bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional
 
 from .core import (
@@ -37,6 +38,9 @@ from .errors import DecodeError, DuplicateDelegation, ParseError, UnknownPetname
 from .namestore import NamespaceStore
 
 DEFAULT_RECORD_LIFETIME_US = 30 * DAYS
+
+# Most decoded delegation payloads remembered by decode_attr_payload.
+DECODED_CACHE_SIZE = 8_192
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,14 @@ def encode_attr_payload(expr: DelegationExpression) -> bytes:
     return bytes(out)
 
 
+@lru_cache(maxsize=DECODED_CACHE_SIZE)
 def decode_attr_payload(data: bytes) -> DelegationExpression:
+    """Decode one ATTR payload; a repeat of a payload decoded before is a
+    table lookup.
+
+    The result is frozen, so callers can share it. A DecodeError propagates
+    and is not remembered. ``data`` must be hashable (``bytes``).
+    """
     reader = Reader(data)
     (entry_count,) = reader.unpack(U32, "entry count")
     if entry_count == 0:

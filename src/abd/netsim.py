@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import heapq
 import math
 import os
 import random
@@ -259,6 +260,11 @@ class SimulatedDht(NameSystemBackend):
     response cache is served locally, otherwise the query is routed to the
     replica set and the response cached for min(cache_ttl, time to earliest
     record expiration). Failed nodes drop all state and answer nothing.
+
+    ``advance_clock`` drops every expired cache and storage entry, whether
+    or not its key is looked up again, without visiting the live ones: cache
+    fills go on one heap in expiry order, and storage is swept only once the
+    clock passes the earliest time a stored set stops being live.
     """
 
     def __init__(self, config: Optional[DhtConfig] = None) -> None:
@@ -277,6 +283,12 @@ class SimulatedDht(NameSystemBackend):
         self._ring_indices = [node.index for node in ring]
         # Live nodes in index order; only fail_nodes and heal_nodes change it.
         self._live = list(self.nodes)
+        # (cache expiry, node index, query key) for each cache fill. An entry
+        # may outlive the fill it names (a failed node, a re-fill); the sweep
+        # checks that the node still holds that fill before deleting.
+        self._cache_expiries: list[tuple[int, int, bytes]] = []
+        # No stored set stops being live before this clock.
+        self._storage_due: float = math.inf
 
     # --- topology ---------------------------------------------------------
 
@@ -316,20 +328,23 @@ class SimulatedDht(NameSystemBackend):
         """Move simulated time forward, evicting everything past its TTL."""
         if delta_us < 0:
             raise ValueError("simulated time cannot move backwards")
-        self.now_us += delta_us
-        for node in self.nodes:
-            if node.failed:
-                continue
-            node.cache = {
-                key: (rset, expires)
-                for key, (rset, expires) in node.cache.items()
-                if self.now_us < expires and rset.has_live_record(self.now_us)
-            }
-            node.storage = {
-                key: rset
-                for key, rset in node.storage.items()
-                if rset.has_live_record(self.now_us)
-            }
+        self.now_us = now = self.now_us + delta_us
+        expiries = self._cache_expiries
+        while expiries and expiries[0][0] <= now:
+            expires, index, key = heapq.heappop(expiries)
+            cache = self.nodes[index].cache
+            cached = cache.get(key)
+            if cached is not None and cached[1] == expires:
+                del cache[key]
+        if now >= self._storage_due:
+            for node in self._live:
+                node.storage = {
+                    key: rset for key, rset in node.storage.items() if now < rset.live_until
+                }
+            self._storage_due = min(
+                (rset.live_until for node in self._live for rset in node.storage.values()),
+                default=math.inf,
+            )
 
     # --- backend protocol ---------------------------------------------------
 
@@ -340,6 +355,8 @@ class SimulatedDht(NameSystemBackend):
         if not live:
             raise BackendUnavailable("all replica nodes for this key are down")
         self._stats.messages += self._hops() + len(live)
+        if record_set.records:
+            self._storage_due = min(self._storage_due, record_set.live_until)
         for node in live:
             if record_set.records:
                 node.storage[query_key] = record_set
@@ -363,7 +380,9 @@ class SimulatedDht(NameSystemBackend):
         cached = entry.cache.get(query_key)
         if cached is not None:
             record_set, expires = cached
-            if clock < expires and record_set.has_live_record(clock):
+            # A fill expires no later than the set's earliest live record,
+            # so an unexpired fill holds a live set.
+            if clock < expires:
                 self._stats.cache_hits += 1
                 return record_set
             del entry.cache[query_key]
@@ -392,6 +411,7 @@ class SimulatedDht(NameSystemBackend):
                 ttl = min(ttl, earliest - clock)
             if ttl > 0:
                 entry.cache[query_key] = (record_set, clock + ttl)
+                heapq.heappush(self._cache_expiries, (clock + ttl, entry.index, query_key))
             return record_set
 
         if any(n.failed for n in assigned):

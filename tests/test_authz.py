@@ -677,6 +677,46 @@ def test_authorize_payload_unknown_resource(service):
     assert payload["decision"] == ERROR
 
 
+LONG = "a" * 70_000
+
+
+def oversized_requests(nonce: str) -> dict[str, dict]:
+    """Requests carrying a 70,000-character client string where a label or
+    a resource id belongs."""
+    base = {
+        "resource_id": scenario.RESOURCE_ID,
+        "nonce": nonce,
+        "subject": "00" * 32,
+        "signature": "00" * 64,
+        "credential_sets": {},
+    }
+    return {
+        "label": {**base, "credential_sets": {LONG: []}},
+        "resource": {**base, "resource_id": LONG},
+    }
+
+
+@pytest.mark.parametrize("field", ["label", "resource"])
+def test_error_replies_do_not_echo_oversized_client_strings(service, endpoint, field):
+    expected = {"label": 400, "resource": 404}[field]
+    nonce = service.policy_payload(scenario.RESOURCE_ID)["nonce"]
+    body = oversized_requests(nonce)[field]
+    status, payload = service.authorize_payload(body)
+    assert status == expected
+    assert len(json.dumps(payload)) < 1_000
+    assert "70000 characters" in payload["reasons"][0]
+    status, payload = post_json(f"{endpoint}/authorize", body)
+    assert status == expected
+    assert len(json.dumps(payload)) < 1_000
+
+
+def test_unknown_long_resource_in_a_policy_request_is_not_echoed(endpoint):
+    with pytest.raises(urllib.error.HTTPError) as info:
+        urllib.request.urlopen(f"{endpoint}/policy/{'b' * 8_000}", timeout=5)
+    assert info.value.code == 404
+    assert len(info.value.read()) < 1_000
+
+
 def test_http_round_trip_grants_bob(endpoint, fixture, backend, clock):
     outcome = request_access(
         endpoint,

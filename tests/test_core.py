@@ -20,6 +20,7 @@ from abd.core import (
     ResourceRecord,
     canonical_deserialize,
     canonical_serialize,
+    check_label,
     sign_record_set,
     verify_record_set_signature,
 )
@@ -182,6 +183,15 @@ def test_invalid_label_rejected():
     sign_record_set(key, "x" * 63, [])
 
 
+def test_a_rejected_label_is_quoted_short():
+    with pytest.raises(InvalidLabel) as info:
+        check_label("a" * 70_000)
+    assert len(str(info.value)) < 100
+    assert "70000 characters" in str(info.value)
+    with pytest.raises(InvalidLabel, match="'UPPER'"):
+        check_label("UPPER")
+
+
 # --- canonical serialization ------------------------------------------------
 
 
@@ -196,6 +206,29 @@ def test_serialize_deserialize_round_trip():
         ],
     )
     assert canonical_deserialize(canonical_serialize(rset)) == rset
+
+
+def test_a_set_with_its_bytes_computed_equals_a_fresh_decode():
+    rset = sign_record_set(make_key(), "role", [attr_record(b"\x01"), attr_record(b"\x02")])
+    data = canonical_serialize(rset)
+    assert rset.has_live_record(CLOCK)
+    fresh = canonical_deserialize(data)
+    assert fresh == rset and hash(fresh) == hash(rset)
+    assert canonical_serialize(fresh) == data
+    assert fresh.signing_bytes() == dataclasses.replace(fresh).signing_bytes()
+
+
+def test_liveness_bound_matches_the_records():
+    key = make_key()
+    early, late = CLOCK + 10, CLOCK + 20
+    rset = sign_record_set(key, "role", [attr_record(b"\x01", late), attr_record(b"\x02", early)])
+    assert [rset.min_expiration(c) for c in (CLOCK, early, late)] == [early, late, None]
+    assert [rset.has_live_record(c) for c in (early, late - 1, late)] == [True, True, False]
+    relative = sign_record_set(
+        key, "role", [ResourceRecord(RecordType.ATTR, b"\x03", 1_000, relative=True)]
+    )
+    assert relative.has_live_record(2**64) and relative.min_expiration(CLOCK) is None
+    assert not sign_record_set(key, "role", []).has_live_record(0)
 
 
 def test_deserialize_reports_offset_of_truncation():

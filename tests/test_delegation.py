@@ -92,6 +92,20 @@ def test_decode_rejects_truncation_everywhere():
             decode_attr_payload(good[:cut])
 
 
+def test_a_payload_decoded_twice_gives_equal_expressions():
+    expr = expression([(B.public_key, ["x"]), (C.public_key, [])])
+    payload = encode_attr_payload(expr)
+    first = decode_attr_payload(payload)
+    assert decode_attr_payload(bytes(payload)) == first == expr
+
+
+def test_a_malformed_payload_fails_on_every_call():
+    bad = encode_attr_payload(expression([(B.public_key, ["x"])]))[:-1]
+    for _ in range(3):
+        with pytest.raises(DecodeError):
+            decode_attr_payload(bad)
+
+
 @given(
     st.lists(
         st.tuples(

@@ -1,6 +1,7 @@
 """Name-system backends: in-memory, file-backed, and the simulated DHT."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import shutil
@@ -71,6 +72,40 @@ def test_in_memory_round_trip_and_absence():
     query_key = put_set(backend, rset)
     assert backend.get(query_key, CLOCK) == rset
     assert backend.get(derive_query_key(OWNER.public_key, "other"), CLOCK) is None
+
+
+def test_a_set_looked_up_before_is_not_serialized_again(monkeypatch):
+    backend = InMemoryBackend()
+    query_key = put_set(backend, make_set())
+    calls = []
+    real = ResourceRecord.canonical_bytes
+
+    def counting(record):
+        calls.append(record)
+        return real(record)
+
+    monkeypatch.setattr(ResourceRecord, "canonical_bytes", counting)
+    for _ in range(5):
+        assert backend.get(query_key, CLOCK) is not None
+    assert calls == []
+
+
+def test_a_verified_set_with_a_flipped_signature_byte_fails():
+    rset = make_set()
+    backend = InMemoryBackend()
+    query_key = put_set(backend, rset)
+    assert backend.get(query_key, CLOCK) == rset
+    flipped = dataclasses.replace(
+        rset, signature=rset.signature[:-1] + bytes([rset.signature[-1] ^ 1])
+    )
+    with pytest.raises(BadSignature):
+        backend.put(query_key, flipped, CLOCK)
+    network = dht()
+    put_set(network, rset)
+    for index in network.replica_nodes(query_key):
+        network.nodes[index].storage[query_key] = flipped
+    assert network.get(query_key, CLOCK) is None
+    assert network.stats().bad_signatures == 5
 
 
 def test_put_rejects_mismatched_query_key():
@@ -311,6 +346,80 @@ def test_cache_expires_with_simulated_time():
     assert query_key not in network.nodes[0].cache
     network.get(query_key, network.now_us, entry_node=0)
     assert network.stats().cache_hits == 1
+
+
+def put_labels(network, count, expiration=CLOCK + 1_000 * HOUR):
+    return [put_set(network, make_set(f"l{i}", expiration)) for i in range(count)]
+
+
+def test_one_ttl_empties_every_cache_even_for_keys_never_asked_again():
+    network = dht(cache_ttl_us=60_000_000)
+    network.now_us = CLOCK
+    keys = put_labels(network, 8)
+    for query_key in keys:
+        for node in range(16):
+            network.get(query_key, network.now_us, entry_node=node)
+    assert all(len(node.cache) == 8 for node in network.nodes)
+    network.advance_clock(59_999_999)
+    assert all(len(node.cache) == 8 for node in network.nodes)
+    network.advance_clock(1)
+    assert all(not node.cache for node in network.nodes)
+
+
+def test_storage_drops_a_set_once_its_last_record_expires():
+    network = dht()
+    network.now_us = CLOCK
+    short = put_set(network, make_set("short", expiration=CLOCK + 1_000))
+    (long,) = put_labels(network, 1)
+    network.advance_clock(999)
+    assert all(short in network.nodes[i].storage for i in network.replica_nodes(short))
+    network.advance_clock(1)
+    assert all(short not in node.storage for node in network.nodes)
+    assert all(long in network.nodes[i].storage for i in network.replica_nodes(long))
+
+
+def test_a_stale_expiry_never_deletes_a_newer_fill():
+    network = dht(cache_ttl_us=60_000_000)
+    network.now_us = CLOCK
+    (query_key,) = put_labels(network, 1)
+    outsider = next(i for i in range(16) if i not in network.replica_nodes(query_key))
+    network.get(query_key, network.now_us, entry_node=outsider)
+    # The node fails and heals, and the key is filled again 30 s later.
+    network.fail_nodes([outsider])
+    network.heal_nodes([outsider])
+    network.advance_clock(30_000_000)
+    network.get(query_key, network.now_us, entry_node=outsider)
+    network.advance_clock(30_000_000)  # the first fill's expiry is due
+    assert query_key in network.nodes[outsider].cache
+    # A fill that expires at a get's clock is replaced by a re-fill.
+    network.advance_clock(29_000_000)
+    network.get(query_key, network.now_us + 1_000_000, entry_node=outsider)
+    network.advance_clock(1_000_000)  # the replaced fill's expiry is due
+    assert query_key in network.nodes[outsider].cache
+    network.advance_clock(60_000_000)
+    assert query_key not in network.nodes[outsider].cache
+
+
+def test_expiry_heap_stays_bounded():
+    ttl = 60_000_000
+    network = dht(cache_ttl_us=ttl)
+    network.now_us = CLOCK
+    keys = put_labels(network, 4)
+
+    def run_ttls(count):
+        for step in range(count * 3):
+            for query_key in keys:
+                for node in range(16):
+                    network.get(query_key, network.now_us, entry_node=node)
+            # A failed node leaves its fills' heap entries behind.
+            network.fail_nodes([step % 16])
+            network.heal_nodes([step % 16])
+            network.advance_clock(ttl // 3)
+        return len(network._cache_expiries)
+
+    after_two = run_ttls(2)
+    assert 0 < after_two
+    assert run_ttls(98) <= after_two
 
 
 def test_cache_ttl_clamped_to_record_expiration():

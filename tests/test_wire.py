@@ -6,6 +6,7 @@ DecodeError or return a value whose encoding is exactly those bytes.
 """
 from __future__ import annotations
 
+import dataclasses
 import struct
 
 import pytest
@@ -23,8 +24,15 @@ from abd.credential import Credential, decode_cred_payload
 from abd.delegation import decode_attr_payload, encode_attr_payload, expression
 from abd.errors import DecodeError
 
+
+def encode_record_set(value: RecordSet) -> bytes:
+    """Encode from the fields alone: a decoded set carries the bytes it was
+    decoded from as its signing bytes, and a copy does not."""
+    return canonical_serialize(dataclasses.replace(value))
+
+
 DECODERS = {
-    "record set": (canonical_deserialize, canonical_serialize),
+    "record set": (canonical_deserialize, encode_record_set),
     "delegation": (decode_attr_payload, encode_attr_payload),
     "credential": (decode_cred_payload, Credential.canonical_bytes),
 }
