@@ -24,7 +24,7 @@ from abd.delegation import (
 )
 from abd.discovery import DiscoveryTrace, discover
 from abd.namestore import NamespaceStore
-from abd.netsim import InMemoryBackend
+from abd.netsim import FileBackend
 
 
 def heading(text: str) -> None:
@@ -32,7 +32,8 @@ def heading(text: str) -> None:
 
 
 def run_demo(home: Path) -> int:
-    backend = InMemoryBackend()
+    # The name system `abd serve` uses: one signed file per record set.
+    backend = FileBackend(home / "backend")
     store = NamespaceStore(home)
     fixture = scenario.build_fixture(store, backend, clock=scenario.FIXTURE_EPOCH_US)
     names = fixture.names_by_key()

@@ -11,6 +11,7 @@ verification is an Error ("could not find out"), never a silent Deny.
 """
 from __future__ import annotations
 
+import http.client
 import json
 import secrets
 import threading
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional
+from urllib.parse import quote, unquote
 
 from .core import KEY_LEN, U32, NamespaceKey, check_label, clip, pack_label, verify_signature
 from .credential import Credential, collect, export_json, import_json, verify_credential
@@ -70,12 +72,15 @@ class PolicyStore:
         raw = json.loads(Path(path).read_text())
         if not isinstance(raw, dict):
             raise ValueError("policy file must be a JSON object")
-        policies = {
-            resource_id: Policy(
-                resource_id=resource_id, required_attributes=tuple(attributes)
-            )
-            for resource_id, attributes in raw.items()
-        }
+        policies = {}
+        for resource_id, attributes in raw.items():
+            if not isinstance(attributes, list) or not all(
+                isinstance(attribute, str) for attribute in attributes
+            ):
+                raise ValueError(
+                    f"policy for resource {clip(resource_id)} must be a list of attribute labels"
+                )
+            policies[resource_id] = Policy(resource_id, tuple(attributes))
         return cls(policies)
 
     def get_policy(self, resource_id: str) -> Policy:
@@ -86,15 +91,14 @@ class PolicyStore:
 
 
 class NonceTable:
-    """Single-use nonces with a bounded lifetime, bound to a resource.
+    """Single-use nonces that live ``NONCE_LIFETIME_US``, bound to a resource.
 
     Every nonce gets the same lifetime, so issue order is expiry order:
     ``issue`` drops expired nonces from the front of the table, and the
     oldest one while the table holds ``MAX_NONCES``.
     """
 
-    def __init__(self, lifetime_us: int = NONCE_LIFETIME_US):
-        self.lifetime_us = lifetime_us
+    def __init__(self) -> None:
         self._issued: OrderedDict[bytes, tuple[int, str]] = OrderedDict()
         self._lock = threading.Lock()
 
@@ -106,7 +110,7 @@ class NonceTable:
                 len(issued) >= MAX_NONCES or next(iter(issued.values()))[0] <= clock
             ):
                 issued.popitem(last=False)
-            issued[nonce] = (clock + self.lifetime_us, resource_id)
+            issued[nonce] = (clock + NONCE_LIFETIME_US, resource_id)
         return nonce
 
     def status(self, nonce: bytes, resource_id: str, clock: int) -> Optional[str]:
@@ -187,16 +191,11 @@ def build_response(
 
 @dataclass(frozen=True)
 class AuthzDecision:
-    """A verifier's decision, or the subject's view of one.
-
-    ``unsatisfied`` is filled in on the subject's side only: the policy
-    attributes its own collection found no chain for. It is not sent.
-    """
+    """A verifier's decision, or the subject's view of one."""
 
     decision: str  # grant | deny | error
     reasons: tuple[str, ...] = ()
     chain_summaries: tuple[str, ...] = ()
-    unsatisfied: tuple[str, ...] = ()
 
     @classmethod
     def error(cls, reason: str) -> "AuthzDecision":
@@ -231,7 +230,7 @@ def authorize(
     policy: Policy,
     backend: NameSystemBackend,
     clock: int,
-    nonce_table: Optional[NonceTable] = None,
+    nonce_table: NonceTable,
 ) -> AuthzDecision:
     """Decide a signed response against a policy.
 
@@ -241,10 +240,9 @@ def authorize(
     that consumes it grants, so one response cannot grant twice, even when
     two copies of it are decided at once.
     """
-    if nonce_table is not None:
-        problem = nonce_table.status(response.nonce, policy.resource_id, clock)
-        if problem is not None:
-            return AuthzDecision(decision=DENY, reasons=(problem,))
+    problem = nonce_table.status(response.nonce, policy.resource_id, clock)
+    if problem is not None:
+        return AuthzDecision(decision=DENY, reasons=(problem,))
     if len(response.subject) != KEY_LEN:
         return AuthzDecision(decision=DENY, reasons=("malformed subject key",))
     if not verify_signature(
@@ -293,7 +291,7 @@ def authorize(
                 for attribute in result.unsatisfied
             ),
         )
-    if nonce_table is not None and not nonce_table.consume(response.nonce):
+    if not nonce_table.consume(response.nonce):
         return AuthzDecision(decision=DENY, reasons=("nonce unknown or already used",))
     return AuthzDecision(
         decision=GRANT,
@@ -382,7 +380,7 @@ class _Handler(BaseHTTPRequestHandler):
         if not self.path.startswith("/policy/"):
             self._send(404, {"error": "not found"})
             return
-        resource_id = self.path[len("/policy/") :]
+        resource_id = unquote(self.path[len("/policy/") :])
         try:
             self._send(200, self.service.policy_payload(resource_id))
         except UnknownResource as exc:
@@ -428,14 +426,16 @@ def make_server(service: VerifierService, host: str, port: int) -> ThreadingHTTP
 
 
 def _http_json(request: urllib.request.Request, timeout: float) -> tuple[int, dict]:
+    """The reply's status and JSON object; ValueError if it is not one."""
     try:
         with urllib.request.urlopen(request, timeout=timeout) as reply:
-            return reply.status, json.loads(reply.read())
+            status, body = reply.status, reply.read()
     except urllib.error.HTTPError as exc:
-        try:
-            return exc.code, json.loads(exc.read())
-        except json.JSONDecodeError:
-            return exc.code, {}
+        status, body = exc.code, exc.read()
+    payload = json.loads(body)
+    if not isinstance(payload, dict):
+        raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+    return status, payload
 
 
 def request_access(
@@ -451,21 +451,25 @@ def request_access(
 
     Fetches the policy and nonce, collects proof credentials via local
     discovery, signs the response, and submits it. Network failures reaching
-    the verifier and backend failures during collection surface as Error.
+    the verifier, replies that are not HTTP or not JSON objects, and backend
+    failures during collection surface as Error.
     """
     try:
         status, policy_body = _http_json(
-            urllib.request.Request(f"{endpoint}/policy/{resource_id}"), timeout
+            urllib.request.Request(f"{endpoint}/policy/{quote(resource_id, safe='')}"),
+            timeout,
         )
-    except (urllib.error.URLError, OSError) as exc:
+    except OSError as exc:
         return AuthzDecision.error(f"verifier unreachable: {exc}")
+    except (ValueError, http.client.HTTPException) as exc:
+        return AuthzDecision.error(f"bad reply from verifier: {exc!r}")
     if status != 200:
         return AuthzDecision.error(policy_body.get("error", f"policy fetch failed ({status})"))
     try:
         verifier_pub = bytes.fromhex(policy_body["verifier"])
         nonce = bytes.fromhex(policy_body["nonce"])
         attributes = list(policy_body["required_attributes"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         return AuthzDecision.error(f"bad policy response: {exc}")
 
     try:
@@ -507,11 +511,17 @@ def request_access(
     )
     try:
         status, reply = _http_json(request, timeout)
-    except (urllib.error.URLError, OSError) as exc:
+    except OSError as exc:
         return AuthzDecision.error(f"verifier unreachable: {exc}")
-    return AuthzDecision(
-        decision=reply.get("decision", ERROR),
-        reasons=tuple(reply.get("reasons", ())),
-        chain_summaries=tuple(reply.get("chain_summaries", ())),
-        unsatisfied=result.unsatisfied,
+    except (ValueError, http.client.HTTPException) as exc:
+        return AuthzDecision.error(f"bad reply from verifier: {exc!r}")
+    decision = reply.get("decision")
+    reasons = reply.get("reasons", [])
+    summaries = reply.get("chain_summaries", [])
+    well_formed = decision in (GRANT, DENY, ERROR) and all(
+        isinstance(lines, list) and all(isinstance(line, str) for line in lines)
+        for lines in (reasons, summaries)
     )
+    if not well_formed:
+        return AuthzDecision.error("bad reply from verifier: not a decision")
+    return AuthzDecision(decision, tuple(reasons), tuple(summaries))

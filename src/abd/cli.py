@@ -20,6 +20,7 @@ from . import scenario
 from .authz import GRANT, DENY, PolicyStore, VerifierService, make_server, request_access
 from .core import DAYS, HOURS, MILLISECONDS, MINUTES, SECONDS, RecordType
 from .credential import (
+    decode_cred_payload,
     export_json,
     import_json,
     issue_credential,
@@ -29,15 +30,16 @@ from .credential import (
 from .delegation import (
     DEFAULT_RECORD_LIFETIME_US,
     add_delegation,
+    decode_attr_payload,
     list_delegations,
     parse_expression,
     remove_delegation,
     render_expression,
 )
 from .discovery import DiscoveryTrace, discover
-from .errors import AbdError, BackendError, NotFound
+from .errors import AbdError, NotFound
 from .namestore import NamespaceStore
-from .netsim import DhtConfig, FileBackend, SimulatedDht
+from .netsim import DhtConfig, FileBackend, SimulatedDht, resolve
 
 EXIT_OK = 0
 EXIT_DENIED = 1
@@ -287,8 +289,6 @@ def cmd_publish(cli: Cli) -> int:
 
 
 def cmd_resolve(cli: Cli) -> int:
-    from .netsim import resolve
-
     store = cli.store
     namespace = store.key_for(cli.args.ns)
     record_type = RecordType[cli.args.type]
@@ -300,12 +300,8 @@ def cmd_resolve(cli: Cli) -> int:
     rows = []
     for record in records:
         if record.record_type == RecordType.ATTR:
-            from .delegation import decode_attr_payload
-
             rendered = render_expression(decode_attr_payload(record.payload), names)
         else:
-            from .credential import decode_cred_payload
-
             rendered = json.dumps(export_json(decode_cred_payload(record.payload)))
         rows.append(
             {
@@ -422,9 +418,7 @@ def cmd_sim_run(cli: Cli) -> int:
         print(json.dumps({"event": event, "t_us": dht.now_us, **dht.stats().as_dict()}))
 
     with tempfile.TemporaryDirectory() as tmp:
-        fixture = scenario.build_fixture(
-            NamespaceStore(Path(tmp)), dht, clock=clock, publish=True
-        )
+        fixture = scenario.build_fixture(NamespaceStore(Path(tmp)), dht, clock=clock)
         line("published")
 
         def run_discoveries(tag: str) -> None:
@@ -457,7 +451,7 @@ def cmd_sim_run(cli: Cli) -> int:
 
 
 def cmd_scenario_init(cli: Cli) -> int:
-    clock = cli.args.clock_us if cli.args.clock_us is not None else cli.clock
+    clock = cli.clock
     fixture = scenario.scenario_init(
         cli.home,
         lambda: FileBackend(cli.home / "backend"),
@@ -607,13 +601,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NotFound as exc:
         print(f"abd: {exc}", file=sys.stderr)
         return EXIT_DENIED
-    except BackendError as exc:
-        print(f"abd: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except AbdError as exc:
-        print(f"abd: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (AbdError, OSError, ValueError) as exc:
         print(f"abd: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -50,7 +50,6 @@ RECORD_SET_CONTEXT = b"ABD-RRSET-V1"
 # absolute timestamp when the record is published.
 FLAG_RELATIVE_EXPIRATION = 0x01
 
-MICROSECONDS = 1
 MILLISECONDS = 1_000
 SECONDS = 1_000_000
 MINUTES = 60 * SECONDS

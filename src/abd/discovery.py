@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .core import RecordType, ResourceRecord, check_label
-from .credential import Credential, verify_credential
+from .credential import Credential, export_json, verify_credential
 from .delegation import DelegationSetEntry, decode_attr_payload, render_term
 from .errors import BackendError, DecodeError, LimitExceeded, NotFound
 from .netsim import NameSystemBackend, resolve
@@ -134,8 +134,6 @@ class DelegationChain:
         return [leaf.credential for leaf in self.leaves]
 
     def to_dict(self, names_by_key: Optional[Mapping[bytes, str]] = None) -> dict:
-        from .credential import export_json
-
         names_by_key = names_by_key or {}
 
         def name(key: bytes) -> str:

@@ -1,6 +1,6 @@
-"""Name system backends: an in-memory map, a directory and a simulated DHT.
+"""Name system backends: a directory and a simulated DHT.
 
-All three backends speak the same protocol: signed record sets are stored
+Both backends speak the same protocol: signed record sets are stored
 under a 256-bit query key derived from (namespace public key, label). Writes
 are accepted only when the set's signature verifies against the embedded
 public key and the query key matches, so only the namespace owner can update
@@ -11,6 +11,8 @@ a verifier built on it sees another process's publish at its next request.
 
 The DHT simulator is single-threaded and fully deterministic for a given
 rng_seed and operation sequence. Hop counts are modeled as ceil(log2(N)).
+With one node, a replication factor of one and no response cache it is an
+exact in-memory map.
 """
 from __future__ import annotations
 
@@ -89,48 +91,6 @@ def _check_signed(query_key: bytes, record_set: RecordSet) -> None:
         raise BadSignature("record set signature does not verify")
     if derive_query_key(record_set.public_key, record_set.label) != query_key:
         raise BadSignature("query key does not match the set's (key, label)")
-
-
-class InMemoryBackend(NameSystemBackend):
-    """Deterministic in-process map; the reference backend for tests."""
-
-    def __init__(self) -> None:
-        self._data: dict[bytes, RecordSet] = {}
-        self._stats = LookupStats()
-        self._lock = threading.Lock()
-        self._available = True
-
-    def set_available(self, available: bool) -> None:
-        """Fault injection for tests: an unavailable backend refuses all ops."""
-        self._available = available
-
-    def put(self, query_key: bytes, record_set: RecordSet, clock: int) -> None:
-        with self._lock:
-            if not self._available:
-                raise BackendUnavailable("in-memory backend marked unavailable")
-            _check_signed(query_key, record_set)
-            if record_set.records:
-                self._data[query_key] = record_set
-            else:
-                self._data.pop(query_key, None)
-
-    def get(self, query_key: bytes, clock: int) -> Optional[RecordSet]:
-        with self._lock:
-            if not self._available:
-                raise BackendUnavailable("in-memory backend marked unavailable")
-            self._stats.lookups += 1
-            record_set = self._data.get(query_key)
-            if record_set is None:
-                return None
-            if not verify_record_set_signature(record_set):
-                self._stats.bad_signatures += 1
-                return None
-            if not record_set.has_live_record(clock):
-                return None
-            return record_set
-
-    def stats(self) -> LookupStats:
-        return self._stats
 
 
 class FileBackend(NameSystemBackend):
@@ -236,10 +196,6 @@ class DhtConfig:
         if config.replication_factor < 1:
             raise ValueError("replication_factor must be >= 1")
         return config
-
-    def to_file(self, path: Path) -> None:
-        lines = [f"{name} = {getattr(self, name)}" for name in self.__dataclass_fields__]
-        Path(path).write_text("\n".join(lines) + "\n")
 
 
 @dataclass

@@ -22,20 +22,21 @@ us-agency key so record order (and therefore discovery order) is stable.
 from __future__ import annotations
 
 import json
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .core import DAYS, HOURS, NamespaceKey
 from .credential import Credential, export_json, issue_credential, store_credential
 from .delegation import add_delegation, parse_expression
 from .errors import DataDirNotEmpty
-from .namestore import NamespaceStore, PublishReport
+from .namestore import NamespaceStore
 from .netsim import NameSystemBackend
 
 # 2026-01-01T00:00:00Z, the fixture's default epoch for deterministic runs.
 FIXTURE_EPOCH_US = 1_767_225_600_000_000
 
-DELEGATION_LIFETIME_US = 30 * DAYS
 CONTRACTOR_LIFETIME_US = 1 * HOURS
 CREDENTIAL_LIFETIME_US = 30 * DAYS
 
@@ -64,7 +65,6 @@ class Fixture:
     alice_creds: list[Credential]
     policy_path: Path
     clock: int
-    reports: list[PublishReport]
 
     def key(self, name: str) -> NamespaceKey:
         return self.keys[name]
@@ -77,7 +77,6 @@ def build_fixture(
     store: NamespaceStore,
     backend: NameSystemBackend,
     clock: int = FIXTURE_EPOCH_US,
-    publish: bool = True,
 ) -> Fixture:
     """Create identities, delegations, and credentials, then publish."""
     keys = {
@@ -133,10 +132,8 @@ def build_fixture(
         path = store.root / f"{holder}-credentials.json"
         path.write_text(json.dumps([export_json(c) for c in creds], indent=2) + "\n")
 
-    reports = []
-    if publish:
-        for name in ISSUING:
-            reports.append(store.publish(keys[name], backend, clock))
+    for name in ISSUING:
+        store.publish(keys[name], backend, clock)
 
     return Fixture(
         store=store,
@@ -145,37 +142,28 @@ def build_fixture(
         alice_creds=alice_creds,
         policy_path=policy_path,
         clock=clock,
-        reports=reports,
     )
 
 
 def scenario_init(
     data_dir: Path,
-    backend,
+    backend_factory: Callable[[], NameSystemBackend],
     clock: int = FIXTURE_EPOCH_US,
     force: bool = False,
 ) -> Fixture:
     """Initialize the fixture into a data directory.
 
-    Refuses to touch a non-empty directory unless ``force`` is given.
-    ``backend`` may be an instance or a zero-argument factory; a factory is
-    invoked only after the directory has been cleared, so file-based
-    backends rooted inside ``data_dir`` start fresh.
+    Refuses to touch a non-empty directory unless ``force`` is given. The
+    backend is made only after the directory has been cleared, so a file
+    backend rooted inside ``data_dir`` starts fresh.
     """
     data_dir = Path(data_dir)
     if data_dir.exists() and any(data_dir.iterdir()):
         if not force:
             raise DataDirNotEmpty(f"{data_dir} is not empty (use force to overwrite)")
-        import shutil
-
         for child in data_dir.iterdir():
             if child.is_dir():
                 shutil.rmtree(child)
             else:
                 child.unlink()
-    if callable(backend):
-        backend = backend()
-    if not isinstance(backend, NameSystemBackend):
-        raise TypeError("backend must be a NameSystemBackend or a factory for one")
-    store = NamespaceStore(data_dir)
-    return build_fixture(store, backend, clock=clock)
+    return build_fixture(NamespaceStore(data_dir), backend_factory(), clock=clock)

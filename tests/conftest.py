@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, settings
 
 from abd import scenario
 from abd.namestore import NamespaceStore
-from abd.netsim import InMemoryBackend
+from instance_gen import memory_dht
 
 settings.register_profile(
     "suite",
@@ -23,7 +23,7 @@ def clock():
 
 @pytest.fixture
 def backend():
-    return InMemoryBackend()
+    return memory_dht()
 
 
 @pytest.fixture

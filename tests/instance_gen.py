@@ -6,22 +6,48 @@ credentials. Generation is bounded (at most 10 namespaces, 4 attributes per
 namespace, 3 records per label, 3 entries per record, trails of length 3,
 6 credentials) so the exhaustive fixpoint oracle stays cheap while the
 search still meets disjunction, conjunction, trails, cycles, and dead ends.
+
+Also shared by the suite: the in-memory name system every in-process test
+publishes to, and a decision against a freshly issued nonce.
 """
 from __future__ import annotations
 
 import dataclasses
 import random
 from dataclasses import dataclass
+from typing import Callable
 
+from abd.authz import AuthorizationResponse, AuthzDecision, NonceTable, Policy, authorize
 from abd.core import NamespaceKey, RecordType, ResourceRecord, sign_record_set
 from abd.credential import Credential, issue_credential, verify_credential
 from abd.delegation import DelegationExpression, encode_attr_payload, expression
 from abd.discovery import DelegationChain
-from abd.netsim import InMemoryBackend, derive_query_key
+from abd.netsim import DhtConfig, SimulatedDht, derive_query_key
 
 CLOCK = 1_750_000_000_000_000
 HOUR = 3_600_000_000
 LABELS = ["a", "b", "c", "d"]
+
+# One node holding every key, no response cache: an exact in-memory map.
+ONE_NODE = DhtConfig(node_count=1, replication_factor=1, cache_ttl_us=0)
+
+
+def memory_dht() -> SimulatedDht:
+    """A fresh in-memory name system; ``fail_nodes([0])`` takes it down."""
+    return SimulatedDht(ONE_NODE)
+
+
+def decide_fresh(
+    verifier_pub: bytes,
+    respond: Callable[[bytes], AuthorizationResponse],
+    policy: Policy,
+    backend,
+    clock: int,
+) -> AuthzDecision:
+    """Issue a nonce for the policy, and decide ``respond(nonce)``."""
+    table = NonceTable()
+    response = respond(table.issue(policy.resource_id, clock))
+    return authorize(verifier_pub, response, policy, backend, clock, nonce_table=table)
 
 
 @dataclass
@@ -88,9 +114,9 @@ def generate_instance(rng: random.Random) -> Instance:
     )
 
 
-def publish_instance(instance: Instance) -> InMemoryBackend:
+def publish_instance(instance: Instance) -> SimulatedDht:
     """Sign and publish every delegation; assert issuer-side storage."""
-    backend = InMemoryBackend()
+    backend = memory_dht()
     by_owner_label: dict[tuple[bytes, str], list[ResourceRecord]] = {}
     for issuer_pub, label, expr in instance.delegations:
         record = ResourceRecord(
@@ -155,7 +181,7 @@ def mutate_chain(
 
 def publish_fan_out(
     portal: NamespaceKey, width: int = 10_000, clock: int = CLOCK
-) -> InMemoryBackend:
+) -> SimulatedDht:
     """``portal.user <- portal.staff.a`` and ``width`` single-key records
     under ``portal.staff``.
 
@@ -170,7 +196,7 @@ def publish_fan_out(
 
     user = [expression([(portal.public_key, ["staff", "a"])])]
     staff = [expression([(i.to_bytes(32, "big"), [])]) for i in range(width)]
-    backend = InMemoryBackend()
+    backend = memory_dht()
     for label, exprs in (("user", user), ("staff", staff)):
         backend.put(
             derive_query_key(portal.public_key, label),

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from abd import scenario
-from abd.authz import Policy, authorize, build_response, request_access
+from abd.authz import Policy, build_response, request_access
 from abd.core import NamespaceKey, canonical_deserialize, canonical_serialize
 from abd.delegation import parse_expression, remove_delegation
 from abd.discovery import DiscoveryTrace, discover, oracle_entailed, verify_chain
@@ -24,14 +24,15 @@ from abd.namestore import NamespaceStore
 from abd.netsim import (
     DhtConfig,
     FileBackend,
-    InMemoryBackend,
     SimulatedDht,
     derive_query_key,
 )
 from instance_gen import (
     CLOCK as GEN_CLOCK,
     MUTATION_KINDS,
+    decide_fresh,
     generate_instance,
+    memory_dht,
     mutate_chain,
     publish_instance,
 )
@@ -67,15 +68,12 @@ def revoke_contractor(fixture, store, backend, clock):
 
 
 def decide_bob(fixture, backend, clock):
-    response = build_response(
-        fixture.key("bob"), b"\x11" * 16, {"user": fixture.bob_creds}
-    )
-    return authorize(
-        verifier_pub=fixture.key("portal").public_key,
-        response=response,
-        policy=PORTAL_POLICY,
-        backend=backend,
-        clock=clock,
+    return decide_fresh(
+        fixture.key("portal").public_key,
+        lambda nonce: build_response(fixture.key("bob"), nonce, {"user": fixture.bob_creds}),
+        PORTAL_POLICY,
+        backend,
+        clock,
     )
 
 
@@ -258,7 +256,7 @@ def test_4_found_chains_verify_and_mutated_chains_fail(equivalence_scan):
 # 5. Revoking the contractor delegation: immediate on the in-memory backend,
 #    within one cache lifetime (60 s) on the simulated DHT.
 def test_5_revocation_lag_is_bounded_by_the_cache_ttl(tmp_path):
-    backend = InMemoryBackend()
+    backend = memory_dht()
     store = NamespaceStore(tmp_path / "mem")
     fixture = scenario.build_fixture(store, backend, clock=EPOCH)
     assert decide_bob(fixture, backend, EPOCH).granted
@@ -343,7 +341,7 @@ def test_7_discovery_never_resolves_a_label_twice(fixture, backend):
 def test_8_wire_bytes_are_stable_across_runs(tmp_path):
     def artifacts(tag: str) -> dict[str, str]:
         store = NamespaceStore(tmp_path / tag)
-        fixture = scenario.build_fixture(store, InMemoryBackend(), clock=EPOCH)
+        fixture = scenario.build_fixture(store, memory_dht(), clock=EPOCH)
         portal = store.load_namespace(fixture.key("portal").public_key)
         bob = store.load_namespace(fixture.key("bob").public_key)
         agency = store.load_namespace(fixture.key("world-agency").public_key)

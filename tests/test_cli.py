@@ -1,6 +1,7 @@
 """End-to-end exercises of the ``abd`` command line via ``main(argv)``."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -236,7 +237,9 @@ def test_sim_run_emits_event_lines(abd, tmp_path):
         republish_interval_us=900_000_000,
     )
     config_path = tmp_path / "dht.conf"
-    config.to_file(config_path)
+    config_path.write_text(
+        "".join(f"{name} = {value}\n" for name, value in dataclasses.asdict(config).items())
+    )
     out = abd("sim", "run", "--config", config_path, json_mode=False)
     events = [json.loads(line) for line in out.splitlines()]
     names = [event["event"] for event in events]
@@ -291,6 +294,18 @@ def test_serve_then_request_over_http(abd):
     finally:
         server.terminate()
         server.wait(timeout=10)
+
+
+@pytest.mark.parametrize("attributes", ["user", 5, [1]], ids=["string", "number", "list-of-number"])
+def test_serve_refuses_a_policy_value_that_is_not_a_list_of_labels(
+    abd, tmp_path, capsys, attributes
+):
+    abd("identity", "create", "--name", "portal")
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps({"wiki": attributes}))
+    code = main(["--home", str(abd.home), "serve", "--policy", str(policy), "--identity", "portal"])
+    assert code == 2
+    assert "'wiki'" in capsys.readouterr().err
 
 
 def test_request_against_a_dead_endpoint_is_an_error(abd):

@@ -17,7 +17,7 @@ from abd.credential import (
 )
 from abd.errors import BadSignature, CollectionIncomplete, DecodeError, JsonError
 from abd.namestore import NamespaceStore
-from abd.netsim import InMemoryBackend
+from instance_gen import memory_dht
 
 CLOCK = 1_700_000_000_000_000
 HOUR = 3_600_000_000
@@ -211,8 +211,8 @@ def test_collect_reports_unsatisfied(fixture, backend, clock):
 
 
 def test_collect_raises_on_backend_outage(fixture, clock):
-    down = InMemoryBackend()
-    down.set_available(False)
+    down = memory_dht()
+    down.fail_nodes([0])
     with pytest.raises(CollectionIncomplete):
         collect(
             subject_pub=fixture.key("bob").public_key,

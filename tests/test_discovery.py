@@ -18,13 +18,14 @@ from abd.discovery import (
     oracle_entailed,
     verify_chain,
 )
-from abd.errors import BackendUnavailable, LimitExceeded
-from abd.netsim import InMemoryBackend, derive_query_key, resolve
+from abd.errors import BackendError, LimitExceeded
+from abd.netsim import derive_query_key, resolve
 
 from instance_gen import (
     CLOCK as GEN_CLOCK,
     MUTATION_KINDS,
     generate_instance,
+    memory_dht,
     mutate_chain,
     publish_fan_out,
     publish_instance,
@@ -39,7 +40,7 @@ def key(tag: bytes) -> NamespaceKey:
 
 def micro_world(*delegation_triples, clock=GEN_CLOCK):
     """Publish (issuer key, attribute, expression) triples to a fresh backend."""
-    backend = InMemoryBackend()
+    backend = memory_dht()
     grouped = {}
     for issuer, label, expr in delegation_triples:
         grouped.setdefault((issuer, label), []).append(expr)
@@ -188,8 +189,8 @@ def test_lookup_economy_one_resolve_per_pair(fixture, backend, clock):
 
 
 def test_backend_outage_propagates_not_denies(fixture, backend, clock):
-    backend.set_available(False)
-    with pytest.raises(BackendUnavailable):
+    backend.fail_nodes([0])
+    with pytest.raises(BackendError):
         discover(
             issuer_pub=fixture.key("portal").public_key,
             attribute="user",

@@ -12,9 +12,10 @@ from abd.core import (
 )
 from abd.credential import issue_credential
 from abd.delegation import add_delegation, encode_attr_payload, expression
-from abd.errors import MissingPrivateKey, UnknownPetname
+from abd.errors import BackendUnavailable, MissingPrivateKey, UnknownPetname
 from abd.namestore import NamespaceStore
-from abd.netsim import InMemoryBackend, derive_query_key
+from abd.netsim import SimulatedDht, derive_query_key
+from instance_gen import ONE_NODE, memory_dht
 
 CLOCK = 1_700_000_000_000_000
 HOUR = 3_600_000_000
@@ -127,7 +128,7 @@ def test_publish_stores_attr_and_keeps_credentials_local(tmp_path):
         "member",
         [ResourceRecord(RecordType.CRED, holder_cred.canonical_bytes(), holder_cred.expiration_us)],
     )
-    backend = InMemoryBackend()
+    backend = memory_dht()
     report = store.publish(owner, backend, CLOCK)
     assert report.ok
     actions = {e.label: e.action for e in report.entries}
@@ -140,7 +141,7 @@ def test_publish_stamps_relative_expirations(tmp_path):
     store = NamespaceStore(tmp_path)
     owner = store.create_identity(petname="owner", seed=b"o".ljust(32, b"\0"))
     store.store(owner, "boss", [attr_record(key(b"s").public_key, HOUR, relative=True)])
-    backend = InMemoryBackend()
+    backend = memory_dht()
     report = store.publish(owner, backend, CLOCK)
     assert report.entries[0].expiration_us == CLOCK + HOUR
     published = backend.get(derive_query_key(owner.public_key, "boss"), CLOCK)
@@ -157,7 +158,7 @@ def test_publish_reports_expired_record(tmp_path):
     store = NamespaceStore(tmp_path)
     owner = store.create_identity(petname="owner", seed=b"o".ljust(32, b"\0"))
     store.store(owner, "boss", [attr_record(key(b"s").public_key, CLOCK - 1)])
-    report = store.publish(owner, InMemoryBackend(), CLOCK)
+    report = store.publish(owner, memory_dht(), CLOCK)
     assert not report.ok
     assert report.entries[0].action == "failed"
 
@@ -165,7 +166,7 @@ def test_publish_reports_expired_record(tmp_path):
 def test_publish_propagates_removal_as_empty_set(tmp_path):
     store = NamespaceStore(tmp_path)
     owner = store.create_identity(petname="owner", seed=b"o".ljust(32, b"\0"))
-    backend = InMemoryBackend()
+    backend = memory_dht()
     store.store(owner, "boss", [attr_record(key(b"s").public_key)])
     store.publish(owner, backend, CLOCK)
     query_key = derive_query_key(owner.public_key, "boss")
@@ -177,20 +178,32 @@ def test_publish_propagates_removal_as_empty_set(tmp_path):
     assert backend.get(query_key, CLOCK) is None
 
 
+class RefusingPuts(SimulatedDht):
+    """An in-memory name system that refuses puts while ``down`` and, unlike
+    a failed node, keeps what it holds."""
+
+    down = False
+
+    def put(self, query_key, record_set, clock):
+        if self.down:
+            raise BackendUnavailable("name system is down")
+        super().put(query_key, record_set, clock)
+
+
 def test_publish_keeps_pending_removal_on_outage(tmp_path):
     store = NamespaceStore(tmp_path)
     owner = store.create_identity(petname="owner", seed=b"o".ljust(32, b"\0"))
-    backend = InMemoryBackend()
+    backend = RefusingPuts(ONE_NODE)
     store.store(owner, "boss", [attr_record(key(b"s").public_key)])
     store.publish(owner, backend, CLOCK)
     query_key = derive_query_key(owner.public_key, "boss")
     store.store(owner, "boss", [])
 
-    backend.set_available(False)
+    backend.down = True
     report = store.publish(owner, backend, CLOCK)
     assert not report.ok
     assert {e.label: e.action for e in report.entries} == {"boss": "failed"}
-    backend.set_available(True)
+    backend.down = False
     assert backend.get(query_key, CLOCK) is not None
 
     # The empty set is still stored, so the next publish retries the deletion.
@@ -205,7 +218,7 @@ def test_publish_failure_is_per_label(tmp_path):
     owner = store.create_identity(petname="owner", seed=b"o".ljust(32, b"\0"))
     add_delegation(store, owner, "good", expression([(key(b"s").public_key, [])]), clock=CLOCK)
     store.store(owner, "stale", [attr_record(key(b"s").public_key, CLOCK - 1)])
-    report = store.publish(owner, InMemoryBackend(), CLOCK)
+    report = store.publish(owner, memory_dht(), CLOCK)
     actions = {e.label: e.action for e in report.entries}
     assert actions["good"] == "stored"
     assert actions["stale"] == "failed"

@@ -1,4 +1,5 @@
-"""Name-system backends: in-memory, file-backed, and the simulated DHT."""
+"""Name-system backends: file-backed and the simulated DHT, one node of
+which is the in-memory map the rest of the suite publishes to."""
 from __future__ import annotations
 
 import dataclasses
@@ -23,11 +24,11 @@ from abd.errors import (
 from abd.netsim import (
     DhtConfig,
     FileBackend,
-    InMemoryBackend,
     SimulatedDht,
     derive_query_key,
     resolve,
 )
+from instance_gen import memory_dht
 
 CLOCK = 1_700_000_000_000_000
 HOUR = 3_600_000_000
@@ -63,11 +64,11 @@ def test_query_key_is_hash_of_key_and_label():
     assert derive_query_key(key(b"x").public_key, "boss") != expected
 
 
-# --- in-memory backend ------------------------------------------------------------
+# --- the one-node, in-memory DHT ------------------------------------------------------------
 
 
 def test_in_memory_round_trip_and_absence():
-    backend = InMemoryBackend()
+    backend = memory_dht()
     rset = make_set()
     query_key = put_set(backend, rset)
     assert backend.get(query_key, CLOCK) == rset
@@ -75,7 +76,7 @@ def test_in_memory_round_trip_and_absence():
 
 
 def test_a_set_looked_up_before_is_not_serialized_again(monkeypatch):
-    backend = InMemoryBackend()
+    backend = memory_dht()
     query_key = put_set(backend, make_set())
     calls = []
     real = ResourceRecord.canonical_bytes
@@ -92,7 +93,7 @@ def test_a_set_looked_up_before_is_not_serialized_again(monkeypatch):
 
 def test_a_verified_set_with_a_flipped_signature_byte_fails():
     rset = make_set()
-    backend = InMemoryBackend()
+    backend = memory_dht()
     query_key = put_set(backend, rset)
     assert backend.get(query_key, CLOCK) == rset
     flipped = dataclasses.replace(
@@ -109,13 +110,13 @@ def test_a_verified_set_with_a_flipped_signature_byte_fails():
 
 
 def test_put_rejects_mismatched_query_key():
-    backend = InMemoryBackend()
+    backend = memory_dht()
     with pytest.raises(BadSignature):
         backend.put(derive_query_key(OWNER.public_key, "other"), make_set(), CLOCK)
 
 
 def test_put_rejects_invalid_signature():
-    backend = InMemoryBackend()
+    backend = memory_dht()
     rset = make_set()
     forged = type(rset)(
         public_key=rset.public_key,
@@ -128,7 +129,7 @@ def test_put_rejects_invalid_signature():
 
 
 def test_empty_set_put_deletes():
-    backend = InMemoryBackend()
+    backend = memory_dht()
     query_key = put_set(backend, make_set())
     assert backend.get(query_key, CLOCK) is not None
     put_set(backend, make_set(records=[]))
@@ -136,27 +137,27 @@ def test_empty_set_put_deletes():
 
 
 def test_expired_only_set_reads_as_absent():
-    backend = InMemoryBackend()
+    backend = memory_dht()
     query_key = put_set(backend, make_set(expiration=CLOCK + 10))
     assert backend.get(query_key, CLOCK) is not None
     assert backend.get(query_key, CLOCK + 10) is None
 
 
 def test_unavailable_backend_raises():
-    backend = InMemoryBackend()
+    backend = memory_dht()
     query_key = put_set(backend, make_set())
-    backend.set_available(False)
-    with pytest.raises(BackendUnavailable):
+    backend.fail_nodes([0])
+    with pytest.raises(AllReplicasDown):
         backend.get(query_key, CLOCK)
     with pytest.raises(BackendUnavailable):
         put_set(backend, make_set())
 
 
 def test_corrupt_stored_set_counts_bad_signature():
-    backend = InMemoryBackend()
+    backend = memory_dht()
     rset = make_set()
     query_key = put_set(backend, rset)
-    backend._data[query_key] = type(rset)(
+    backend.nodes[0].storage[query_key] = type(rset)(
         public_key=rset.public_key,
         label=rset.label,
         records=rset.records,
@@ -262,7 +263,9 @@ def test_config_file_round_trip(tmp_path):
         republish_interval_us=30_000_000,
     )
     path = tmp_path / "dht.conf"
-    config.to_file(path)
+    path.write_text(
+        "".join(f"{name} = {value}\n" for name, value in dataclasses.asdict(config).items())
+    )
     assert DhtConfig.from_file(path) == config
 
 
@@ -616,7 +619,7 @@ def test_gets_pick_the_same_entry_nodes_as_a_per_call_live_list(rng_seed):
 
 
 def test_resolve_filters_type_and_expiry():
-    backend = InMemoryBackend()
+    backend = memory_dht()
     payload = encode_attr_payload(expression([(key(b"s").public_key, [])]))
     live = ResourceRecord(RecordType.ATTR, payload, CLOCK + HOUR)
     stale = ResourceRecord(RecordType.ATTR, payload[:4] + payload[4:], CLOCK + 1)
@@ -628,4 +631,4 @@ def test_resolve_filters_type_and_expiry():
 
 def test_resolve_missing_label_raises_not_found():
     with pytest.raises(NotFound):
-        resolve("ghost", OWNER.public_key, RecordType.ATTR, InMemoryBackend(), CLOCK)
+        resolve("ghost", OWNER.public_key, RecordType.ATTR, memory_dht(), CLOCK)
