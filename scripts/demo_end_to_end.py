@@ -4,7 +4,9 @@
 Builds the demo world in a scratch directory, shows the delegation graph,
 runs chain discovery with a full trace, stands up the verifier over HTTP,
 plays the four scripted access requests, then revokes the contractor
-delegation and shows the decision flip.
+delegation and shows the decision flip. Exits 1 when a decision differs from
+the story: bob and alice granted, bob with his employee credential only and
+a stranger denied, and after the revocation bob denied and alice granted.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import threading
 from pathlib import Path
 
 from abd import scenario
-from abd.authz import PolicyStore, VerifierService, make_server, request_access
+from abd.authz import DENY, GRANT, PolicyStore, VerifierService, make_server, request_access
 from abd.core import NamespaceKey
 from abd.delegation import (
     list_delegations,
@@ -86,7 +88,8 @@ def run_demo(home: Path) -> int:
         ("fresh keypair, no credentials", stranger, []),
     ]
 
-    def play() -> None:
+    def play() -> list[str]:
+        decisions = []
         for tag, subject, creds in requests:
             outcome = request_access(
                 endpoint, scenario.RESOURCE_ID, subject, creds, backend, fixture.clock
@@ -96,8 +99,10 @@ def run_demo(home: Path) -> int:
                 print(f"      reason: {reason}")
             for summary in outcome.chain_summaries:
                 print(f"      chain:  {summary}")
+            decisions.append(outcome.decision)
+        return decisions
 
-    play()
+    before = play()
 
     heading("revoking us-agency.contractor <- lab-two")
     remove_delegation(
@@ -108,10 +113,14 @@ def run_demo(home: Path) -> int:
     )
     store.publish(fixture.key("us-agency"), backend, fixture.clock)
     print("  removed and republished; bob's chain now has a hole")
-    play()
+    after = play()
 
     server.shutdown()
     server.server_close()
+    expected = ([GRANT, GRANT, DENY, DENY], [DENY, GRANT, DENY, DENY])
+    if (before, after) != expected:
+        print(f"\nunexpected decisions: {before} then {after}, expected {list(expected)}")
+        return 1
     return 0
 
 

@@ -89,7 +89,7 @@ def revocation_lag(tmp: Path, args: Args) -> list[str]:
         # Warm the response cache of every node for every published label.
         for name in scenario.ISSUING:
             namespace = fixture.key(name).public_key
-            for label in store.list_labels(namespace):
+            for label in store.load_namespace(namespace):
                 key = derive_query_key(namespace, label)
                 for node in range(config.node_count):
                     dht.get(key, dht.now_us, entry_node=node)

@@ -15,7 +15,6 @@ import http.client
 import json
 import secrets
 import threading
-import time
 import urllib.error
 import urllib.request
 from collections import OrderedDict
@@ -60,6 +59,16 @@ class Policy:
         for attribute in self.required_attributes:
             check_label(attribute)
 
+    @classmethod
+    def from_json(cls, resource_id: str, value: object) -> "Policy":
+        """A policy from its JSON form, a list of attribute labels. Raises
+        ValueError, or InvalidLabel for a malformed label."""
+        if not isinstance(value, list) or not all(isinstance(a, str) for a in value):
+            raise ValueError(
+                f"policy for resource {clip(resource_id)} must be a list of attribute labels"
+            )
+        return cls(resource_id, tuple(value))
+
 
 class PolicyStore:
     """Policies from a JSON file: {resource_id: [attribute, ...]}."""
@@ -72,16 +81,7 @@ class PolicyStore:
         raw = json.loads(Path(path).read_text())
         if not isinstance(raw, dict):
             raise ValueError("policy file must be a JSON object")
-        policies = {}
-        for resource_id, attributes in raw.items():
-            if not isinstance(attributes, list) or not all(
-                isinstance(attribute, str) for attribute in attributes
-            ):
-                raise ValueError(
-                    f"policy for resource {clip(resource_id)} must be a list of attribute labels"
-                )
-            policies[resource_id] = Policy(resource_id, tuple(attributes))
-        return cls(policies)
+        return cls({rid: Policy.from_json(rid, value) for rid, value in raw.items()})
 
     def get_policy(self, resource_id: str) -> Policy:
         policy = self._policies.get(resource_id)
@@ -201,10 +201,6 @@ class AuthzDecision:
     def error(cls, reason: str) -> "AuthzDecision":
         return cls(decision=ERROR, reasons=(reason,))
 
-    @property
-    def granted(self) -> bool:
-        return self.decision == GRANT
-
     def to_json(self) -> dict:
         return {
             "decision": self.decision,
@@ -312,8 +308,8 @@ class VerifierService:
     verifier_pub: bytes
     policies: PolicyStore
     backend: NameSystemBackend
-    clock_fn: Callable[[], int] = lambda: time.time_ns() // 1_000
-    nonces: NonceTable = field(default_factory=NonceTable)
+    clock_fn: Callable[[], int]
+    nonces: NonceTable = field(default_factory=NonceTable, init=False)
 
     def policy_payload(self, resource_id: str) -> dict:
         policy = self.policies.get_policy(resource_id)
@@ -468,8 +464,8 @@ def request_access(
     try:
         verifier_pub = bytes.fromhex(policy_body["verifier"])
         nonce = bytes.fromhex(policy_body["nonce"])
-        attributes = list(policy_body["required_attributes"])
-    except (KeyError, ValueError, TypeError) as exc:
+        policy = Policy.from_json(resource_id, policy_body["required_attributes"])
+    except (KeyError, ValueError, TypeError, AbdError) as exc:
         return AuthzDecision.error(f"bad policy response: {exc}")
 
     try:
@@ -477,7 +473,7 @@ def request_access(
             subject_pub=subject.public_key,
             subject_creds=subject_creds,
             verifier_pub=verifier_pub,
-            policy_attrs=attributes,
+            policy_attrs=policy.required_attributes,
             backend=backend,
             clock=clock,
         )
@@ -488,7 +484,7 @@ def request_access(
         attribute: tuple(result.chains[attribute].credentials())
         if attribute in result.chains
         else ()
-        for attribute in attributes
+        for attribute in policy.required_attributes
     }
     response = build_response(subject, nonce, credential_sets)
     body = json.dumps(

@@ -175,12 +175,17 @@ class NamespaceKey:
     def has_private(self) -> bool:
         return self.private_key is not None
 
+    @cached_property
+    def _signer(self) -> Ed25519PrivateKey:
+        # Built once per key: building it costs about as much as a signature.
+        return Ed25519PrivateKey.from_private_bytes(self.private_key)
+
     def sign(self, message: bytes) -> bytes:
         if self.private_key is None:
             raise MissingPrivateKey(
                 f"namespace {self.hex[:16]}... has no private key"
             )
-        return Ed25519PrivateKey.from_private_bytes(self.private_key).sign(message)
+        return self._signer.sign(message)
 
 
 # sha256(public key || signature || message) of each successful check, least

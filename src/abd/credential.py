@@ -209,8 +209,7 @@ def store_credential(
     Merges with whatever already lives under the label; publishing skips
     CRED records, so stored credentials stay local.
     """
-    namespace = store.load_namespace(holder.public_key)
-    existing = namespace.entries.get(credential.attribute)
+    existing = store.entry(holder.public_key, credential.attribute)
     records = list(existing.records) if existing else []
     record = credential_record(credential)
     if record in records:
@@ -220,10 +219,9 @@ def store_credential(
 
 
 def list_credentials(store: NamespaceStore, holder_pub: bytes) -> list[Credential]:
-    namespace = store.load_namespace(holder_pub)
     out = []
-    for label in sorted(namespace.entries):
-        for record in namespace.entries[label].records:
+    for label, record_set in sorted(store.load_namespace(holder_pub).items()):
+        for record in record_set.records:
             if record.record_type == RecordType.CRED:
                 out.append(decode_cred_payload(record.payload))
     return out
@@ -265,7 +263,6 @@ def collect(
     satisfied: dict = {}
     unsatisfied: list[str] = []
     for attribute in policy_attrs:
-        check_label(attribute)
         try:
             chain = discover(
                 issuer_pub=verifier_pub,

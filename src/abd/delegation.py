@@ -203,12 +203,10 @@ def add_delegation(
     published. Adding an expression already present under the label raises
     DuplicateDelegation.
     """
-    check_label(attribute)
+    existing = store.entry(issuer.public_key, attribute)
     record = delegation_record(
         expr, clock=clock, lifetime_us=lifetime_us, relative=relative
     )
-    namespace = store.load_namespace(issuer.public_key)
-    existing = namespace.entries.get(attribute)
     records = list(existing.records) if existing else []
     if any(
         r.record_type == RecordType.ATTR and r.payload == record.payload
@@ -233,10 +231,8 @@ def remove_delegation(
     Removing the last record leaves an explicit empty set, which publishes
     as a deletion.
     """
-    check_label(attribute)
+    existing = store.entry(issuer.public_key, attribute)
     payload = encode_attr_payload(expr)
-    namespace = store.load_namespace(issuer.public_key)
-    existing = namespace.entries.get(attribute)
     if existing is None:
         return False
     kept = [
@@ -253,10 +249,9 @@ def remove_delegation(
 def list_delegations(
     store: NamespaceStore, issuer_pub: bytes
 ) -> list[tuple[str, DelegationExpression, ResourceRecord]]:
-    namespace = store.load_namespace(issuer_pub)
     out = []
-    for label in sorted(namespace.entries):
-        for record in namespace.entries[label].records:
+    for label, record_set in sorted(store.load_namespace(issuer_pub).items()):
+        for record in record_set.records:
             if record.record_type != RecordType.ATTR:
                 continue
             out.append((label, decode_attr_payload(record.payload), record))

@@ -83,10 +83,6 @@ class JsonError(AbdError):
         self.field = field
 
 
-class CorruptStore(AbdError):
-    """An on-disk entry failed its signature check and was quarantined."""
-
-
 class UnknownResource(AbdError):
     """No policy is configured for the requested resource id."""
 

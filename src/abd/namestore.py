@@ -6,9 +6,10 @@ Layout under the data directory:
     petnames.json               local petname -> hex public key
     names/<hexpub>/<label>.rrset      canonical record set bytes
 
-Record sets are written in canonical serialization and re-verified on load;
-entries that fail verification are quarantined (renamed aside and reported),
-never silently dropped. Petnames are purely local and never serialized into
+Every file is replaced whole, so a crash mid-write leaves the old file.
+Record sets are written in canonical serialization and re-verified whenever
+they are read; a file that fails is renamed to ``<label>.rrset.quarantined``
+and reads as absent. Petnames are purely local and never serialized into
 records.
 """
 from __future__ import annotations
@@ -29,26 +30,11 @@ from .core import (
     sign_record_set,
     verify_record_set_signature,
 )
-from .errors import (
-    BackendUnavailable,
-    CorruptStore,
-    DecodeError,
-    MissingPrivateKey,
-    UnknownPetname,
-)
-from .netsim import NameSystemBackend, derive_query_key
+from .errors import BackendUnavailable, DecodeError, MissingPrivateKey, UnknownPetname
+from .netsim import NameSystemBackend, derive_query_key, write_atomic
 
 RRSET_SUFFIX = ".rrset"
 QUARANTINE_SUFFIX = ".rrset.quarantined"
-
-
-@dataclass
-class Namespace:
-    """One namespace's local view: its key, entries, and quarantine report."""
-
-    key: NamespaceKey
-    entries: dict[str, RecordSet] = field(default_factory=dict)
-    quarantined: dict[str, CorruptStore] = field(default_factory=dict)
 
 
 @dataclass
@@ -95,15 +81,15 @@ class NamespaceStore:
     def set_petname(self, name: str, public_key: bytes) -> None:
         table = {n: k.hex() for n, k in self.petname_table().items()}
         table[name] = public_key.hex()
-        self._petnames_path().write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(table, indent=2, sort_keys=True) + "\n"
+        write_atomic(self._petnames_path(), text.encode())
 
     def create_identity(
         self, petname: Optional[str] = None, seed: Optional[bytes] = None
     ) -> NamespaceKey:
         key = NamespaceKey.generate(seed=seed)
-        seed_path = self._seed_path(key.public_key)
-        seed_path.write_text(key.private_key.hex() + "\n")
-        seed_path.chmod(0o600)
+        seed = (key.private_key.hex() + "\n").encode()
+        write_atomic(self._seed_path(key.public_key), seed, mode=0o600)
         if petname is not None:
             self.set_petname(petname, key.public_key)
         return key
@@ -142,35 +128,44 @@ class NamespaceStore:
 
     # --- namespace entries ---------------------------------------------------
 
-    def _namespace_dir(self, public_key: bytes, create: bool = False) -> Path:
-        path = self.root / "names" / public_key.hex()
-        if create:
-            path.mkdir(parents=True, exist_ok=True)
-        return path
+    def _namespace_dir(self, public_key: bytes) -> Path:
+        return self.root / "names" / public_key.hex()
 
-    def load_namespace(self, public_key: bytes) -> Namespace:
-        """Load all entries, quarantining any that fail verification."""
-        namespace = Namespace(key=self._key(public_key))
-        directory = self._namespace_dir(public_key)
-        if not directory.exists():
-            return namespace
-        for path in sorted(directory.glob(f"*{RRSET_SUFFIX}")):
+    def _admit(self, public_key: bytes, label: str, path: Path) -> Optional[RecordSet]:
+        """The set in ``path`` if it decodes, names (public_key, label) and
+        its signature verifies. A file that fails is quarantined; a missing
+        or failed file reads as None."""
+        try:
+            record_set = canonical_deserialize(path.read_bytes())
+        except FileNotFoundError:
+            return None
+        except DecodeError:
+            pass
+        else:
+            if (
+                record_set.public_key == public_key
+                and record_set.label == label
+                and verify_record_set_signature(record_set)
+            ):
+                return record_set
+        path.rename(path.with_name(label + QUARANTINE_SUFFIX))
+        return None
+
+    def entry(self, public_key: bytes, label: str) -> Optional[RecordSet]:
+        """The set stored under one label, reading only that label's file."""
+        check_label(label)
+        path = self._namespace_dir(public_key) / f"{label}{RRSET_SUFFIX}"
+        return self._admit(public_key, label, path)
+
+    def load_namespace(self, public_key: bytes) -> dict[str, RecordSet]:
+        """Every stored set by label; corrupt files are quarantined."""
+        entries = {}
+        for path in sorted(self._namespace_dir(public_key).glob(f"*{RRSET_SUFFIX}")):
             label = path.name[: -len(RRSET_SUFFIX)]
-            try:
-                record_set = canonical_deserialize(path.read_bytes())
-            except DecodeError as exc:
-                problem = f"is undecodable: {exc}"
-            else:
-                if record_set.public_key != public_key or record_set.label != label:
-                    problem = "names a different (key, label)"
-                elif not verify_record_set_signature(record_set):
-                    problem = "fails signature verification"
-                else:
-                    namespace.entries[label] = record_set
-                    continue
-            namespace.quarantined[label] = CorruptStore(f"entry {label!r} {problem}")
-            path.rename(path.with_name(label + QUARANTINE_SUFFIX))
-        return namespace
+            record_set = self._admit(public_key, label, path)
+            if record_set is not None:
+                entries[label] = record_set
+        return entries
 
     def store(
         self, owner: NamespaceKey, label: str, records: Iterable[ResourceRecord]
@@ -184,12 +179,10 @@ class NamespaceStore:
         if owner.private_key is None:
             raise MissingPrivateKey("storing requires the namespace private key")
         record_set = sign_record_set(owner, label, records)
-        directory = self._namespace_dir(owner.public_key, create=True)
-        (directory / f"{label}{RRSET_SUFFIX}").write_bytes(canonical_serialize(record_set))
+        directory = self._namespace_dir(owner.public_key)
+        directory.mkdir(parents=True, exist_ok=True)
+        write_atomic(directory / f"{label}{RRSET_SUFFIX}", canonical_serialize(record_set))
         return record_set
-
-    def list_labels(self, public_key: bytes) -> list[str]:
-        return sorted(self.load_namespace(public_key).entries)
 
     # --- publication ---------------------------------------------------------
 
@@ -198,38 +191,28 @@ class NamespaceStore:
     ) -> PublishReport:
         """Push this namespace's delegations into the name system.
 
-        Relative expirations are stamped absolute against ``clock`` and the
-        affected sets re-signed, so republishing refreshes their lifetimes.
-        Credential records never leave the local store. A label stored with
-        no records is published as a signed empty set, a deletion. Failures
-        are reported per label; the rest of the publish proceeds.
+        Each label publishes its live public records: relative expirations
+        are stamped absolute against ``clock``, records expired by then are
+        dropped, and the set is re-signed, so republishing refreshes its
+        lifetimes. A label with no live public record left publishes a signed
+        empty set, a deletion. Credential records never leave the local
+        store, and a label holding only credentials publishes nothing.
+        Failures are reported per label; the rest of the publish proceeds.
         """
         if owner.private_key is None:
             raise MissingPrivateKey("publishing requires the namespace private key")
         report = PublishReport(namespace=owner.public_key)
-        namespace = self.load_namespace(owner.public_key)
-
-        for label in sorted(namespace.entries):
-            record_set = namespace.entries[label]
+        for label, record_set in sorted(self.load_namespace(owner.public_key).items()):
             public_records = [
                 r for r in record_set.records if r.record_type != RecordType.CRED
             ]
             if record_set.records and not public_records:
-                # Credential-only labels are subject-held state, never published.
+                # Even an empty set here would reveal which credentials we hold.
                 report.entries.append(PublishEntry(label=label, action="kept-local"))
                 continue
-            stamped = [r.stamped(clock) for r in public_records]
-            expired = [r for r in stamped if r.expiration_us <= clock]
-            if expired:
-                report.entries.append(
-                    PublishEntry(
-                        label=label,
-                        action="failed",
-                        error="record expiration is not in the future",
-                    )
-                )
-                continue
-            outgoing = sign_record_set(owner, label, stamped)
+            stamped = (r.stamped(clock) for r in public_records)
+            live = [r for r in stamped if not r.is_expired(clock)]
+            outgoing = sign_record_set(owner, label, live)
             try:
                 backend.put(derive_query_key(owner.public_key, label), outgoing, clock)
             except BackendUnavailable as exc:
@@ -240,9 +223,8 @@ class NamespaceStore:
             report.entries.append(
                 PublishEntry(
                     label=label,
-                    action="stored" if stamped else "deleted",
+                    action="stored" if live else "deleted",
                     expiration_us=outgoing.min_expiration(clock),
                 )
             )
-
         return report

@@ -26,7 +26,7 @@ import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union
 
 from .core import (
     RecordSet,
@@ -50,6 +50,21 @@ def derive_query_key(namespace_pub: bytes, label: str) -> bytes:
     """Hash of (public key, 0x00, label); the DHT address of a record set."""
     check_label(label)
     return hashlib.sha256(namespace_pub + b"\x00" + label.encode("utf-8")).digest()
+
+
+def write_atomic(path: Union[str, Path], data: bytes, mode: int = 0o666) -> None:
+    """Replace the file at ``path`` with ``data``: readers see the old file
+    or the new one, never part of a write. The temp file is created with
+    ``mode`` (less the umask), its name is unique to this process and
+    thread, and it is removed when the write fails."""
+    temp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, mode), "wb") as out:
+            out.write(data)
+        os.replace(temp, path)
+    except BaseException:
+        Path(temp).unlink(missing_ok=True)
+        raise
 
 
 @dataclass
@@ -120,19 +135,10 @@ class FileBackend(NameSystemBackend):
         _check_signed(query_key, record_set)
         path = self._path(query_key)
         try:
-            if not record_set.records:
+            if record_set.records:
+                write_atomic(path, canonical_serialize(record_set))
+            else:
                 Path(path).unlink(missing_ok=True)
-                return
-            # Readers see the old file or the new one, never part of a write;
-            # the temp name is unique to this process and thread.
-            temp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
-            try:
-                with open(temp, "wb") as out:
-                    out.write(canonical_serialize(record_set))
-                os.replace(temp, path)
-            except OSError:
-                Path(temp).unlink(missing_ok=True)
-                raise
         except OSError as exc:
             raise BackendUnavailable(f"file backend cannot write: {exc}") from exc
 

@@ -259,7 +259,7 @@ def test_5_revocation_lag_is_bounded_by_the_cache_ttl(tmp_path):
     backend = memory_dht()
     store = NamespaceStore(tmp_path / "mem")
     fixture = scenario.build_fixture(store, backend, clock=EPOCH)
-    assert decide_bob(fixture, backend, EPOCH).granted
+    assert decide_bob(fixture, backend, EPOCH).decision == "grant"
     revoke_contractor(fixture, store, backend, EPOCH)
     assert decide_bob(fixture, backend, EPOCH).decision == "deny"
 
@@ -273,15 +273,15 @@ def test_5_revocation_lag_is_bounded_by_the_cache_ttl(tmp_path):
     # Warm every node's response cache with every published label.
     for name in scenario.ISSUING:
         namespace = dht_fixture.key(name).public_key
-        for label in dht_store.list_labels(namespace):
+        for label in dht_store.load_namespace(namespace):
             for node in range(config.node_count):
                 dht.get(derive_query_key(namespace, label), dht.now_us, entry_node=node)
-    assert decide_bob(dht_fixture, dht, dht.now_us).granted
+    assert decide_bob(dht_fixture, dht, dht.now_us).decision == "grant"
 
     revoke_contractor(dht_fixture, dht_store, dht, dht.now_us)
     dht.advance_clock(30_000_000)
     # Half a cache lifetime after removal the stale record still grants.
-    assert decide_bob(dht_fixture, dht, dht.now_us).granted
+    assert decide_bob(dht_fixture, dht, dht.now_us).decision == "grant"
     dht.advance_clock(30_000_000)
     # One full cache lifetime after removal the denial is mandatory.
     assert decide_bob(dht_fixture, dht, dht.now_us).decision == "deny"
@@ -346,9 +346,9 @@ def test_8_wire_bytes_are_stable_across_runs(tmp_path):
         bob = store.load_namespace(fixture.key("bob").public_key)
         agency = store.load_namespace(fixture.key("world-agency").public_key)
         return {
-            "attr-record": portal.entries["user"].records[0].canonical_bytes().hex(),
-            "cred-record": bob.entries["employee"].records[0].canonical_bytes().hex(),
-            "record-set": canonical_serialize(agency.entries["nado"]).hex(),
+            "attr-record": portal["user"].records[0].canonical_bytes().hex(),
+            "cred-record": bob["employee"].records[0].canonical_bytes().hex(),
+            "record-set": canonical_serialize(agency["nado"]).hex(),
         }
 
     first, second = artifacts("one"), artifacts("two")

@@ -196,7 +196,7 @@ def test_authorize_grants_bob_and_consumes_nonce(fixture, backend, clock):
         clock=clock,
         nonce_table=table,
     )
-    assert decision.granted
+    assert decision.decision == GRANT
     assert decision.chain_summaries
     # Replaying the identical signed response must not grant again.
     replay = authorize(
@@ -223,7 +223,8 @@ def test_a_decision_does_not_remember_its_response_signature(fixture, backend, c
     nonce = table.issue(scenario.RESOURCE_ID, clock)
     response = build_response(fixture.key("bob"), nonce, {"user": fixture.bob_creds})
     portal = fixture.key("portal").public_key
-    assert authorize(portal, response, portal_policy(), backend, clock, nonce_table=table).granted
+    decision = authorize(portal, response, portal_policy(), backend, clock, nonce_table=table)
+    assert decision.decision == GRANT
     digest = hashlib.sha256(
         response.subject + response.signature + response.signing_bytes()
     ).digest()
@@ -235,7 +236,7 @@ def test_authorize_grants_alice(fixture, backend, clock):
         fixture, backend, clock,
         lambda nonce: build_response(fixture.key("alice"), nonce, {"user": fixture.alice_creds}),
     )
-    assert decision.granted
+    assert decision.decision == GRANT
 
 
 def test_authorize_denies_half_a_conjunction(fixture, backend, clock):
@@ -395,7 +396,7 @@ def test_two_attribute_policy_in_process(staff_service, fixture, clock):
         )
 
     staff = decide("staff-portal")
-    assert staff.granted
+    assert staff.decision == GRANT
     assert chain_roots(staff.chain_summaries) == ["user", "staff"]
     admin = decide("admin-portal")
     assert admin.decision == DENY
@@ -411,7 +412,7 @@ def test_two_attribute_policy_over_http(staff_service, fixture, clock):
             )
 
         staff = ask("staff-portal")
-        assert staff.granted
+        assert staff.decision == GRANT
         assert chain_roots(staff.chain_summaries) == ["user", "staff"]
         admin = ask("admin-portal")
         assert admin.decision == DENY
@@ -693,7 +694,7 @@ def test_http_round_trip_grants_bob(endpoint, fixture, backend, clock):
         backend,
         clock,
     )
-    assert outcome.granted
+    assert outcome.decision == GRANT
     assert outcome.chain_summaries
 
 
@@ -941,7 +942,7 @@ def test_a_resource_id_with_a_space_and_a_slash_in_process(odd_service, fixture,
         odd_service.backend,
         clock,
     )
-    assert decision.granted
+    assert decision.decision == GRANT
 
 
 def test_a_resource_id_with_a_space_and_a_slash_over_http(odd_service, fixture, clock):
@@ -950,7 +951,7 @@ def test_a_resource_id_with_a_space_and_a_slash_over_http(odd_service, fixture, 
             endpoint, ODD_RESOURCE, fixture.key("bob"), fixture.bob_creds,
             odd_service.backend, clock,
         )
-        assert outcome.granted
+        assert outcome.decision == GRANT
         # The id is matched whole, not as a path prefix.
         outcome = request_access(
             endpoint, "lab reports", fixture.key("bob"), fixture.bob_creds,
@@ -1021,6 +1022,30 @@ def test_a_decision_reply_that_is_not_a_decision_is_an_error(
     )
     assert outcome.decision == ERROR
     assert "bad reply" in outcome.reasons[0]
+
+
+@pytest.mark.parametrize(
+    "required_attributes",
+    ["user", [5], ["NOT A LABEL"], []],
+    ids=["string", "number", "label", "empty"],
+)
+def test_a_policy_that_is_not_a_list_of_labels_is_an_error(
+    stub_verifier, fixture, backend, clock, required_attributes
+):
+    endpoint, replies = stub_verifier
+    replies["GET"] = json.dumps(
+        {
+            "resource_id": scenario.RESOURCE_ID,
+            "required_attributes": required_attributes,
+            "verifier": fixture.key("portal").public_key.hex(),
+            "nonce": "00" * 16,
+        }
+    ).encode()
+    outcome = request_access(
+        endpoint, scenario.RESOURCE_ID, fixture.key("bob"), fixture.bob_creds, backend, clock
+    )
+    assert outcome.decision == ERROR
+    assert outcome.reasons[0].startswith("bad policy response: ")
 
 
 def test_a_reply_that_is_not_http_is_an_error(fixture, backend, clock):

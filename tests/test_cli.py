@@ -190,6 +190,22 @@ def test_publish_all_reports_every_namespace(abd):
         assert all(entry["error"] is None for entry in report["entries"])
 
 
+def test_revocation_beside_an_expired_delegation_publishes(abd):
+    for name in ("agency", "lab-a", "lab-b"):
+        abd("identity", "create", "--name", name)
+    for subject, ttl in (("lab-a", "1d"), ("lab-b", "30d")):
+        abd("delegate", "add", "--issuer", "agency", "--attr", "dco", "--to", subject, "--ttl", ttl)
+    abd("publish", "--issuer", "agency")
+    later = EPOCH + 2 * DAYS
+    records = abd("resolve", "--ns", "agency", "--label", "dco", clock=later)["records"]
+    assert [r["value"] for r in records] == ["lab-b"]
+
+    abd("delegate", "rm", "--issuer", "agency", "--attr", "dco", "--to", "lab-b", clock=later)
+    payload = abd("publish", "--issuer", "agency", clock=later)
+    assert [e["action"] for e in payload["reports"][0]["entries"]] == ["deleted"]
+    abd("resolve", "--ns", "agency", "--label", "dco", clock=later, expect=1)
+
+
 # --- discovery ----------------------------------------------------------------------
 
 

@@ -172,11 +172,8 @@ def test_store_and_list(tmp_path):
         "audit",
         "member",
     ]
-    labels = store.list_labels(holder.public_key)
-    rset = store.load_namespace(holder.public_key)
-    for label in labels:
-        records = rset.entries[label].records
-        assert all(r.record_type == RecordType.CRED for r in records)
+    for record_set in store.load_namespace(holder.public_key).values():
+        assert all(r.record_type == RecordType.CRED for r in record_set.records)
 
 
 # --- collect -------------------------------------------------------------------------

@@ -204,7 +204,7 @@ def test_remove_delegation(tmp_path):
     # Removing the last alternative leaves an explicit empty set for deletion
     # to propagate on the next publish.
     assert remove_delegation(store, issuer, "boss", expr_c)
-    assert "boss" in store.list_labels(issuer.public_key)
+    assert "boss" in store.load_namespace(issuer.public_key)
 
 
 def test_relative_lifetime_delegation(tmp_path):

@@ -1,20 +1,29 @@
 """Disk store: identities, record-set persistence, quarantine, publication."""
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from abd.core import (
+    DAYS,
     NamespaceKey,
     RecordType,
     ResourceRecord,
     canonical_serialize,
     sign_record_set,
 )
-from abd.credential import issue_credential
-from abd.delegation import add_delegation, encode_attr_payload, expression
-from abd.errors import BackendUnavailable, MissingPrivateKey, UnknownPetname
+from abd.credential import issue_credential, store_credential
+from abd.delegation import add_delegation, encode_attr_payload, expression, remove_delegation
+from abd.errors import (
+    BackendUnavailable,
+    InvalidLabel,
+    MissingPrivateKey,
+    NotFound,
+    UnknownPetname,
+)
 from abd.namestore import NamespaceStore
-from abd.netsim import SimulatedDht, derive_query_key
+from abd.netsim import FileBackend, SimulatedDht, derive_query_key, resolve
 from instance_gen import ONE_NODE, memory_dht
 
 CLOCK = 1_700_000_000_000_000
@@ -75,9 +84,9 @@ def test_store_and_load_round_trip(tmp_path):
     owner = store.create_identity(petname="owner", seed=b"o".ljust(32, b"\0"))
     record = attr_record(key(b"s").public_key)
     written = store.store(owner, "boss", [record])
-    namespace = store.load_namespace(owner.public_key)
-    assert namespace.entries["boss"] == written
-    assert store.list_labels(owner.public_key) == ["boss"]
+    assert store.load_namespace(owner.public_key) == {"boss": written}
+    assert store.entry(owner.public_key, "boss") == written
+    assert store.entry(owner.public_key, "other") is None
 
 
 def test_store_requires_private_key(tmp_path):
@@ -95,9 +104,7 @@ def test_tampered_entry_is_quarantined_not_loaded(tmp_path):
     raw[-1] ^= 0x01  # flip a signature bit
     path.write_bytes(bytes(raw))
 
-    namespace = store.load_namespace(owner.public_key)
-    assert "boss" not in namespace.entries
-    assert "boss" in namespace.quarantined
+    assert store.load_namespace(owner.public_key) == {}
     assert not path.exists()
     assert path.with_name("boss.rrset.quarantined").exists()
 
@@ -109,8 +116,82 @@ def test_entry_bound_to_wrong_label_is_quarantined(tmp_path):
     directory = tmp_path / "names" / owner.hex
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "boss.rrset").write_bytes(canonical_serialize(rset))
-    namespace = store.load_namespace(owner.public_key)
-    assert "boss" in namespace.quarantined
+    assert store.load_namespace(owner.public_key) == {}
+    assert (directory / "boss.rrset.quarantined").exists()
+
+
+def test_single_label_read_quarantines_only_its_own_file(tmp_path):
+    store = NamespaceStore(tmp_path)
+    owner = store.create_identity(petname="owner", seed=b"o".ljust(32, b"\0"))
+    store.store(owner, "boss", [attr_record(key(b"s").public_key)])
+    store.store(owner, "peer", [attr_record(key(b"s").public_key)])
+    directory = tmp_path / "names" / owner.hex
+    (directory / "boss.rrset").write_bytes(b"not a record set")
+    (directory / "peer.rrset").write_bytes(b"not a record set")
+    assert store.entry(owner.public_key, "boss") is None
+    assert (directory / "boss.rrset.quarantined").exists()
+    assert (directory / "peer.rrset").exists()
+
+
+def test_editing_one_label_leaves_a_corrupt_sibling_in_place(tmp_path):
+    store = NamespaceStore(tmp_path)
+    owner = store.create_identity(petname="owner", seed=b"o".ljust(32, b"\0"))
+    subject = expression([(key(b"s").public_key, [])])
+    add_delegation(store, owner, "boss", subject, clock=CLOCK)
+    corrupt = tmp_path / "names" / owner.hex / "boss.rrset"
+    corrupt.write_bytes(b"not a record set")
+    add_delegation(store, owner, "peer", subject, clock=CLOCK)
+    assert remove_delegation(store, owner, "peer", subject)
+    assert corrupt.read_bytes() == b"not a record set"
+
+
+def test_single_label_read_checks_the_label_before_the_path(tmp_path):
+    store = NamespaceStore(tmp_path)
+    owner = store.create_identity(petname="owner", seed=b"o".ljust(32, b"\0"))
+    with pytest.raises(InvalidLabel):
+        store.entry(owner.public_key, "../keys/x")
+
+
+# --- atomic writes ----------------------------------------------------------------------
+
+
+def test_failed_replace_keeps_the_old_entry_and_no_temp_file(tmp_path, monkeypatch):
+    store = NamespaceStore(tmp_path)
+    owner = store.create_identity(petname="owner", seed=b"o".ljust(32, b"\0"))
+    before = store.store(owner, "boss", [attr_record(key(b"s").public_key)])
+
+    def refuse(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        store.store(owner, "boss", [])
+    with pytest.raises(OSError):
+        store.set_petname("other", key(b"x").public_key)
+    monkeypatch.undo()
+    assert store.load_namespace(owner.public_key) == {"boss": before}
+    assert store.petname_table() == {"owner": owner.public_key}
+    leftovers = [p.name for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+    assert leftovers == []
+
+
+def test_seed_is_never_wider_than_0600(tmp_path, monkeypatch):
+    store = NamespaceStore(tmp_path)
+    modes = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        modes.append(os.stat(src).st_mode & 0o777)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    umask = os.umask(0)
+    try:
+        created = store.create_identity(seed=b"o".ljust(32, b"\0"))
+    finally:
+        os.umask(umask)
+    assert modes == [0o600]
+    assert (tmp_path / "keys" / f"{created.hex}.seed").stat().st_mode & 0o777 == 0o600
 
 
 # --- publication -----------------------------------------------------------------------
@@ -128,11 +209,13 @@ def test_publish_stores_attr_and_keeps_credentials_local(tmp_path):
         "member",
         [ResourceRecord(RecordType.CRED, holder_cred.canonical_bytes(), holder_cred.expiration_us)],
     )
+    expired = issue_credential(key(b"i"), owner.public_key, "audit", clock=CLOCK, lifetime_us=0)
+    store_credential(store, owner, expired)
     backend = memory_dht()
     report = store.publish(owner, backend, CLOCK)
     assert report.ok
     actions = {e.label: e.action for e in report.entries}
-    assert actions == {"boss": "stored", "member": "kept-local"}
+    assert actions == {"audit": "kept-local", "boss": "stored", "member": "kept-local"}
     assert backend.get(derive_query_key(owner.public_key, "boss"), CLOCK) is not None
     assert backend.get(derive_query_key(owner.public_key, "member"), CLOCK) is None
 
@@ -154,13 +237,57 @@ def test_publish_stamps_relative_expirations(tmp_path):
     assert refreshed.records[0].expiration_us == later + HOUR
 
 
-def test_publish_reports_expired_record(tmp_path):
+def test_publish_deletes_a_label_whose_records_all_expired(tmp_path):
     store = NamespaceStore(tmp_path)
     owner = store.create_identity(petname="owner", seed=b"o".ljust(32, b"\0"))
-    store.store(owner, "boss", [attr_record(key(b"s").public_key, CLOCK - 1)])
-    report = store.publish(owner, memory_dht(), CLOCK)
-    assert not report.ok
-    assert report.entries[0].action == "failed"
+    backend = memory_dht()
+    store.store(owner, "boss", [attr_record(key(b"s").public_key, CLOCK + HOUR)])
+    store.publish(owner, backend, CLOCK)
+    report = store.publish(owner, backend, CLOCK + HOUR)
+    assert report.ok
+    assert {e.label: e.action for e in report.entries} == {"boss": "deleted"}
+    # Read back before the expiry, so only a deletion can make the set absent.
+    assert backend.get(derive_query_key(owner.public_key, "boss"), CLOCK) is None
+
+
+def test_publish_drops_expired_records_and_keeps_live_ones(tmp_path):
+    store = NamespaceStore(tmp_path)
+    owner = store.create_identity(petname="owner", seed=b"o".ljust(32, b"\0"))
+    live = attr_record(key(b"live").public_key, CLOCK + HOUR)
+    store.store(owner, "boss", [live, attr_record(key(b"old").public_key, CLOCK)])
+    backend = memory_dht()
+    report = store.publish(owner, backend, CLOCK)
+    assert report.ok
+    assert report.entries[0].action == "stored"
+    published = backend.get(derive_query_key(owner.public_key, "boss"), CLOCK)
+    assert published.records == (live,)
+
+
+def revoke_beside_an_expired_record(tmp_path, backend):
+    """Publish boss <- short (1 day) and boss <- long (30 days), remove long
+    two days later and publish again; returns the boss query key."""
+    store = NamespaceStore(tmp_path)
+    owner = store.create_identity(petname="owner", seed=b"o".ljust(32, b"\0"))
+    short, long = (expression([(key(tag).public_key, [])]) for tag in (b"short", b"long"))
+    add_delegation(store, owner, "boss", short, clock=CLOCK, lifetime_us=DAYS)
+    add_delegation(store, owner, "boss", long, clock=CLOCK, lifetime_us=30 * DAYS)
+    assert store.publish(owner, backend, CLOCK).ok
+    later = CLOCK + 2 * DAYS
+    assert resolve("boss", owner.public_key, RecordType.ATTR, backend, later)
+    assert remove_delegation(store, owner, "boss", long)
+    report = store.publish(owner, backend, later)
+    assert report.ok
+    assert {e.label: e.action for e in report.entries} == {"boss": "deleted"}
+    with pytest.raises(NotFound):
+        resolve("boss", owner.public_key, RecordType.ATTR, backend, later)
+
+
+def test_revocation_beside_an_expired_record_reaches_a_file_backend(tmp_path):
+    revoke_beside_an_expired_record(tmp_path / "home", FileBackend(tmp_path / "backend"))
+
+
+def test_revocation_beside_an_expired_record_reaches_the_dht(tmp_path):
+    revoke_beside_an_expired_record(tmp_path, memory_dht())
 
 
 def test_publish_propagates_removal_as_empty_set(tmp_path):
@@ -216,9 +343,21 @@ def test_publish_keeps_pending_removal_on_outage(tmp_path):
 def test_publish_failure_is_per_label(tmp_path):
     store = NamespaceStore(tmp_path)
     owner = store.create_identity(petname="owner", seed=b"o".ljust(32, b"\0"))
-    add_delegation(store, owner, "good", expression([(key(b"s").public_key, [])]), clock=CLOCK)
-    store.store(owner, "stale", [attr_record(key(b"s").public_key, CLOCK - 1)])
-    report = store.publish(owner, memory_dht(), CLOCK)
+    for label in ("alpha", "refused", "zulu"):
+        add_delegation(store, owner, label, expression([(key(b"s").public_key, [])]), clock=CLOCK)
+    refused = derive_query_key(owner.public_key, "refused")
+
+    class RefusesOneKey(SimulatedDht):
+        def put(self, query_key, record_set, clock):
+            if query_key == refused:
+                raise BackendUnavailable("replica refused the write")
+            super().put(query_key, record_set, clock)
+
+    backend = RefusesOneKey(ONE_NODE)
+    report = store.publish(owner, backend, CLOCK)
+    assert not report.ok
     actions = {e.label: e.action for e in report.entries}
-    assert actions["good"] == "stored"
-    assert actions["stale"] == "failed"
+    assert actions == {"alpha": "stored", "refused": "failed", "zulu": "stored"}
+    for label in ("alpha", "zulu"):
+        assert backend.get(derive_query_key(owner.public_key, label), CLOCK) is not None
+    assert backend.get(refused, CLOCK) is None
