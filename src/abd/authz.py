@@ -8,6 +8,15 @@ required attribute is proved.
 
 Decisions are three-valued. Deny carries reasons; a backend failure during
 verification is an Error ("could not find out"), never a silent Deny.
+
+Transport: the verifier speaks persistent HTTP/1.1 with TCP_NODELAY, and
+every reply, the errors the standard library detects included, is a JSON
+decision. A reply whose status is not 200 carries ``Connection: close`` and
+ends the connection. A connection idle or stalled for ``READ_TIMEOUT_S`` is
+closed. The client keeps one connection per thread, to the last endpoint it
+used, and sends through ``http.client`` without reading proxy environment
+variables. It retries a request once, on a fresh connection, only when a
+reused connection was closed before any status line arrived.
 """
 from __future__ import annotations
 
@@ -19,12 +28,13 @@ import urllib.error
 import urllib.request
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional
 from urllib.parse import quote, unquote
 
-from .core import KEY_LEN, U32, NamespaceKey, check_label, clip, pack_label, verify_signature
+from .core import CLIP_CHARS, KEY_LEN, U32, NamespaceKey, check_label, clip, pack_label, verify_signature
 from .credential import Credential, collect, export_json, import_json, verify_credential
 from .discovery import DelegationChain
 from .errors import (
@@ -41,7 +51,7 @@ NONCE_LEN = 16
 NONCE_LIFETIME_US = 120_000_000  # two minutes
 MAX_BODY_BYTES = 1 << 20  # an /authorize body for a few attributes is a few KB
 MAX_NONCES = 65_536  # outstanding nonces; a few hundred bytes each
-READ_TIMEOUT_S = 10.0  # a connection that stalls this long mid-request is closed
+READ_TIMEOUT_S = 10.0  # a connection idle or stalled this long is closed
 
 GRANT, DENY, ERROR = "grant", "deny", "error"
 
@@ -359,7 +369,14 @@ class VerifierService:
 
 
 class _Handler(BaseHTTPRequestHandler):
+    """Persistent HTTP/1.1 with Nagle's algorithm off: a reply's headers and
+    body go out in two sends, and with Nagle on the body would wait for the
+    client's delayed ACK. Every reply but a 200 ends the connection, so bytes
+    left unread after a rejected request are never parsed as a new one."""
+
     service: VerifierService  # set on the subclass by make_server
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     def _send_error(self, status: int, reason: str) -> None:
         self._send(status, AuthzDecision.error(reason).to_json())
@@ -369,22 +386,33 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if status != 200:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
+    def send_error(self, code: int, message: Optional[str] = None, explain: Optional[str] = None) -> None:
+        """Errors the standard library finds itself (an unsupported method,
+        an over-long request line or header, a malformed request line) are
+        decisions too. Its message can quote the request, so a long one is
+        replaced by the status phrase."""
+        if message is None or len(message) > CLIP_CHARS:
+            message = HTTPStatus(code).phrase
+        self._send_error(code, message)
+
     def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
         if not self.path.startswith("/policy/"):
-            self._send(404, {"error": "not found"})
+            self._send_error(404, "not found")
             return
         resource_id = unquote(self.path[len("/policy/") :])
         try:
             self._send(200, self.service.policy_payload(resource_id))
         except UnknownResource as exc:
-            self._send(404, {"error": str(exc)})
+            self._send_error(404, str(exc))
 
     def do_POST(self) -> None:  # noqa: N802
         if self.path != "/authorize":
-            self._send(404, {"error": "not found"})
+            self._send_error(404, "not found")
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
@@ -421,13 +449,60 @@ def make_server(service: VerifierService, host: str, port: int) -> ThreadingHTTP
 # --- subject-side client ----------------------------------------------------------
 
 
+_kept = threading.local()  # per client thread: .connection and its .endpoint
+
+
+def _connection(request: urllib.request.Request) -> http.client.HTTPConnection:
+    """This thread's connection to the request's endpoint. A thread keeps
+    one connection, to the last endpoint it used; another endpoint closes it."""
+    endpoint = (request.type, request.host)
+    connection = getattr(_kept, "connection", None)
+    if connection is not None and _kept.endpoint != endpoint:
+        connection.close()
+        connection = None
+    if connection is None:
+        if request.type == "http":
+            connection = http.client.HTTPConnection(request.host)
+        elif request.type == "https":
+            connection = http.client.HTTPSConnection(request.host)
+        else:
+            raise urllib.error.URLError(f"unknown url type: {request.type}")
+        _kept.connection, _kept.endpoint = connection, endpoint
+    return connection
+
+
+def _exchange(connection: http.client.HTTPConnection, request: urllib.request.Request):
+    connection.request(
+        request.get_method(), request.selector, request.data, dict(request.header_items())
+    )
+    return connection.getresponse()
+
+
 def _http_json(request: urllib.request.Request, timeout: float) -> tuple[int, dict]:
-    """The reply's status and JSON object; ValueError if it is not one."""
+    """The reply's status and JSON object; ValueError if it is not one.
+
+    The request goes over this thread's kept connection. If a reused
+    connection turns out closed before any status line arrives, the server
+    dropped it idle without reading the request, so it is sent once more on
+    a fresh connection: a POST is never decided twice.
+    """
+    connection = _connection(request)
+    connection.timeout = timeout
+    reused = connection.sock is not None
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as reply:
-            status, body = reply.status, reply.read()
-    except urllib.error.HTTPError as exc:
-        status, body = exc.code, exc.read()
+        if reused:
+            connection.sock.settimeout(timeout)
+        try:
+            reply = _exchange(connection, request)
+        except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected too
+            if not reused:
+                raise
+            connection.close()
+            reply = _exchange(connection, request)
+        status, body = reply.status, reply.read()
+    except BaseException:
+        connection.close()
+        raise
     payload = json.loads(body)
     if not isinstance(payload, dict):
         raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
@@ -460,7 +535,9 @@ def request_access(
     except (ValueError, http.client.HTTPException) as exc:
         return AuthzDecision.error(f"bad reply from verifier: {exc!r}")
     if status != 200:
-        return AuthzDecision.error(policy_body.get("error", f"policy fetch failed ({status})"))
+        reasons = policy_body.get("reasons")
+        well_formed = isinstance(reasons, list) and reasons and isinstance(reasons[0], str)
+        return AuthzDecision.error(reasons[0] if well_formed else f"policy fetch failed ({status})")
     try:
         verifier_pub = bytes.fromhex(policy_body["verifier"])
         nonce = bytes.fromhex(policy_body["nonce"])

@@ -162,6 +162,7 @@ def test_2_http_decisions_match_the_scenario(tmp_path):
     finally:
         server.terminate()
         server.wait(timeout=10)
+        server.stdout.close()
 
 
 @pytest.fixture(scope="module")

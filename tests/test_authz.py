@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import http.client
 import json
@@ -10,6 +11,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -582,7 +584,8 @@ def post_json(url: str, payload) -> tuple[int, dict]:
         with urllib.request.urlopen(request, timeout=5) as reply:
             return reply.status, json.loads(reply.read())
     except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read())
+        with exc:
+            return exc.code, json.loads(exc.read())
 
 
 def test_policy_payload_issues_fresh_nonces(service):
@@ -681,8 +684,9 @@ def test_error_replies_do_not_echo_oversized_client_strings(service, endpoint, f
 def test_unknown_long_resource_in_a_policy_request_is_not_echoed(endpoint):
     with pytest.raises(urllib.error.HTTPError) as info:
         urllib.request.urlopen(f"{endpoint}/policy/{'b' * 8_000}", timeout=5)
-    assert info.value.code == 404
-    assert len(info.value.read()) < 1_000
+    with info.value:
+        assert info.value.code == 404
+        assert len(info.value.read()) < 1_000
 
 
 def test_http_round_trip_grants_bob(endpoint, fixture, backend, clock):
@@ -710,6 +714,7 @@ def test_http_round_trip_denies_a_stranger(endpoint, fixture, backend, clock):
 def test_http_unknown_paths_are_404(endpoint):
     with pytest.raises(urllib.error.HTTPError) as exc:
         urllib.request.urlopen(f"{endpoint}/policy/nope", timeout=5)
+    exc.value.close()
     assert exc.value.code == 404
     status, payload = post_json(f"{endpoint}/elsewhere", {})
     assert status == 404
@@ -776,6 +781,175 @@ def test_a_stalled_request_body_is_dropped_after_the_read_timeout(service, monke
         assert [sock.recv(65536) for sock in stalled] == [b""] * 3
         assert time.monotonic() - started < 4
         assert raw_post(endpoint, "ten")[0] == 400
+
+
+# --- persistent connections -------------------------------------------------------------
+
+
+def read_reply(reader) -> tuple[int, dict, dict]:
+    """One reply from a buffered socket reader: its status, its headers
+    (lower-case names) and its JSON body, read by its Content-Length."""
+    status = int(reader.readline().split(b" ", 2)[1])
+    headers = {}
+    while (line := reader.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers, json.loads(reader.read(int(headers["content-length"])))
+
+
+@contextlib.contextmanager
+def raw_connection(endpoint: str):
+    """A socket to ``endpoint`` and a buffered reader over it."""
+    host, port = endpoint.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        with sock.makefile("rb") as reader:
+            yield sock, reader
+
+
+def get_request(path: str, version: str = "HTTP/1.1") -> bytes:
+    return f"GET {path} {version}\r\nHost: 127.0.0.1\r\n\r\n".encode()
+
+
+POLICY_PATH = f"/policy/{scenario.RESOURCE_ID}"
+
+
+def test_one_client_thread_uses_one_connection(service, fixture, backend, clock):
+    httpd = make_server(service, "127.0.0.1", 0)
+    accepted = []
+    accept = httpd.get_request
+
+    def counting_accept():
+        accepted.append(None)
+        return accept()
+
+    httpd.get_request = counting_accept
+    with serving(httpd) as endpoint:
+        decisions = [
+            request_access(
+                endpoint, scenario.RESOURCE_ID, fixture.key("bob"), fixture.bob_creds, backend, clock
+            ).decision
+            for _ in range(20)
+        ]
+    assert decisions == [GRANT] * 20
+    assert len(accepted) == 1
+
+
+def test_a_connection_the_server_closed_idle_is_replaced_and_decides_once(
+    service, fixture, backend, clock, monkeypatch
+):
+    monkeypatch.setattr(authz, "READ_TIMEOUT_S", 0.2)
+    decided = []
+    authorize_payload = service.authorize_payload
+
+    def counting_authorize_payload(body):
+        decided.append(body["nonce"])
+        return authorize_payload(body)
+
+    monkeypatch.setattr(service, "authorize_payload", counting_authorize_payload)
+    # The first collect, the client's, idles between the policy GET and the
+    # POST, so the kept connection is closed under the POST.
+    collect, idled = authz.collect, []
+
+    def idle_once(**kwargs):
+        if not idled:
+            idled.append(True)
+            time.sleep(0.4)
+        return collect(**kwargs)
+
+    def ask():
+        return request_access(
+            endpoint, scenario.RESOURCE_ID, fixture.key("bob"), fixture.bob_creds, backend, clock
+        ).decision
+
+    with serving(make_server(service, "127.0.0.1", 0)) as endpoint:
+        assert ask() == GRANT
+        assert len(decided) == 1
+        time.sleep(0.4)  # idle before the GET
+        assert ask() == GRANT
+        assert len(decided) == 2
+        monkeypatch.setattr(authz, "collect", idle_once)
+        assert ask() == GRANT
+        assert idled
+        assert len(decided) == 3
+
+
+def test_pipelined_requests_are_answered_in_order(endpoint):
+    with raw_connection(endpoint) as (sock, reader):
+        sock.sendall(get_request(POLICY_PATH) * 2 + get_request("/policy/nope"))
+        replies = [read_reply(reader) for _ in range(3)]
+        assert reader.read() == b""
+    assert [status for status, _, _ in replies] == [200, 200, 404]
+    first, second = (payload for _, _, payload in replies[:2])
+    assert first["resource_id"] == second["resource_id"] == scenario.RESOURCE_ID
+    assert first["nonce"] != second["nonce"]
+    assert replies[2][2]["decision"] == ERROR
+
+
+REJECTED_REQUESTS = {
+    400: b"POST /authorize HTTP/1.1\r\nContent-Length: 5\r\n\r\n{nope",
+    404: get_request("/elsewhere"),
+    413: f"POST /authorize HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode(),
+}
+
+
+@pytest.mark.parametrize("status", sorted(REJECTED_REQUESTS))
+def test_a_reply_that_is_not_200_ends_the_connection(endpoint, status):
+    with raw_connection(endpoint) as (sock, reader):
+        # The request after the rejected one is never read.
+        sock.sendall(REJECTED_REQUESTS[status] + get_request(POLICY_PATH))
+        got, headers, payload = read_reply(reader)
+        assert reader.read() == b""
+    assert got == status
+    assert headers["connection"] == "close"
+    assert payload["decision"] == ERROR
+
+
+def test_an_http_1_0_request_still_closes_its_connection(endpoint):
+    with raw_connection(endpoint) as (sock, reader):
+        sock.sendall(get_request(POLICY_PATH, "HTTP/1.0"))
+        status, _, payload = read_reply(reader)
+        assert reader.read() == b""
+    assert status == 200
+    assert payload["resource_id"] == scenario.RESOURCE_ID
+
+
+def test_switching_endpoints_closes_the_previous_connection(service, fixture, backend, clock):
+    with serving(make_server(service, "127.0.0.1", 0)) as first, serving(
+        make_server(service, "127.0.0.1", 0)
+    ) as second, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for endpoint in (first, second, first):
+            outcome = request_access(
+                endpoint, scenario.RESOURCE_ID, fixture.key("bob"), fixture.bob_creds, backend, clock
+            )
+            assert outcome.decision == GRANT
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+# Errors the standard library answers itself: an unsupported method, a
+# request line over 64 KiB and a header line over 64 KiB.
+STDLIB_ERRORS = {
+    "put": (b"PUT /authorize HTTP/1.1\r\nContent-Length: 0\r\n\r\n", 501),
+    "head": (b"HEAD /policy/r HTTP/1.1\r\n\r\n", 501),
+    "long-uri": (get_request("/policy/" + "u" * 70_000), 414),
+    "long-header": (
+        b"GET /policy/r HTTP/1.1\r\nX-Long: " + b"h" * 70_000 + b"\r\n\r\n", 431
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STDLIB_ERRORS))
+def test_errors_the_standard_library_finds_are_json_decisions(endpoint, case):
+    request, expected = STDLIB_ERRORS[case]
+    with raw_connection(endpoint) as (sock, reader):
+        sock.sendall(request)
+        status, headers, payload = read_reply(reader)
+    assert status == expected
+    assert headers["content-type"] == "application/json"
+    assert headers["connection"] == "close"
+    assert payload["decision"] == ERROR
+    assert payload["reasons"] and len(json.dumps(payload)) < 1_000
 
 
 JSON_VALUES = st.recursive(

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import dataclasses
+import http.client
 import json
+import signal
 import subprocess
 import sys
 import time
@@ -310,6 +312,42 @@ def test_serve_then_request_over_http(abd):
     finally:
         server.terminate()
         server.wait(timeout=10)
+        server.stdout.close()
+
+
+def test_serve_stops_promptly_with_a_kept_alive_connection_open(abd):
+    abd("scenario", "init")
+    server = subprocess.Popen(
+        [
+            sys.executable, "-m", "abd",
+            "--home", str(abd.home),
+            "--clock-us", str(EPOCH),
+            "serve",
+            "--policy", str(abd.home / "policy.json"),
+            "--identity", "portal",
+            "--listen", "127.0.0.1:0",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+    )
+    connection = None
+    try:
+        host, port = server.stdout.readline().split()[-1].removeprefix("http://").split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=5)
+        connection.request("GET", f"/policy/{scenario.RESOURCE_ID}")
+        reply = connection.getresponse()
+        reply.read()
+        assert reply.status == 200 and connection.sock is not None  # kept open, idle
+        server.send_signal(signal.SIGINT)
+        assert server.wait(timeout=2) == 0
+    finally:
+        if connection is not None:
+            connection.close()
+        if server.poll() is None:
+            server.kill()
+            server.wait(timeout=10)
+        server.stdout.close()
 
 
 @pytest.mark.parametrize("attributes", ["user", 5, [1]], ids=["string", "number", "list-of-number"])
