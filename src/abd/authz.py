@@ -14,8 +14,8 @@ every reply, the errors the standard library detects included, is a JSON
 decision. A reply whose status is not 200 carries ``Connection: close`` and
 ends the connection. A connection idle or stalled for ``READ_TIMEOUT_S`` is
 closed. The client keeps one connection per thread, to the last endpoint it
-used, and sends through ``http.client`` without reading proxy environment
-variables. It retries a request once, on a fresh connection, only when a
+used, until ``close_connection``, and sends through ``http.client`` without
+reading proxy environment variables. It retries a request once, on a fresh connection, only when a
 reused connection was closed before any status line arrived.
 """
 from __future__ import annotations
@@ -469,6 +469,14 @@ def _connection(request: urllib.request.Request) -> http.client.HTTPConnection:
             raise urllib.error.URLError(f"unknown url type: {request.type}")
         _kept.connection, _kept.endpoint = connection, endpoint
     return connection
+
+
+def close_connection() -> None:
+    """Close this thread's kept connection, if it has one."""
+    connection = getattr(_kept, "connection", None)
+    if connection is not None:
+        connection.close()
+        _kept.connection = None
 
 
 def _exchange(connection: http.client.HTTPConnection, request: urllib.request.Request):

@@ -11,13 +11,20 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 from typing import Optional
 
 from . import scenario
-from .authz import GRANT, DENY, PolicyStore, VerifierService, make_server, request_access
+from .authz import (
+    GRANT,
+    DENY,
+    PolicyStore,
+    VerifierService,
+    close_connection,
+    make_server,
+    request_access,
+)
 from .core import DAYS, HOURS, MILLISECONDS, MINUTES, SECONDS, RecordType
 from .credential import (
     decode_cred_payload,
@@ -39,7 +46,7 @@ from .delegation import (
 from .discovery import DiscoveryTrace, discover
 from .errors import AbdError, NotFound
 from .namestore import NamespaceStore
-from .netsim import DhtConfig, FileBackend, SimulatedDht, resolve
+from .netsim import FileBackend, resolve
 
 EXIT_OK = 0
 EXIT_DENIED = 1
@@ -380,14 +387,17 @@ def cmd_request(cli: Cli) -> int:
     store = cli.store
     subject = store.key_for(cli.args.identity)
     credentials = list_credentials(store, subject.public_key)
-    outcome = request_access(
-        endpoint=cli.args.endpoint.rstrip("/"),
-        resource_id=cli.args.resource,
-        subject=subject,
-        subject_creds=credentials,
-        backend=cli.backend,
-        clock=cli.clock,
-    )
+    try:
+        outcome = request_access(
+            endpoint=cli.args.endpoint.rstrip("/"),
+            resource_id=cli.args.resource,
+            subject=subject,
+            subject_creds=credentials,
+            backend=cli.backend,
+            clock=cli.clock,
+        )
+    finally:
+        close_connection()
     cli.emit(
         {
             "decision": outcome.decision,
@@ -403,48 +413,6 @@ def cmd_request(cli: Cli) -> int:
     if outcome.decision == DENY:
         return EXIT_DENIED
     return EXIT_ERROR
-
-
-# --- simulation ----------------------------------------------------------------------
-
-
-def cmd_sim_run(cli: Cli) -> int:
-    config = DhtConfig.from_file(Path(cli.args.config))
-    dht = SimulatedDht(config)
-    clock = scenario.FIXTURE_EPOCH_US
-    dht.now_us = clock
-
-    def line(event: str) -> None:
-        print(json.dumps({"event": event, "t_us": dht.now_us, **dht.stats().as_dict()}))
-
-    with tempfile.TemporaryDirectory() as tmp:
-        fixture = scenario.build_fixture(NamespaceStore(Path(tmp)), dht, clock=clock)
-        line("published")
-
-        def run_discoveries(tag: str) -> None:
-            for who, creds in (("bob", fixture.bob_creds), ("alice", fixture.alice_creds)):
-                chain = discover(
-                    issuer_pub=fixture.key("portal").public_key,
-                    attribute="user",
-                    subject_pub=fixture.key(who).public_key,
-                    subject_creds=creds,
-                    backend=dht,
-                    clock=dht.now_us,
-                )
-                line(f"discover-{who}-{tag}-{'ok' if chain else 'none'}")
-
-        run_discoveries("cold")
-        half = max(config.cache_ttl_us // 2, 1)
-        dht.advance_clock(half)
-        if config.republish_interval_us and config.republish_interval_us <= half:
-            for name in scenario.ISSUING:
-                fixture.store.publish(fixture.key(name), dht, dht.now_us)
-            line("republished")
-        run_discoveries("warm")
-        dht.advance_clock(config.cache_ttl_us)
-        run_discoveries("expired-cache")
-        line("done")
-    return EXIT_OK
 
 
 # --- scenario --------------------------------------------------------------------------
@@ -573,12 +541,6 @@ def build_parser() -> _Parser:
     request.add_argument("--resource", required=True)
     request.add_argument("--identity", required=True)
     request.set_defaults(func=cmd_request)
-
-    sim = sub.add_parser("sim", help="run the DHT simulator")
-    sim_sub = sim.add_subparsers(dest="subcommand", required=True)
-    sim_run = sim_sub.add_parser("run")
-    sim_run.add_argument("--config", required=True, help="key = value config file")
-    sim_run.set_defaults(func=cmd_sim_run)
 
     scenario_cmd = sub.add_parser("scenario", help="fixture management")
     scenario_sub = scenario_cmd.add_subparsers(dest="subcommand", required=True)

@@ -11,8 +11,11 @@ a verifier built on it sees another process's publish at its next request.
 
 The DHT simulator is single-threaded and fully deterministic for a given
 rng_seed and operation sequence. Hop counts are modeled as ceil(log2(N)).
-With one node, a replication factor of one and no response cache it is an
-exact in-memory map.
+The verifier is one peer of the network: its gets enter at one home node,
+drawn from rng_seed, so repeated lookups meet that node's response cache,
+as a GNS resolver's lookups meet its own peer's R5N path cache. With one
+node, a replication factor of one and no response cache it is an exact
+in-memory map.
 """
 from __future__ import annotations
 
@@ -44,6 +47,10 @@ from .errors import (
     NotFound,
     UnknownNode,
 )
+
+
+# Most query keys whose replica set a SimulatedDht remembers.
+REPLICA_MEMO_SIZE = 8_192
 
 
 def derive_query_key(namespace_pub: bytes, label: str) -> bytes:
@@ -179,29 +186,6 @@ class DhtConfig:
     replication_factor: int = 5
     cache_ttl_us: int = 3_600_000_000  # 1 hour of simulated time
     rng_seed: int = 0
-    republish_interval_us: int = 0  # 0 disables periodic republish in `sim run`
-
-    @classmethod
-    def from_file(cls, path: Path) -> "DhtConfig":
-        """Parse a `key = value` config file; unknown keys are an error."""
-        config = cls()
-        valid = set(config.__dataclass_fields__)
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in valid:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            setattr(config, key, int(value.strip()))
-        if config.node_count < 1:
-            raise ValueError("node_count must be >= 1")
-        if config.replication_factor < 1:
-            raise ValueError("replication_factor must be >= 1")
-        return config
 
 
 @dataclass
@@ -218,10 +202,17 @@ class SimulatedDht(NameSystemBackend):
     """Consistent-hash ring with replication, caching, and failures.
 
     Record sets live on the ``replication_factor`` successor nodes of their
-    query key. Every get enters at one live node; a hit in that node's
-    response cache is served locally, otherwise the query is routed to the
-    replica set and the response cached for min(cache_ttl, time to earliest
-    record expiration). Failed nodes drop all state and answer nothing.
+    query key. A get without ``entry_node`` enters at the home node, drawn
+    once from ``rng_seed``; while the home node is failed, it enters at the
+    next live node in index order, wrapping around. A hit in the entry
+    node's response cache is served locally, otherwise the query is routed
+    to the replica set and the response cached for min(cache_ttl, time to
+    earliest record expiration). Failed nodes drop all state and answer
+    nothing.
+
+    Replica assignment ignores failures and the ring never changes after
+    construction, so ``replica_nodes`` remembers its answers for up to
+    REPLICA_MEMO_SIZE query keys, dropping the oldest first.
 
     ``advance_clock`` drops every expired cache and storage entry, whether
     or not its key is looked up again, without visiting the live ones: cache
@@ -232,7 +223,7 @@ class SimulatedDht(NameSystemBackend):
     def __init__(self, config: Optional[DhtConfig] = None) -> None:
         self.config = config or DhtConfig()
         self.now_us = 0
-        self._rng = random.Random(self.config.rng_seed)
+        self._home = random.Random(self.config.rng_seed).randrange(self.config.node_count)
         self._stats = LookupStats()
         self.nodes: list[_DhtNode] = []
         for index in range(self.config.node_count):
@@ -251,18 +242,28 @@ class SimulatedDht(NameSystemBackend):
         self._cache_expiries: list[tuple[int, int, bytes]] = []
         # No stored set stops being live before this clock.
         self._storage_due: float = math.inf
+        # query key -> replica_nodes' answer, oldest first.
+        self._replicas: dict[bytes, tuple[int, ...]] = {}
 
     # --- topology ---------------------------------------------------------
 
     def _hops(self) -> int:
         return math.ceil(math.log2(self.config.node_count)) if self.config.node_count > 1 else 0
 
-    def replica_nodes(self, query_key: bytes) -> list[int]:
+    def replica_nodes(self, query_key: bytes) -> tuple[int, ...]:
         """Indices of the nodes assigned to hold this key, in ring order."""
+        memo = self._replicas
+        try:
+            return memo[query_key]
+        except KeyError:
+            pass
         ring = self._ring_indices
         start = bisect.bisect_left(self._ring_ids, int.from_bytes(query_key, "big"))
         count = min(self.config.replication_factor, len(ring))
-        return [ring[(start + i) % len(ring)] for i in range(count)]
+        replicas = memo[query_key] = tuple(ring[(start + i) % len(ring)] for i in range(count))
+        if len(memo) > REPLICA_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        return replicas
 
     def _check_node_ids(self, node_ids: list[int]) -> list[_DhtNode]:
         out = []
@@ -332,7 +333,9 @@ class SimulatedDht(NameSystemBackend):
         if not self._live:
             raise AllReplicasDown("no live nodes in the network")
         if entry_node is None:
-            entry = self._rng.choice(self._live)
+            entry = self.nodes[self._home]
+            if entry.failed:
+                entry = next((n for n in self._live if n.index > self._home), self._live[0])
         else:
             (entry,) = self._check_node_ids([entry_node])
             if entry.failed:

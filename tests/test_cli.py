@@ -1,20 +1,19 @@
 """End-to-end exercises of the ``abd`` command line via ``main(argv)``."""
 from __future__ import annotations
 
-import dataclasses
 import http.client
 import json
 import signal
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 
 import pytest
 
 from abd import scenario
 from abd.cli import main, parse_duration
 from abd.core import DAYS, HOURS, MILLISECONDS, MINUTES, SECONDS
-from abd.netsim import DhtConfig
 
 EPOCH = scenario.FIXTURE_EPOCH_US
 PORTAL_PUB = "3e172219bd37b625875e2741829fb1987418a37141d0a93885756eeab47b1025"
@@ -241,49 +240,20 @@ def test_discover_denies_a_stranger(abd):
     assert payload["trace"]
 
 
-# --- simulator ------------------------------------------------------------------------
-
-
-def test_sim_run_emits_event_lines(abd, tmp_path):
-    # Republish lands before the relative contractor record can lapse, so
-    # every discovery in the timeline still finds the chain.
-    config = DhtConfig(
-        node_count=8,
-        replication_factor=3,
-        cache_ttl_us=1_800_000_000,
-        rng_seed=1,
-        republish_interval_us=900_000_000,
-    )
-    config_path = tmp_path / "dht.conf"
-    config_path.write_text(
-        "".join(f"{name} = {value}\n" for name, value in dataclasses.asdict(config).items())
-    )
-    out = abd("sim", "run", "--config", config_path, json_mode=False)
-    events = [json.loads(line) for line in out.splitlines()]
-    names = [event["event"] for event in events]
-    assert names[0] == "published"
-    assert names[-1] == "done"
-    assert "discover-bob-cold-ok" in names
-    assert "discover-alice-cold-ok" in names
-    assert "republished" in names
-    assert "discover-bob-warm-ok" in names
-    assert "discover-bob-expired-cache-ok" in names
-    assert events[-1]["cache_hits"] > 0
-
-
 # --- serve and request -------------------------------------------------------------------
 
 
-def test_serve_then_request_over_http(abd):
-    abd("scenario", "init")
-    abd("identity", "create", "--name", "nobody")
+@contextmanager
+def serving(home):
+    """An ``abd serve`` child for the scenario's portal; yields the child
+    and its endpoint, and stops the child on exit."""
     server = subprocess.Popen(
         [
             sys.executable, "-m", "abd",
-            "--home", str(abd.home),
+            "--home", str(home),
             "--clock-us", str(EPOCH),
             "serve",
-            "--policy", str(abd.home / "policy.json"),
+            "--policy", str(home / "policy.json"),
             "--identity", "portal",
             "--listen", "127.0.0.1:0",
         ],
@@ -294,8 +264,18 @@ def test_serve_then_request_over_http(abd):
     try:
         banner = server.stdout.readline().strip()
         assert banner.startswith("listening on http://")
-        endpoint = banner.split()[-1]
+        yield server, banner.split()[-1]
+    finally:
+        if server.poll() is None:
+            server.terminate()
+        server.wait(timeout=10)
+        server.stdout.close()
 
+
+def test_serve_then_request_over_http(abd):
+    abd("scenario", "init")
+    abd("identity", "create", "--name", "nobody")
+    with serving(abd.home) as (_, endpoint):
         granted = abd(
             "request", "--endpoint", endpoint,
             "--resource", scenario.RESOURCE_ID, "--identity", "bob",
@@ -309,45 +289,42 @@ def test_serve_then_request_over_http(abd):
             expect=1,
         )
         assert denied["decision"] == "deny"
-    finally:
-        server.terminate()
-        server.wait(timeout=10)
-        server.stdout.close()
+
+
+def test_request_closes_its_connection_before_exit(abd):
+    abd("scenario", "init")
+    with serving(abd.home) as (_, endpoint):
+        request = subprocess.run(
+            [
+                sys.executable, "-X", "dev", "-m", "abd",
+                "--home", str(abd.home),
+                "--clock-us", str(EPOCH),
+                "request", "--endpoint", endpoint,
+                "--resource", scenario.RESOURCE_ID, "--identity", "bob",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+    assert request.returncode == 0, request.stderr
+    assert request.stdout.startswith("grant")
+    assert "ResourceWarning" not in request.stderr
 
 
 def test_serve_stops_promptly_with_a_kept_alive_connection_open(abd):
     abd("scenario", "init")
-    server = subprocess.Popen(
-        [
-            sys.executable, "-m", "abd",
-            "--home", str(abd.home),
-            "--clock-us", str(EPOCH),
-            "serve",
-            "--policy", str(abd.home / "policy.json"),
-            "--identity", "portal",
-            "--listen", "127.0.0.1:0",
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
-        text=True,
-    )
-    connection = None
-    try:
-        host, port = server.stdout.readline().split()[-1].removeprefix("http://").split(":")
+    with serving(abd.home) as (server, endpoint):
+        host, port = endpoint.removeprefix("http://").split(":")
         connection = http.client.HTTPConnection(host, int(port), timeout=5)
-        connection.request("GET", f"/policy/{scenario.RESOURCE_ID}")
-        reply = connection.getresponse()
-        reply.read()
-        assert reply.status == 200 and connection.sock is not None  # kept open, idle
-        server.send_signal(signal.SIGINT)
-        assert server.wait(timeout=2) == 0
-    finally:
-        if connection is not None:
+        try:
+            connection.request("GET", f"/policy/{scenario.RESOURCE_ID}")
+            reply = connection.getresponse()
+            reply.read()
+            assert reply.status == 200 and connection.sock is not None  # kept open, idle
+            server.send_signal(signal.SIGINT)
+            assert server.wait(timeout=2) == 0
+        finally:
             connection.close()
-        if server.poll() is None:
-            server.kill()
-            server.wait(timeout=10)
-        server.stdout.close()
 
 
 @pytest.mark.parametrize("attributes", ["user", 5, [1]], ids=["string", "number", "list-of-number"])

@@ -12,8 +12,10 @@ import threading
 import pytest
 from hypothesis import given, strategies as st
 
+from abd import netsim
 from abd.core import NamespaceKey, RecordType, ResourceRecord, sign_record_set
-from abd.delegation import encode_attr_payload, expression
+from abd.delegation import add_delegation, encode_attr_payload, expression, remove_delegation
+from abd.discovery import discover
 from abd.errors import (
     AllReplicasDown,
     BackendUnavailable,
@@ -21,6 +23,7 @@ from abd.errors import (
     NotFound,
     UnknownNode,
 )
+from abd.namestore import NamespaceStore
 from abd.netsim import (
     DhtConfig,
     FileBackend,
@@ -251,42 +254,6 @@ def test_file_backend_readers_see_whole_versions_while_a_writer_publishes(tmp_pa
     assert backend.stats().lookups == sum(gets)
 
 
-# --- DHT config -------------------------------------------------------------------------
-
-
-def test_config_file_round_trip(tmp_path):
-    config = DhtConfig(
-        node_count=16,
-        replication_factor=3,
-        cache_ttl_us=60_000_000,
-        rng_seed=9,
-        republish_interval_us=30_000_000,
-    )
-    path = tmp_path / "dht.conf"
-    path.write_text(
-        "".join(f"{name} = {value}\n" for name, value in dataclasses.asdict(config).items())
-    )
-    assert DhtConfig.from_file(path) == config
-
-
-def test_config_file_comments_and_errors(tmp_path):
-    path = tmp_path / "dht.conf"
-    path.write_text("# a comment\nnode_count = 8  # trailing\n\nreplication_factor = 2\n")
-    config = DhtConfig.from_file(path)
-    assert config.node_count == 8
-    assert config.replication_factor == 2
-
-    path.write_text("nodes = 8\n")
-    with pytest.raises(ValueError):
-        DhtConfig.from_file(path)
-    path.write_text("node_count\n")
-    with pytest.raises(ValueError):
-        DhtConfig.from_file(path)
-    path.write_text("node_count = 0\n")
-    with pytest.raises(ValueError):
-        DhtConfig.from_file(path)
-
-
 # --- simulated DHT -----------------------------------------------------------------------
 
 
@@ -514,7 +481,7 @@ def test_hostile_replica_is_skipped():
 # --- DHT lookups against slow references ----------------------------------------------
 
 
-def linear_replicas(network: SimulatedDht, query_key: bytes) -> list[int]:
+def linear_replicas(network: SimulatedDht, query_key: bytes) -> tuple[int, ...]:
     """Reference placement: walk the ring in node-id order from the first
     id at or past the key, wrapping to the smallest id."""
     ring = sorted(network.nodes, key=lambda node: node.node_id)
@@ -523,7 +490,7 @@ def linear_replicas(network: SimulatedDht, query_key: bytes) -> list[int]:
     while start < len(ring) and ring[start].node_id < key_int:
         start += 1
     count = min(network.config.replication_factor, len(ring))
-    return [ring[(start + i) % len(ring)].index for i in range(count)]
+    return tuple(ring[(start + i) % len(ring)].index for i in range(count))
 
 
 @given(
@@ -563,38 +530,51 @@ class LiveListPerCall(SimulatedDht):
         return super().get(query_key, clock, entry_node)
 
 
+class CacheLookups(dict):
+    """A node's response cache that logs the node's index at each lookup:
+    a get reads exactly one cache, its entry node's."""
+
+    def __init__(self, index: int, log: list) -> None:
+        super().__init__()
+        self.index, self.log = index, log
+
+    def get(self, key, default=None):
+        self.log.append(self.index)
+        return super().get(key, default)
+
+
 def run_fixed_sequence(network: SimulatedDht) -> tuple[list, list, dict]:
-    """Put, get, fail, get, heal, get; returns the outcomes, the entry node
-    of every get that picked one at random, and the lookup stats."""
-    entries = []
-    choose = network._rng.choice
-
-    def recording_choice(nodes):
-        node = choose(nodes)
-        entries.append(node.index)
-        return node
-
-    network._rng.choice = recording_choice
+    """Put, get, fail (the home node too), get, heal, get; returns the
+    outcomes, the entry node of every get without one, and the stats."""
+    lookups = []
+    for node in network.nodes:
+        node.cache = CacheLookups(node.index, lookups)
     sets = [make_set(label=f"label-{i}", expiration=CLOCK + 10 * HOUR) for i in range(6)]
     keys = [put_set(network, rset) for rset in sets]
-    outcomes = []
+    outcomes, entries = [], []
+
+    def outcome(query_key, clock, entry_node=None):
+        try:
+            return network.get(query_key, clock, entry_node) is not None
+        except AllReplicasDown:
+            return "down"
 
     def get_all(phase: int) -> None:
         # Each phase starts one cache TTL after the last, so its first round
         # misses every response cache and its second can hit them.
         for _ in range(2):
             for query_key in keys:
-                try:
-                    found = network.get(query_key, CLOCK + phase * HOUR)
-                    outcomes.append(found is not None)
-                except AllReplicasDown:
-                    outcomes.append("down")
+                lookups.clear()
+                outcomes.append(outcome(query_key, CLOCK + phase * HOUR))
+                (entry,) = lookups
+                entries.append(entry)
 
     get_all(0)
-    down = network.replica_nodes(keys[0]) + [0, 7, 11]
+    home = entries[0]
+    down = [*network.replica_nodes(keys[0]), 0, 7, 11, home]
     network.fail_nodes(down)
     get_all(1)
-    outcomes.append(network.get(keys[1], CLOCK, entry_node=2) is not None)
+    outcomes.append(outcome(keys[1], CLOCK, entry_node=2))
     network.heal_nodes(down[:3])
     get_all(2)
     network.heal_nodes(down)
@@ -613,6 +593,102 @@ def test_gets_pick_the_same_entry_nodes_as_a_per_call_live_list(rng_seed):
     # The sequence reached outages, healed-empty replicas and cache hits.
     assert "down" in outcomes and False in outcomes and stats["cache_hits"] > 0
     assert len(entries) == 6 * 10 and stats["lookups"] == 6 * 10 + 1
+    # Every phase enters at one node: the home node while it is up, and one
+    # stand-in for it while it is down.
+    phases = [set(entries[i : i + 12]) for i in range(0, 60, 12)]
+    assert all(len(phase) == 1 for phase in phases)
+    assert phases[0] == phases[3] == phases[4] != phases[1]
+
+
+# --- the home node and the replica memo --------------------------------------------------
+
+
+def entry_of_a_fresh_get(network: SimulatedDht, label: str) -> int:
+    """Publish a new label, get it without an entry node, and return the
+    node whose response cache that get filled."""
+    query_key = put_set(network, make_set(label))
+    assert network.get(query_key, CLOCK) is not None
+    (entry,) = [node.index for node in network.nodes if query_key in node.cache]
+    return entry
+
+
+def test_gets_without_an_entry_node_share_one_cache():
+    network = dht(node_count=1024)
+    query_key = put_set(network, make_set())
+    assert network.get(query_key, CLOCK) is not None
+    assert network.stats().cache_hits == 0
+    assert network.get(query_key, CLOCK) is not None
+    assert network.stats().cache_hits == 1
+
+
+@pytest.mark.parametrize("rng_seed", [1, 9, 12])
+def test_a_failed_home_node_hands_over_to_the_next_live_node(rng_seed):
+    # Replication to every node keeps each probe stored while nodes fail.
+    network = dht(replication_factor=16, rng_seed=rng_seed)
+    home = entry_of_a_fresh_get(network, "home")
+    assert entry_of_a_fresh_get(network, "again") == home
+    assert home > 0  # seeds 1, 9 and 12 put it at 4, 14 and 15
+    network.fail_nodes([home])
+    assert entry_of_a_fresh_get(network, "skip") == (home + 1) % 16
+    # With the home node and every node after it down, the next live node
+    # wraps past the last index.
+    network.fail_nodes(list(range(home, 16)))
+    assert entry_of_a_fresh_get(network, "wrap") == 0
+    network.fail_nodes(list(range(16)))
+    with pytest.raises(AllReplicasDown):
+        network.get(derive_query_key(OWNER.public_key, "home"), CLOCK)
+    # A healed home node is the entry again, and rejoins with an empty cache.
+    network.heal_nodes(list(range(16)))
+    for label in ("home", "again", "skip", "wrap"):
+        put_set(network, make_set(label))
+    assert not network.nodes[home].cache
+    assert network.get(derive_query_key(OWNER.public_key, "home"), CLOCK) is not None
+    assert network.stats().cache_hits == 0
+    assert entry_of_a_fresh_get(network, "healed") == home
+
+
+def test_replica_nodes_are_one_shared_tuple_per_key():
+    network = dht(node_count=64)
+    for label in ("boss", "peer", "lead"):
+        query_key = derive_query_key(OWNER.public_key, label)
+        replicas = network.replica_nodes(query_key)
+        assert isinstance(replicas, tuple)
+        assert network.replica_nodes(query_key) is replicas
+        assert replicas == linear_replicas(network, query_key)
+
+
+def test_the_replica_memo_stops_growing_at_its_cap(monkeypatch):
+    monkeypatch.setattr(netsim, "REPLICA_MEMO_SIZE", 4)
+    network = dht(node_count=64)
+    for i in range(10):
+        query_key = derive_query_key(OWNER.public_key, f"l{i}")
+        assert network.replica_nodes(query_key) == linear_replicas(network, query_key)
+        assert len(network._replicas) == min(i + 1, 4)
+
+
+def test_a_revocation_stops_granting_within_one_ttl_on_a_large_network(tmp_path):
+    ttl = 60_000_000
+    network = dht(node_count=1024, cache_ttl_us=ttl)
+    network.now_us = CLOCK
+    store = NamespaceStore(tmp_path)
+    owner = store.create_identity(petname="owner", seed=b"o".ljust(32, b"\0"))
+    subject = key(b"s").public_key
+    member = expression([(subject, [])])
+    add_delegation(store, owner, "boss", member, clock=CLOCK)
+    assert store.publish(owner, network, CLOCK).ok
+
+    def grants() -> bool:
+        chain = discover(owner.public_key, "boss", subject, [], network, network.now_us)
+        return chain is not None
+
+    assert grants()
+    assert remove_delegation(store, owner, "boss", member)
+    assert store.publish(owner, network, network.now_us).ok
+    network.advance_clock(ttl - 1)
+    # The verifier's own peer still holds the granting set in its cache.
+    assert grants()
+    network.advance_clock(1)
+    assert not grants()
 
 
 # --- resolve ------------------------------------------------------------------------------
