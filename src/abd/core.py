@@ -329,6 +329,15 @@ class RecordSet:
     def has_live_record(self, clock: int) -> bool:
         return clock < self.live_until
 
+    def live_records(self, clock: int) -> tuple[ResourceRecord, ...]:
+        """The records unexpired at ``clock``, in canonical order. While the
+        clock is below the earliest absolute expiration, that is every
+        record, and no record is tested."""
+        expirations = self._expirations
+        if not expirations or clock < expirations[0]:
+            return self.records
+        return tuple(r for r in self.records if not r.is_expired(clock))
+
 
 def record_set_signing_bytes(
     public_key: bytes, label: str, records: Iterable[ResourceRecord]

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import RecordType, ResourceRecord, check_label
 from .credential import Credential, export_json, verify_credential
@@ -211,10 +211,12 @@ class _Node:
         self.every = False  # every member wanted, not only the subject
         self.resolved = False
         self.prefix: Optional[_Node] = None  # links only
-        self.rules: list[_Rule] = []  # rules with this node as an entry
-        self.links: list[_Node] = []  # links with this node as their prefix
-        self.feeds: list[_Node] = []  # links that take this role's members
-        self.terms: list[_Node] = []  # entry nodes of this role's rules
+        # Most nodes never gain any of these, so each starts as the shared
+        # empty tuple and becomes a list at its first entry.
+        self.rules: Sequence[_Rule] = ()  # rules with this node as an entry
+        self.links: Sequence[_Node] = ()  # links with this node as their prefix
+        self.feeds: Sequence[_Node] = ()  # links that take this role's members
+        self.terms: Sequence[_Node] = ()  # entry nodes of this role's rules
 
 
 class _Rule:
@@ -316,7 +318,10 @@ def discover(
         node = new_node(prefix.subject, trail)
         node.prefix = prefix
         node.every = every
-        prefix.links.append(node)
+        if prefix.links:
+            prefix.links.append(node)
+        else:
+            prefix.links = [node]
         for member in list(prefix.members):
             join(node, member)
         return node
@@ -332,7 +337,10 @@ def discover(
     def join(target: _Node, member: bytes) -> None:
         """``member`` joined the prefix of ``target``: take member.label's members."""
         source = role(member, target.trail[-1], target.every)
-        source.feeds.append(target)
+        if source.feeds:
+            source.feeds.append(target)
+        else:
+            source.feeds = [target]
         for key in list(source.members):
             add(target, key, member)
 
@@ -411,41 +419,67 @@ def discover(
                     label=label,
                     children=tuple((e.subject, e.trail) for e in expr.entries),
                 )
+            entries = expr.entries
+            if len(entries) == 1 and not entries[0].trail:
+                # The record names one key: it admits that key and no other,
+                # and has no entry node to subscribe to.
+                add(node, entries[0].subject, _Rule(node, record, entries, (None,)))
+                continue
             terms = tuple(
                 term(entry, node.every) if entry.trail else None
-                for entry in expr.entries
+                for entry in entries
             )
-            rule = _Rule(node, record, expr.entries, terms)
+            rule = _Rule(node, record, entries, terms)
             for entry_node in dict.fromkeys(t for t in terms if t is not None):
                 # A term's creation may have made this role want every member.
                 if node.every:
                     want_all(entry_node)
-                node.terms.append(entry_node)
-                entry_node.rules.append(rule)
+                if node.terms:
+                    node.terms.append(entry_node)
+                else:
+                    node.terms = [entry_node]
+                if entry_node.rules:
+                    entry_node.rules.append(rule)
+                else:
+                    entry_node.rules = [rule]
             first = terms[0]
-            candidates = [expr.entries[0].subject] if first is None else list(first.members)
+            candidates = [entries[0].subject] if first is None else list(first.members)
             for key in candidates:
                 if rule.holds(key):
                     add(node, key, rule)
 
-    root = role(issuer_pub, attribute, False)
-    while subject_pub not in root.members:
-        for queue in (queue_every, queue_hinted, queue_cold):
-            if queue:
-                node = queue.popleft()
+    try:
+        root = role(issuer_pub, attribute, False)
+        while subject_pub not in root.members:
+            for queue in (queue_every, queue_hinted, queue_cold):
+                if queue:
+                    node = queue.popleft()
+                    break
+            else:
                 break
-        else:
-            break
-        if not node.resolved:
-            expand(node)
+            if not node.resolved:
+                expand(node)
 
-    if subject_pub not in root.members:
+        if subject_pub not in root.members:
+            if tracing:
+                trace.add(kind="exhausted")
+            return None
         if tracing:
-            trace.add(kind="exhausted")
-        return None
-    if tracing:
-        trace.add(kind="chain_found")
-    return _build_chain(nodes, issuer_pub, attribute, subject_pub)
+            trace.add(kind="chain_found")
+        return _build_chain(nodes, issuer_pub, attribute, subject_pub)
+    finally:
+        # The search is cyclic: a rule's owner lists the entry nodes that
+        # hold the rule, a member maps to the rule that admitted it, a link
+        # and its prefix point at each other, and the functions above hold
+        # one another and the queues. Cutting the nodes loose lets reference
+        # counting free the search as it returns; left to the cyclic
+        # collector, searches pile up and its full passes grow.
+        for node in nodes.values():
+            node.members.clear()
+            node.rules = node.terms = node.links = node.feeds = ()
+        nodes.clear()
+        for queue in (queue_every, queue_hinted, queue_cold):
+            queue.clear()
 
 
 def _via(node: _Node, member: bytes) -> tuple[bytes, ...]:

@@ -9,8 +9,15 @@ modeled as absence, and stale copies linger only in response caches until
 their TTL runs out. The file backend reads its directory on every lookup, so
 a verifier built on it sees another process's publish at its next request.
 
+``derive_query_key`` checks the label and remembers its answers for up to
+REPLICA_MEMO_SIZE (key, label) pairs; a label that fails its check is never
+remembered. ``resolve`` therefore checks a label once, on its first lookup,
+and skips the per-record expiry test while the clock is below the set's
+earliest absolute expiration.
+
 The DHT simulator is single-threaded and fully deterministic for a given
-rng_seed and operation sequence. Hop counts are modeled as ceil(log2(N)).
+rng_seed and operation sequence. Hop counts are modeled as ceil(log2(N)),
+computed once per network.
 The verifier is one peer of the network: its gets enter at one home node,
 drawn from rng_seed, so repeated lookups meet that node's response cache,
 as a GNS resolver's lookups meet its own peer's R5N path cache. With one
@@ -20,6 +27,7 @@ in-memory map.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import heapq
 import math
@@ -49,12 +57,19 @@ from .errors import (
 )
 
 
-# Most query keys whose replica set a SimulatedDht remembers.
+# Most query keys that derive_query_key remembers, and whose replica set a
+# SimulatedDht remembers.
 REPLICA_MEMO_SIZE = 8_192
 
 
+@functools.lru_cache(maxsize=REPLICA_MEMO_SIZE)
 def derive_query_key(namespace_pub: bytes, label: str) -> bytes:
-    """Hash of (public key, 0x00, label); the DHT address of a record set."""
+    """Hash of (public key, 0x00, label); the DHT address of a record set.
+
+    The label is checked first. Answers are remembered for up to
+    REPLICA_MEMO_SIZE (key, label) pairs, least recently used dropped first;
+    a label that fails its check raises and is never remembered.
+    """
     check_label(label)
     return hashlib.sha256(namespace_pub + b"\x00" + label.encode("utf-8")).digest()
 
@@ -222,7 +237,16 @@ class SimulatedDht(NameSystemBackend):
 
     def __init__(self, config: Optional[DhtConfig] = None) -> None:
         self.config = config or DhtConfig()
+        # Fewer than one node or replica cannot store anything, and a
+        # negative TTL would quietly turn caching off.
+        for name, least in (("node_count", 1), ("replication_factor", 1), ("cache_ttl_us", 0)):
+            value = getattr(self.config, name)
+            if value < least:
+                raise ValueError(f"DhtConfig.{name} must be at least {least}, not {value}")
         self.now_us = 0
+        count = self.config.node_count
+        # Hops from the entry node to a key's replicas.
+        self._hops = math.ceil(math.log2(count)) if count > 1 else 0
         self._home = random.Random(self.config.rng_seed).randrange(self.config.node_count)
         self._stats = LookupStats()
         self.nodes: list[_DhtNode] = []
@@ -246,9 +270,6 @@ class SimulatedDht(NameSystemBackend):
         self._replicas: dict[bytes, tuple[int, ...]] = {}
 
     # --- topology ---------------------------------------------------------
-
-    def _hops(self) -> int:
-        return math.ceil(math.log2(self.config.node_count)) if self.config.node_count > 1 else 0
 
     def replica_nodes(self, query_key: bytes) -> tuple[int, ...]:
         """Indices of the nodes assigned to hold this key, in ring order."""
@@ -317,7 +338,7 @@ class SimulatedDht(NameSystemBackend):
         live = [n for n in assigned if not n.failed]
         if not live:
             raise BackendUnavailable("all replica nodes for this key are down")
-        self._stats.messages += self._hops() + len(live)
+        self._stats.messages += self._hops + len(live)
         if record_set.records:
             self._storage_due = min(self._storage_due, record_set.live_until)
         for node in live:
@@ -352,38 +373,48 @@ class SimulatedDht(NameSystemBackend):
                 return record_set
             del entry.cache[query_key]
 
-        hops = self._hops()
-        self._stats.messages += hops
-        self._stats.max_hops = max(self._stats.max_hops, hops)
+        stats, hops = self._stats, self._hops
+        if hops > stats.max_hops:
+            stats.max_hops = hops
 
-        assigned = [self.nodes[i] for i in self.replica_nodes(query_key)]
-        self._stats.messages += sum(1 for n in assigned if not n.failed)
-        for node in assigned:
+        # One message to every live replica; the first valid live set answers.
+        found = None
+        messages = hops
+        down = False
+        nodes = self.nodes
+        for index in self.replica_nodes(query_key):
+            node = nodes[index]
             if node.failed:
+                down = True
+                continue
+            messages += 1
+            if found is not None:
                 continue
             record_set = node.storage.get(query_key)
             if record_set is None:
                 continue
             if not verify_record_set_signature(record_set):
                 # Hostile or corrupt replica: skip it, count the event.
-                self._stats.bad_signatures += 1
+                stats.bad_signatures += 1
                 continue
-            if not record_set.has_live_record(clock):
-                continue
-            ttl = self.config.cache_ttl_us
-            earliest = record_set.min_expiration(clock)
-            if earliest is not None:
-                ttl = min(ttl, earliest - clock)
-            if ttl > 0:
-                entry.cache[query_key] = (record_set, clock + ttl)
-                heapq.heappush(self._cache_expiries, (clock + ttl, entry.index, query_key))
-            return record_set
+            if record_set.has_live_record(clock):
+                found = record_set
+        stats.messages += messages
 
-        if any(n.failed for n in assigned):
-            # Some replica that could hold the key never answered; we cannot
-            # distinguish absence from unavailability.
-            raise AllReplicasDown("no live replica holds the key")
-        return None
+        if found is None:
+            if down:
+                # Some replica that could hold the key never answered; we
+                # cannot distinguish absence from unavailability.
+                raise AllReplicasDown("no live replica holds the key")
+            return None
+        ttl = self.config.cache_ttl_us
+        earliest = found.min_expiration(clock)
+        if earliest is not None:
+            ttl = min(ttl, earliest - clock)
+        if ttl > 0:
+            entry.cache[query_key] = (found, clock + ttl)
+            heapq.heappush(self._cache_expiries, (clock + ttl, entry.index, query_key))
+        return found
 
     def stats(self) -> LookupStats:
         return self._stats
@@ -398,18 +429,16 @@ def resolve(
 ) -> list[ResourceRecord]:
     """Look up unexpired records of one type under (namespace, label).
 
-    An existing set with no matching records yields an empty list; a missing
-    set raises NotFound. Network-class failures propagate from the backend.
+    The label is checked once, by ``derive_query_key``, whose memo answers
+    a repeat without hashing again. The set's ``live_records`` skips the
+    per-record expiry test while the clock is below its earliest absolute
+    expiration. An existing set with no matching records yields an empty
+    list; a missing set raises NotFound. Network-class failures propagate
+    from the backend.
     """
-    check_label(label)
-    query_key = derive_query_key(namespace_pub, label)
-    record_set = backend.get(query_key, clock)
+    record_set = backend.get(derive_query_key(namespace_pub, label), clock)
     if record_set is None:
         raise NotFound(
             f"no record set for label {label!r} in namespace {namespace_pub.hex()[:16]}"
         )
-    return [
-        record
-        for record in record_set.records
-        if record.record_type == record_type and not record.is_expired(clock)
-    ]
+    return [record for record in record_set.live_records(clock) if record.record_type == record_type]

@@ -231,6 +231,21 @@ def test_liveness_bound_matches_the_records():
     assert not sign_record_set(key, "role", []).has_live_record(0)
 
 
+def test_live_records_skip_the_filter_until_the_earliest_expiration():
+    key = make_key()
+    early, late = CLOCK + 10, CLOCK + 20
+    first, second = attr_record(b"\x01", late), attr_record(b"\x02", early)
+    rset = sign_record_set(key, "role", [first, second])
+    # Below the earliest expiration the set's own tuple comes back whole.
+    assert rset.live_records(early - 1) is rset.records
+    assert rset.live_records(early) == (first,)
+    assert rset.live_records(late) == ()
+    relative = sign_record_set(
+        key, "role", [ResourceRecord(RecordType.ATTR, b"\x03", 1_000, relative=True)]
+    )
+    assert relative.live_records(2**64) is relative.records
+
+
 def test_deserialize_reports_offset_of_truncation():
     key = make_key()
     data = canonical_serialize(sign_record_set(key, "user", [attr_record(b"\x01")]))

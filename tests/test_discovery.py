@@ -1,6 +1,7 @@
 """Chain discovery: the scenario walk, limits, soundness, and the oracle."""
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -202,6 +203,20 @@ def test_backend_outage_propagates_not_denies(fixture, backend, clock):
 
 
 # --- cycles and limits -------------------------------------------------------------
+
+
+def test_a_finished_search_is_freed_without_the_cyclic_collector(fixture, backend, clock):
+    portal = fixture.key("portal").public_key
+    gc.collect()
+    gc.disable()
+    try:
+        bob = fixture.key("bob").public_key
+        assert discover(portal, "user", bob, fixture.bob_creds, backend, clock) is not None
+        assert discover(portal, "user", key(b"stranger").public_key, [], backend, clock) is None
+        # With the collector off, a node still tracked is one only it could free.
+        assert not [o for o in gc.get_objects() if type(o) is discovery._Node]
+    finally:
+        gc.enable()
 
 
 def test_plain_cycle_terminates_without_limits():

@@ -13,13 +13,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from abd import netsim
-from abd.core import NamespaceKey, RecordType, ResourceRecord, sign_record_set
+from abd.core import NamespaceKey, RecordType, ResourceRecord, sign_record_set, sort_records
 from abd.delegation import add_delegation, encode_attr_payload, expression, remove_delegation
 from abd.discovery import discover
 from abd.errors import (
     AllReplicasDown,
     BackendUnavailable,
     BadSignature,
+    InvalidLabel,
     NotFound,
     UnknownNode,
 )
@@ -65,6 +66,18 @@ def test_query_key_is_hash_of_key_and_label():
     assert derive_query_key(OWNER.public_key, "boss") == expected
     assert derive_query_key(OWNER.public_key, "bos") != expected
     assert derive_query_key(key(b"x").public_key, "boss") != expected
+
+
+def test_query_keys_are_remembered_up_to_the_memo_bound_and_bad_labels_never():
+    assert derive_query_key.cache_info().maxsize == netsim.REPLICA_MEMO_SIZE
+    derive_query_key(OWNER.public_key, "boss")
+    remembered = derive_query_key.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(InvalidLabel):
+            derive_query_key(OWNER.public_key, "Not A Label")
+        with pytest.raises(InvalidLabel):
+            resolve("Not A Label", OWNER.public_key, RecordType.ATTR, memory_dht(), CLOCK)
+    assert derive_query_key.cache_info().currsize == remembered
 
 
 # --- the one-node, in-memory DHT ------------------------------------------------------------
@@ -285,7 +298,58 @@ def test_get_round_trip_and_stats():
     stats = network.stats()
     assert stats.lookups == 1
     assert stats.max_hops == math.ceil(math.log2(16))
-    assert stats.messages > 0
+    # The put: four hops and the five replicas. The get: the entry node too.
+    assert stats.messages == (4 + 5) + (1 + 4 + 5)
+
+
+def messages_of(network: SimulatedDht, query_key: bytes, entry_node: int):
+    """The outcome of one get and the messages it cost."""
+    before = network.stats().messages
+    try:
+        outcome = network.get(query_key, CLOCK, entry_node=entry_node)
+    except AllReplicasDown:
+        outcome = "down"
+    return outcome, network.stats().messages - before
+
+
+@pytest.mark.parametrize("node_count, hops", [(1, 0), (2, 1), (5, 3), (16, 4), (17, 5), (1024, 10)])
+def test_a_miss_costs_the_entry_the_hops_and_every_live_replica_and_a_hit_one(node_count, hops):
+    network = dht(node_count=node_count)
+    rset = make_set()
+    query_key = put_set(network, rset)
+    replicas = min(5, node_count)
+    assert messages_of(network, query_key, 0) == (rset, 1 + hops + replicas)
+    assert network.stats().max_hops == hops
+    assert messages_of(network, query_key, 0) == (rset, 1)
+    assert network.stats().cache_hits == 1
+    # An absent key, every replica healthy, costs what a miss costs.
+    absent = derive_query_key(OWNER.public_key, "missing")
+    assert messages_of(network, absent, 0) == (None, 1 + hops + replicas)
+    assert network.stats().max_hops == hops
+
+
+def test_a_miss_counts_only_the_live_replicas():
+    network = dht()
+    rset = make_set()
+    query_key = put_set(network, rset)
+    replicas = network.replica_nodes(query_key)
+    network.fail_nodes(replicas[:2])
+    first, second = [i for i in range(16) if i not in replicas][:2]
+    assert messages_of(network, query_key, first) == (rset, 1 + 4 + 3)
+    # With every replica down a get from a cold entry node still pays for
+    # the entry and the hops.
+    network.fail_nodes(replicas)
+    assert messages_of(network, query_key, second) == ("down", 1 + 4)
+    assert network.stats().max_hops == 4
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("replication_factor", 0), ("replication_factor", -3), ("node_count", 0), ("cache_ttl_us", -1)],
+)
+def test_a_network_that_cannot_serve_is_refused_at_construction(field, value):
+    with pytest.raises(ValueError, match=f"DhtConfig.{field} must be at least"):
+        dht(**{field: value})
 
 
 def test_entry_node_cache_serves_repeat_lookups():
@@ -708,3 +772,66 @@ def test_resolve_filters_type_and_expiry():
 def test_resolve_missing_label_raises_not_found():
     with pytest.raises(NotFound):
         resolve("ghost", OWNER.public_key, RecordType.ATTR, memory_dht(), CLOCK)
+
+
+def attr(tag: bytes, expiration: int, relative=False, record_type=RecordType.ATTR):
+    payload = encode_attr_payload(expression([(key(tag).public_key, [])]))
+    return ResourceRecord(record_type, payload, expiration, relative)
+
+
+def resolved(records, clock, record_type=RecordType.ATTR):
+    backend = memory_dht()
+    put_set(backend, sign_record_set(OWNER, "boss", records))
+    return resolve("boss", OWNER.public_key, record_type, backend, clock)
+
+
+def test_resolve_drops_a_record_expiring_at_the_clock_and_keeps_one_a_microsecond_later():
+    due, later = attr(b"due", CLOCK), attr(b"later", CLOCK + 1)
+    assert resolved([due, later], CLOCK) == [later]
+    assert resolved([due, later], CLOCK - 1) == list(sort_records([due, later]))
+
+
+def test_resolve_keeps_relative_records_at_any_clock():
+    records = [attr(b"a", 5, relative=True), attr(b"b", 0, relative=True)]
+    expected = list(sort_records(records))
+    assert resolved(records, CLOCK) == expected
+    assert resolved(records, 2**63) == expected
+
+
+def test_resolve_filters_credentials_beside_delegations():
+    live_attr = attr(b"a", CLOCK + HOUR)
+    stale_cred = attr(b"c", CLOCK + 1, record_type=RecordType.CRED)
+    live_cred = attr(b"d", CLOCK + HOUR, record_type=RecordType.CRED)
+    records = [live_attr, stale_cred, live_cred]
+    assert resolved(records, CLOCK) == [live_attr]
+    assert resolved(records, CLOCK, RecordType.CRED) == list(sort_records([stale_cred, live_cred]))
+    assert resolved(records, CLOCK + 1, RecordType.CRED) == [live_cred]
+    assert resolved(records, CLOCK + 1) == [live_attr]
+
+
+@given(
+    specs=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=8),
+            st.booleans(),
+            st.sampled_from([RecordType.ATTR, RecordType.CRED]),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    offset=st.integers(min_value=0, max_value=9),
+    record_type=st.sampled_from([RecordType.ATTR, RecordType.CRED]),
+)
+def test_resolve_returns_what_a_per_record_expiry_filter_returns(specs, offset, record_type):
+    records = [
+        attr(bytes([i]), expiration if relative else CLOCK + expiration, relative, rtype)
+        for i, (expiration, relative, rtype) in enumerate(specs)
+    ]
+    clock = CLOCK + offset
+    rset = sign_record_set(OWNER, "boss", records)
+    expected = [r for r in rset.records if r.record_type == record_type and not r.is_expired(clock)]
+    if all(r.is_expired(clock) for r in rset.records):
+        with pytest.raises(NotFound):
+            resolved(records, clock, record_type)
+    else:
+        assert resolved(records, clock, record_type) == expected
