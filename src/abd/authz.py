@@ -1,10 +1,13 @@
 """Authorization: policies, nonce handshake, and the verifier service.
 
-Flow: the subject fetches the policy for a resource and receives a single-use
-nonce; collects credentials proving each required attribute; sends a signed
-response; the verifier independently runs the same collection from its own
-namespace against the supplied credentials and grants only if every
-required attribute is proved.
+Flow: the verifier challenges the subject with the policy for a resource
+and a single-use nonce; the subject collects credentials proving each
+required attribute and sends a signed response; the verifier independently
+runs the same collection from its own namespace against the supplied
+credentials and grants only if every required attribute is proved. Each
+decision reply carries the next challenge, so over HTTP a client makes one
+exchange per decision after its first: ``GET /policy`` fetches a challenge
+only when the client holds none.
 
 Decisions are three-valued. Deny carries reasons; a backend failure during
 verification is an Error ("could not find out"), never a silent Deny.
@@ -14,8 +17,9 @@ every reply, the errors the standard library detects included, is a JSON
 decision. A reply whose status is not 200 carries ``Connection: close`` and
 ends the connection. A connection idle or stalled for ``READ_TIMEOUT_S`` is
 closed. The client keeps one connection per thread, to the last endpoint it
-used, until ``close_connection``, and sends through ``http.client`` without
-reading proxy environment variables. It retries a request once, on a fresh connection, only when a
+used, and the challenge its last reply carried, until ``close_connection``.
+It sends through ``http.client`` without reading proxy environment
+variables. It retries a request once, on a fresh connection, only when a
 reused connection was closed before any status line arrived.
 """
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional, Union
 from urllib.parse import quote, unquote
 
 from .core import CLIP_CHARS, KEY_LEN, U32, NamespaceKey, check_label, clip, pack_label, verify_signature
@@ -54,6 +58,13 @@ MAX_NONCES = 65_536  # outstanding nonces; a few hundred bytes each
 READ_TIMEOUT_S = 10.0  # a connection idle or stalled this long is closed
 
 GRANT, DENY, ERROR = "grant", "deny", "error"
+
+# Why ``NonceTable.status`` refuses a nonce. A deny whose only reason is one
+# of these is a refusal: the response was never judged.
+NONCE_UNKNOWN = "nonce unknown or already used"
+NONCE_EXPIRED = "nonce expired"
+NONCE_OTHER_RESOURCE = "nonce was issued for a different resource"
+NONCE_REFUSALS = (NONCE_UNKNOWN, NONCE_EXPIRED, NONCE_OTHER_RESOURCE)
 
 
 @dataclass(frozen=True)
@@ -128,12 +139,12 @@ class NonceTable:
         with self._lock:
             entry = self._issued.get(nonce)
             if entry is None:
-                return "nonce unknown or already used"
+                return NONCE_UNKNOWN
             expires, bound_resource = entry
             if clock >= expires:
-                return "nonce expired"
+                return NONCE_EXPIRED
             if bound_resource != resource_id:
-                return "nonce was issued for a different resource"
+                return NONCE_OTHER_RESOURCE
         return None
 
     def consume(self, nonce: bytes) -> bool:
@@ -242,9 +253,10 @@ def authorize(
 
     The verifier trusts nothing from the subject but the credentials
     themselves: it runs the subject's own ``collect`` from its own
-    namespace over them. A Grant consumes the nonce, and only the request
-    that consumes it grants, so one response cannot grant twice, even when
-    two copies of it are decided at once.
+    namespace over them. Once the response signature verifies, the request
+    uses up its nonce whatever it decides, so a response is decided at most
+    once. Only the request that consumes the nonce grants, so one response
+    cannot grant twice, even when two copies of it are decided at once.
     """
     problem = nonce_table.status(response.nonce, policy.resource_id, clock)
     if problem is not None:
@@ -255,7 +267,20 @@ def authorize(
         response.subject, response.signature, response.signing_bytes(), remember=False
     ):
         return AuthzDecision(decision=DENY, reasons=("response signature invalid",))
+    decision = _decide_signed(verifier_pub, response, policy, backend, clock)
+    if not nonce_table.consume(response.nonce) and decision.decision == GRANT:
+        return AuthzDecision(decision=DENY, reasons=(NONCE_UNKNOWN,))
+    return decision
 
+
+def _decide_signed(
+    verifier_pub: bytes,
+    response: AuthorizationResponse,
+    policy: Policy,
+    backend: NameSystemBackend,
+    clock: int,
+) -> AuthzDecision:
+    """The decision on a response whose signature verified, nonce aside."""
     supplied: list[Credential] = []
     for attribute, credentials in response.credential_sets.items():
         for credential in credentials:
@@ -297,8 +322,6 @@ def authorize(
                 for attribute in result.unsatisfied
             ),
         )
-    if not nonce_table.consume(response.nonce):
-        return AuthzDecision(decision=DENY, reasons=("nonce unknown or already used",))
     return AuthzDecision(
         decision=GRANT,
         chain_summaries=tuple(
@@ -313,7 +336,9 @@ def authorize(
 
 @dataclass
 class VerifierService:
-    """State behind the two HTTP endpoints."""
+    """State behind the two HTTP endpoints. Each decision on a known
+    resource carries the next challenge, so a client answers it without
+    another ``GET /policy``."""
 
     verifier_pub: bytes
     policies: PolicyStore
@@ -322,8 +347,12 @@ class VerifierService:
     nonces: NonceTable = field(default_factory=NonceTable, init=False)
 
     def policy_payload(self, resource_id: str) -> dict:
-        policy = self.policies.get_policy(resource_id)
-        nonce = self.nonces.issue(resource_id, self.clock_fn())
+        return self._challenge(self.policies.get_policy(resource_id))
+
+    def _challenge(self, policy: Policy) -> dict:
+        """The policy and a fresh nonce: the body of ``GET /policy``, and
+        the ``next`` of each decision on the resource."""
+        nonce = self.nonces.issue(policy.resource_id, self.clock_fn())
         return {
             "resource_id": policy.resource_id,
             "required_attributes": list(policy.required_attributes),
@@ -365,7 +394,9 @@ class VerifierService:
             clock=self.clock_fn(),
             nonce_table=self.nonces,
         )
-        return (200 if decision.decision != ERROR else 503), decision.to_json()
+        payload = decision.to_json()
+        payload["next"] = self._challenge(policy)
+        return (200 if decision.decision != ERROR else 503), payload
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -449,7 +480,9 @@ def make_server(service: VerifierService, host: str, port: int) -> ThreadingHTTP
 # --- subject-side client ----------------------------------------------------------
 
 
-_kept = threading.local()  # per client thread: .connection and its .endpoint
+# Per client thread: .connection and its .endpoint, and .challenge, the
+# (endpoint, resource id, Challenge) the last decision reply carried.
+_kept = threading.local()
 
 
 def _connection(request: urllib.request.Request) -> http.client.HTTPConnection:
@@ -472,11 +505,13 @@ def _connection(request: urllib.request.Request) -> http.client.HTTPConnection:
 
 
 def close_connection() -> None:
-    """Close this thread's kept connection, if it has one."""
+    """Close this thread's kept connection, if it has one, and drop its
+    carried challenge."""
     connection = getattr(_kept, "connection", None)
     if connection is not None:
         connection.close()
         _kept.connection = None
+    _kept.challenge = None
 
 
 def _exchange(connection: http.client.HTTPConnection, request: urllib.request.Request):
@@ -517,53 +552,101 @@ def _http_json(request: urllib.request.Request, timeout: float) -> tuple[int, di
     return status, payload
 
 
-def request_access(
-    endpoint: str,
-    resource_id: str,
-    subject: NamespaceKey,
-    subject_creds: Iterable[Credential],
-    backend: NameSystemBackend,
-    clock: int,
-    timeout: float = 10.0,
-) -> AuthzDecision:
-    """Full subject-side round trip against a verifier endpoint.
+@dataclass(frozen=True)
+class Challenge:
+    """A verifier's policy for a resource and a nonce to answer it with."""
 
-    Fetches the policy and nonce, collects proof credentials via local
-    discovery, signs the response, and submits it. Network failures reaching
-    the verifier, replies that are not HTTP or not JSON objects, and backend
-    failures during collection surface as Error.
-    """
-    try:
-        status, policy_body = _http_json(
-            urllib.request.Request(f"{endpoint}/policy/{quote(resource_id, safe='')}"),
-            timeout,
+    verifier: bytes
+    nonce: bytes
+    policy: Policy
+
+    @classmethod
+    def from_json(cls, resource_id: str, body: object) -> "Challenge":
+        """Parse the body of ``GET /policy``, or the ``next`` of a decision.
+        Raises KeyError, ValueError, TypeError or AbdError if malformed."""
+        return cls(
+            verifier=bytes.fromhex(body["verifier"]),
+            nonce=bytes.fromhex(body["nonce"]),
+            policy=Policy.from_json(resource_id, body["required_attributes"]),
         )
+
+
+def _take_challenge(endpoint: str, resource_id: str) -> Optional[Challenge]:
+    """Remove this thread's carried challenge; return it if it is for this
+    endpoint and resource."""
+    kept = getattr(_kept, "challenge", None)
+    _kept.challenge = None
+    if kept is not None and kept[:2] == (endpoint, resource_id):
+        return kept[2]
+    return None
+
+
+def _refused(decision: AuthzDecision) -> bool:
+    """Whether the verifier refused the nonce rather than judge the response."""
+    return (
+        decision.decision == DENY
+        and len(decision.reasons) == 1
+        and decision.reasons[0] in NONCE_REFUSALS
+    )
+
+
+def _send(
+    request: urllib.request.Request, timeout: float
+) -> Union[tuple[int, dict], AuthzDecision]:
+    """``_http_json``, or an Error decision when the exchange fails."""
+    try:
+        return _http_json(request, timeout)
     except OSError as exc:
         return AuthzDecision.error(f"verifier unreachable: {exc}")
     except (ValueError, http.client.HTTPException) as exc:
         return AuthzDecision.error(f"bad reply from verifier: {exc!r}")
+
+
+def _fetch_challenge(
+    endpoint: str, resource_id: str, timeout: float
+) -> Union[Challenge, AuthzDecision]:
+    """The policy and a fresh nonce from ``GET /policy``, or an Error decision."""
+    sent = _send(
+        urllib.request.Request(f"{endpoint}/policy/{quote(resource_id, safe='')}"),
+        timeout,
+    )
+    if isinstance(sent, AuthzDecision):
+        return sent
+    status, body = sent
     if status != 200:
-        reasons = policy_body.get("reasons")
+        reasons = body.get("reasons")
         well_formed = isinstance(reasons, list) and reasons and isinstance(reasons[0], str)
         return AuthzDecision.error(reasons[0] if well_formed else f"policy fetch failed ({status})")
     try:
-        verifier_pub = bytes.fromhex(policy_body["verifier"])
-        nonce = bytes.fromhex(policy_body["nonce"])
-        policy = Policy.from_json(resource_id, policy_body["required_attributes"])
+        return Challenge.from_json(resource_id, body)
     except (KeyError, ValueError, TypeError, AbdError) as exc:
         return AuthzDecision.error(f"bad policy response: {exc}")
 
+
+def _answer(
+    endpoint: str,
+    resource_id: str,
+    challenge: Challenge,
+    subject: NamespaceKey,
+    subject_creds: Iterable[Credential],
+    backend: NameSystemBackend,
+    clock: int,
+    timeout: float,
+) -> tuple[AuthzDecision, Optional[Challenge]]:
+    """Collect, sign and submit an answer to ``challenge``. Returns the
+    decision and the challenge the reply carries, if it carries one."""
+    policy = challenge.policy
     try:
         result = collect(
             subject_pub=subject.public_key,
             subject_creds=subject_creds,
-            verifier_pub=verifier_pub,
+            verifier_pub=challenge.verifier,
             policy_attrs=policy.required_attributes,
             backend=backend,
             clock=clock,
         )
     except (CollectionIncomplete, LimitExceeded) as exc:
-        return AuthzDecision.error(str(exc))
+        return AuthzDecision.error(str(exc)), None
 
     credential_sets = {
         attribute: tuple(result.chains[attribute].credentials())
@@ -571,7 +654,7 @@ def request_access(
         else ()
         for attribute in policy.required_attributes
     }
-    response = build_response(subject, nonce, credential_sets)
+    response = build_response(subject, challenge.nonce, credential_sets)
     body = json.dumps(
         {
             "resource_id": resource_id,
@@ -584,18 +667,22 @@ def request_access(
             },
         }
     ).encode("utf-8")
-    request = urllib.request.Request(
-        f"{endpoint}/authorize",
-        data=body,
-        headers={"Content-Type": "application/json"},
-        method="POST",
+    sent = _send(
+        urllib.request.Request(
+            f"{endpoint}/authorize",
+            data=body,
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        ),
+        timeout,
     )
+    if isinstance(sent, AuthzDecision):
+        return sent, None
+    _, reply = sent
     try:
-        status, reply = _http_json(request, timeout)
-    except OSError as exc:
-        return AuthzDecision.error(f"verifier unreachable: {exc}")
-    except (ValueError, http.client.HTTPException) as exc:
-        return AuthzDecision.error(f"bad reply from verifier: {exc!r}")
+        following = Challenge.from_json(resource_id, reply["next"])
+    except (KeyError, ValueError, TypeError, AbdError):
+        following = None
     decision = reply.get("decision")
     reasons = reply.get("reasons", [])
     summaries = reply.get("chain_summaries", [])
@@ -604,5 +691,47 @@ def request_access(
         for lines in (reasons, summaries)
     )
     if not well_formed:
-        return AuthzDecision.error("bad reply from verifier: not a decision")
-    return AuthzDecision(decision, tuple(reasons), tuple(summaries))
+        return AuthzDecision.error("bad reply from verifier: not a decision"), following
+    return AuthzDecision(decision, tuple(reasons), tuple(summaries)), following
+
+
+def request_access(
+    endpoint: str,
+    resource_id: str,
+    subject: NamespaceKey,
+    subject_creds: Iterable[Credential],
+    backend: NameSystemBackend,
+    clock: int,
+    timeout: float = 10.0,
+) -> AuthzDecision:
+    """Full subject-side round trip against a verifier endpoint.
+
+    Answers a challenge (the policy and a nonce): collects proof credentials
+    via local discovery, signs the response, and submits it. Every decision
+    reply carries the next challenge, which the thread keeps beside its
+    connection, so after its first request a thread makes one exchange per
+    decision. It fetches a challenge with ``GET /policy`` only when it holds
+    none for this endpoint and resource. A carried nonce can go stale (it
+    expired, or the verifier restarted or dropped it); if the verifier
+    refuses one, the answer is sent once more, to the challenge the refusal
+    carries (or, if it carries none, to one fetched with ``GET /policy``).
+    Network failures reaching the verifier, replies that are not HTTP or not
+    JSON objects, and backend failures during collection surface as Error.
+    """
+    subject_creds = tuple(subject_creds)  # a resend collects again
+    challenge = _take_challenge(endpoint, resource_id)
+    carried = challenge is not None
+    while True:
+        if challenge is None:
+            challenge = _fetch_challenge(endpoint, resource_id, timeout)
+            if isinstance(challenge, AuthzDecision):
+                return challenge
+        decision, challenge = _answer(
+            endpoint, resource_id, challenge, subject, subject_creds, backend, clock, timeout
+        )
+        if not (carried and _refused(decision)):
+            break
+        carried = False
+    if challenge is not None:
+        _kept.challenge = (endpoint, resource_id, challenge)
+    return decision

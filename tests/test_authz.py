@@ -1,6 +1,7 @@
 """Policy handshake, signed responses, and the verifier service."""
 from __future__ import annotations
 
+import collections
 import contextlib
 import gc
 import hashlib
@@ -24,6 +25,7 @@ from abd.authz import (
     GRANT,
     MAX_BODY_BYTES,
     NONCE_LIFETIME_US,
+    NONCE_UNKNOWN,
     AuthorizationResponse,
     AuthzDecision,
     NonceTable,
@@ -32,6 +34,7 @@ from abd.authz import (
     VerifierService,
     authorize,
     build_response,
+    close_connection,
     make_server,
     request_access,
     response_signing_bytes,
@@ -357,6 +360,61 @@ def test_a_response_decided_twice_at_once_grants_once(tmp_path, clock):
     outer = decide()
     assert [d.decision for d in inner + [outer]] == [GRANT, DENY]
     assert outer.reasons == ("nonce unknown or already used",)
+
+
+def test_a_denied_response_cannot_be_decided_again(tmp_path, clock):
+    root = tmp_path / "backend"
+    store = NamespaceStore(tmp_path / "home")
+    fixture = scenario.build_fixture(store, FileBackend(root), clock=clock)
+    served = FileBackend(root)
+    portal, stranger, table = fixture.key("portal"), fresh_key(b"stranger"), NonceTable()
+
+    def decide(response):
+        return authorize(portal.public_key, response, portal_policy(), served, clock, nonce_table=table)
+
+    response = build_response(stranger, table.issue(scenario.RESOURCE_ID, clock), {"user": ()})
+    assert decide(response).decision == DENY
+    add_delegation(store, portal, "user", parse_expression(stranger.public_key.hex()), clock=clock)
+    assert store.publish(portal, FileBackend(root), clock).ok
+    replay = decide(response)
+    assert (replay.decision, replay.reasons) == (DENY, (NONCE_UNKNOWN,))
+    # A fresh response from the stranger now grants.
+    fresh = build_response(stranger, table.issue(scenario.RESOURCE_ID, clock), {"user": ()})
+    assert decide(fresh).decision == GRANT
+
+
+def test_every_decision_on_a_signed_response_uses_up_its_nonce(fixture, backend, clock):
+    portal, bob = fixture.key("portal").public_key, fixture.key("bob")
+    cases = {
+        "grant": (bob, fixture.bob_creds, GRANT),
+        "deny": (fresh_key(b"stranger"), (), DENY),
+        "borrowed": (fresh_key(b"mallory"), fixture.bob_creds, DENY),
+        "error": (bob, fixture.bob_creds, ERROR),
+    }
+    for case, (subject, creds, expected) in cases.items():
+        if case == "error":
+            backend.fail_nodes([0])
+        table = NonceTable()
+        nonce = table.issue(scenario.RESOURCE_ID, clock)
+        response = build_response(subject, nonce, {"user": creds})
+        decision = authorize(portal, response, portal_policy(), backend, clock, nonce_table=table)
+        assert decision.decision == expected, case
+        assert table.status(nonce, scenario.RESOURCE_ID, clock) == NONCE_UNKNOWN, case
+
+
+def test_a_response_whose_signature_fails_leaves_its_nonce(fixture, backend, clock):
+    table = NonceTable()
+    nonce = table.issue(scenario.RESOURCE_ID, clock)
+    good = build_response(fixture.key("bob"), nonce, {"user": fixture.bob_creds})
+    forged = AuthorizationResponse(
+        nonce=nonce,
+        subject=good.subject,
+        credential_sets=good.credential_sets,
+        signature=bytes([good.signature[0] ^ 1]) + good.signature[1:],
+    )
+    portal = fixture.key("portal").public_key
+    assert authorize(portal, forged, portal_policy(), backend, clock, nonce_table=table).decision == DENY
+    assert authorize(portal, good, portal_policy(), backend, clock, nonce_table=table).decision == GRANT
 
 
 # --- policies of more than one attribute ------------------------------------------------
@@ -846,8 +904,8 @@ def test_a_connection_the_server_closed_idle_is_replaced_and_decides_once(
         return authorize_payload(body)
 
     monkeypatch.setattr(service, "authorize_payload", counting_authorize_payload)
-    # The first collect, the client's, idles between the policy GET and the
-    # POST, so the kept connection is closed under the POST.
+    # The first collect, the client's, idles before its POST, so the kept
+    # connection is closed under the POST.
     collect, idled = authz.collect, []
 
     def idle_once(**kwargs):
@@ -864,7 +922,7 @@ def test_a_connection_the_server_closed_idle_is_replaced_and_decides_once(
     with serving(make_server(service, "127.0.0.1", 0)) as endpoint:
         assert ask() == GRANT
         assert len(decided) == 1
-        time.sleep(0.4)  # idle before the GET
+        time.sleep(0.4)  # idle between two decisions
         assert ask() == GRANT
         assert len(decided) == 2
         monkeypatch.setattr(authz, "collect", idle_once)
@@ -925,6 +983,166 @@ def test_switching_endpoints_closes_the_previous_connection(service, fixture, ba
             assert outcome.decision == GRANT
         gc.collect()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+# --- each decision carries the next challenge ----------------------------------------------
+
+
+@pytest.fixture
+def exchanges(service, monkeypatch):
+    """Counts of the GET /policy and POST /authorize requests the service
+    answers, for a client thread that starts with no carried challenge."""
+    close_connection()
+    counts = collections.Counter()
+    for method, name in (("GET", "policy_payload"), ("POST", "authorize_payload")):
+        answer = getattr(service, name)
+
+        def counting(*args, answer=answer, method=method):
+            counts[method] += 1
+            return answer(*args)
+
+        monkeypatch.setattr(service, name, counting)
+    yield counts
+    close_connection()
+
+
+def test_decision_replies_carry_the_next_challenge(service, fixture):
+    first = service.policy_payload(scenario.RESOURCE_ID)
+    response = build_response(
+        fixture.key("bob"), bytes.fromhex(first["nonce"]), {"user": fixture.bob_creds}
+    )
+    status, payload = service.authorize_payload(
+        {
+            "resource_id": scenario.RESOURCE_ID,
+            "nonce": first["nonce"],
+            "subject": response.subject.hex(),
+            "signature": response.signature.hex(),
+            "credential_sets": {"user": [export_json(c) for c in fixture.bob_creds]},
+        }
+    )
+    assert (status, payload["decision"]) == (200, GRANT)
+    following = payload["next"]
+    assert following["nonce"] != first["nonce"]
+    assert {**following, "nonce": first["nonce"]} == first
+    assert len(service.nonces._issued) == 1
+
+
+@pytest.fixture
+def sent(monkeypatch):
+    """Counts of the requests this thread's client sends, by method."""
+    close_connection()
+    counts = collections.Counter()
+    http_json = authz._http_json
+
+    def counting(request, timeout):
+        counts[request.get_method()] += 1
+        return http_json(request, timeout)
+
+    monkeypatch.setattr(authz, "_http_json", counting)
+    yield counts
+    close_connection()
+
+
+def ask(endpoint, fixture, backend, clock, subject=None, creds=None) -> AuthzDecision:
+    """Bob's request, or ``subject``'s presenting ``creds``."""
+    if subject is None:
+        subject, creds = fixture.key("bob"), fixture.bob_creds
+    return request_access(endpoint, scenario.RESOURCE_ID, subject, creds, backend, clock)
+
+
+def test_one_thread_fetches_one_challenge(endpoint, exchanges, fixture, backend, clock):
+    assert [ask(endpoint, fixture, backend, clock).decision for _ in range(10)] == [GRANT] * 10
+    assert exchanges == {"GET": 1, "POST": 10}
+
+
+def test_the_nonce_table_holds_only_open_challenges(endpoint, exchanges, service, fixture, backend, clock):
+    stranger = fresh_key(b"stranger")
+    employee_only = [c for c in fixture.bob_creds if c.attribute == "employee"]
+    mix = [
+        (fixture.key("bob"), fixture.bob_creds, GRANT),
+        (fixture.key("alice"), fixture.alice_creds, GRANT),
+        (stranger, [], DENY),
+        (fixture.key("bob"), employee_only, DENY),
+    ]
+    for index in range(200):
+        subject, creds, expected = mix[index % len(mix)]
+        assert ask(endpoint, fixture, backend, clock, subject, creds).decision == expected
+    assert exchanges == {"GET": 1, "POST": 200}
+    assert len(service.nonces._issued) == 1
+
+
+def test_a_carried_nonce_that_expired_is_answered_again(endpoint, exchanges, service, fixture, backend, clock):
+    now = [clock]
+    service.clock_fn = lambda: now[0]
+    assert ask(endpoint, fixture, backend, clock).decision == GRANT
+    now[0] += NONCE_LIFETIME_US
+    assert ask(endpoint, fixture, backend, clock).decision == GRANT
+    assert exchanges == {"GET": 1, "POST": 3}
+
+
+def test_a_carried_nonce_the_verifier_forgot_is_answered_again(endpoint, exchanges, service, fixture, backend, clock):
+    assert ask(endpoint, fixture, backend, clock).decision == GRANT
+    service.nonces = NonceTable()  # as after a restart
+    assert ask(endpoint, fixture, backend, clock).decision == GRANT
+    assert exchanges == {"GET": 1, "POST": 3}
+
+
+def test_a_refused_nonce_from_a_policy_request_is_a_deny(
+    endpoint, exchanges, service, fixture, backend, clock, monkeypatch
+):
+    policy_payload = service.policy_payload
+
+    def spent(resource_id):
+        payload = policy_payload(resource_id)
+        service.nonces.consume(bytes.fromhex(payload["nonce"]))
+        return payload
+
+    monkeypatch.setattr(service, "policy_payload", spent)
+    outcome = ask(endpoint, fixture, backend, clock)
+    assert (outcome.decision, outcome.reasons) == (DENY, (NONCE_UNKNOWN,))
+    assert exchanges == {"GET": 1, "POST": 1}
+    # The refusal carried a challenge, which the next request answers.
+    assert ask(endpoint, fixture, backend, clock).decision == GRANT
+    assert exchanges == {"GET": 1, "POST": 2}
+
+
+def test_close_connection_drops_the_carried_challenge(endpoint, exchanges, fixture, backend, clock):
+    assert ask(endpoint, fixture, backend, clock).decision == GRANT
+    close_connection()
+    assert ask(endpoint, fixture, backend, clock).decision == GRANT
+    assert exchanges == {"GET": 2, "POST": 2}
+
+
+def test_another_resource_fetches_its_own_challenge(odd_service, sent, fixture, clock):
+    with serving(make_server(odd_service, "127.0.0.1", 0)) as endpoint:
+        for resource_id in (ODD_RESOURCE, "lab reports", ODD_RESOURCE, ODD_RESOURCE):
+            request_access(
+                endpoint, resource_id, fixture.key("bob"), fixture.bob_creds, odd_service.backend, clock
+            )
+        close_connection()
+    # The unknown resource's 404 carries no challenge and ends the one held.
+    assert sent == {"GET": 3, "POST": 3}
+
+
+def test_two_client_threads_carry_their_own_challenges(endpoint, exchanges, fixture, backend, clock):
+    stranger = fresh_key(b"stranger")
+    outcomes = collections.defaultdict(list)
+
+    def client(name):
+        try:
+            for index in range(10):
+                subject = None if index % 2 else stranger
+                outcomes[name].append(ask(endpoint, fixture, backend, clock, subject, []).decision)
+        finally:
+            close_connection()
+
+    threads = [threading.Thread(target=client, args=(name,)) for name in ("one", "two")]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert outcomes == {name: [DENY, GRANT] * 5 for name in ("one", "two")}
+    assert exchanges == {"GET": 2, "POST": 20}
 
 
 # Errors the standard library answers itself: an unsupported method, a
@@ -1196,6 +1414,64 @@ def test_a_decision_reply_that_is_not_a_decision_is_an_error(
     )
     assert outcome.decision == ERROR
     assert "bad reply" in outcome.reasons[0]
+
+
+def stub_policy(fixture) -> dict:
+    return {
+        "resource_id": scenario.RESOURCE_ID,
+        "required_attributes": ["user"],
+        "verifier": fixture.key("portal").public_key.hex(),
+        "nonce": "00" * 16,
+    }
+
+
+def stub_deny(reason: str, following) -> bytes:
+    return json.dumps(
+        {"decision": "deny", "reasons": [reason], "chain_summaries": [], "next": following}
+    ).encode()
+
+
+@pytest.mark.parametrize(
+    "carried",
+    [
+        "zz",
+        [1],
+        {"nonce": "00" * 16},
+        {"verifier": "zz", "nonce": "00" * 16, "required_attributes": ["user"]},
+        {"verifier": "00" * 32, "nonce": "00" * 16, "required_attributes": "user"},
+    ],
+    ids=["string", "list", "no-verifier", "bad-hex", "attributes-string"],
+)
+def test_a_malformed_next_challenge_is_dropped(stub_verifier, sent, fixture, backend, clock, carried):
+    endpoint, replies = stub_verifier
+    replies["GET"] = json.dumps(stub_policy(fixture)).encode()
+    replies["POST"] = stub_deny("no delegation chain proves 'user'", carried)
+    for _ in range(2):
+        outcome = request_access(
+            endpoint, scenario.RESOURCE_ID, fixture.key("bob"), fixture.bob_creds, backend, clock
+        )
+        assert (outcome.decision, outcome.reasons) == (DENY, ("no delegation chain proves 'user'",))
+    assert sent == {"GET": 2, "POST": 2}
+
+
+def test_a_refused_carried_nonce_without_a_next_is_answered_once_more(
+    stub_verifier, sent, fixture, backend, clock
+):
+    endpoint, replies = stub_verifier
+    replies["GET"] = json.dumps(stub_policy(fixture)).encode()
+    replies["POST"] = stub_deny("no delegation chain proves 'user'", stub_policy(fixture))
+
+    def ask_stub():
+        return request_access(
+            endpoint, scenario.RESOURCE_ID, fixture.key("bob"), fixture.bob_creds, backend, clock
+        )
+
+    assert ask_stub().decision == DENY
+    replies["POST"] = stub_deny(NONCE_UNKNOWN, None)
+    # The carried nonce is refused, so a fetched one is sent; its refusal stands.
+    outcome = ask_stub()
+    assert (outcome.decision, outcome.reasons) == (DENY, (NONCE_UNKNOWN,))
+    assert sent == {"GET": 2, "POST": 3}
 
 
 @pytest.mark.parametrize(
