@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -150,7 +151,7 @@ def replica_failures(tmp: Path, args: Args) -> list[str]:
             experiment="replica-failures",
             failed_replicas=failed,
             outcome=outcome,
-            max_hops=dht.stats().max_hops,
+            max_hops=math.ceil(math.log2(config.node_count)),
             messages=dht.stats().messages,
         )
         if outcome == "deny":

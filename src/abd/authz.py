@@ -7,17 +7,21 @@ runs the same collection from its own namespace against the supplied
 credentials and grants only if every required attribute is proved. Each
 decision reply carries the next challenge, so over HTTP a client makes one
 exchange per decision after its first: ``GET /policy`` fetches a challenge
-only when the client holds none.
+only when the client holds none for that resource.
 
 Decisions are three-valued. Deny carries reasons; a backend failure during
-verification is an Error ("could not find out"), never a silent Deny.
+collection is an Error ("could not find out"), never a silent Deny. The
+verifier and the client both collect through ``_collect``, which turns a
+failure into the one Error decision either side reports, and the client
+reads every decision reply with ``AuthzDecision.from_json``.
 
 Transport: the verifier speaks persistent HTTP/1.1 with TCP_NODELAY, and
 every reply, the errors the standard library detects included, is a JSON
 decision. A reply whose status is not 200 carries ``Connection: close`` and
 ends the connection. A connection idle or stalled for ``READ_TIMEOUT_S`` is
 closed. The client keeps one connection per thread, to the last endpoint it
-used, and the challenge its last reply carried, until ``close_connection``.
+used, and for each resource there the challenge its last reply carried,
+until it switches endpoints or calls ``close_connection``.
 It sends through ``http.client`` without reading proxy environment
 variables. It retries a request once, on a fresh connection, only when a
 reused connection was closed before any status line arrived.
@@ -39,15 +43,9 @@ from typing import Callable, Iterable, Mapping, Optional, Union
 from urllib.parse import quote, unquote
 
 from .core import CLIP_CHARS, KEY_LEN, U32, NamespaceKey, check_label, clip, pack_label, verify_signature
-from .credential import Credential, collect, export_json, import_json, verify_credential
+from .credential import CollectResult, Credential, collect, export_json, import_json, verify_credential
 from .discovery import DelegationChain
-from .errors import (
-    AbdError,
-    BackendError,
-    CollectionIncomplete,
-    LimitExceeded,
-    UnknownResource,
-)
+from .errors import AbdError, BackendError, LimitExceeded, UnknownResource
 from .netsim import NameSystemBackend
 
 AUTHZ_CONTEXT = b"ABD-AUTHZ-V1"
@@ -222,6 +220,22 @@ class AuthzDecision:
     def error(cls, reason: str) -> "AuthzDecision":
         return cls(decision=ERROR, reasons=(reason,))
 
+    @classmethod
+    def from_json(cls, status: int, body: Mapping) -> "AuthzDecision":
+        """The decision a verifier's reply states: an Error when it states
+        none, and when its status is not 200, whatever it states."""
+        decision = body.get("decision")
+        reasons = body.get("reasons", [])
+        summaries = body.get("chain_summaries", [])
+        if decision not in (GRANT, DENY, ERROR) or not all(
+            isinstance(lines, list) and all(isinstance(line, str) for line in lines)
+            for lines in (reasons, summaries)
+        ):
+            return cls.error("bad reply from verifier: not a decision")
+        if status != 200 and decision != ERROR:
+            return cls.error(f"verifier answered {decision} with status {status}")
+        return cls(decision, tuple(reasons), tuple(summaries))
+
     def to_json(self) -> dict:
         return {
             "decision": self.decision,
@@ -273,6 +287,32 @@ def authorize(
     return decision
 
 
+def _collect(
+    subject_pub: bytes,
+    subject_creds: Iterable[Credential],
+    verifier_pub: bytes,
+    policy: Policy,
+    backend: NameSystemBackend,
+    clock: int,
+) -> Union[CollectResult, AuthzDecision]:
+    """``collect`` for the policy, or the Error decision its failure comes
+    to. The verifier and the client both collect through here, so a failure
+    reads the same on either side."""
+    try:
+        return collect(
+            subject_pub=subject_pub,
+            subject_creds=subject_creds,
+            verifier_pub=verifier_pub,
+            policy_attrs=policy.required_attributes,
+            backend=backend,
+            clock=clock,
+        )
+    except BackendError as exc:
+        return AuthzDecision.error(f"name system unavailable: {exc}")
+    except LimitExceeded as exc:
+        return AuthzDecision.error(f"discovery budget exhausted: {exc}")
+
+
 def _decide_signed(
     verifier_pub: bytes,
     response: AuthorizationResponse,
@@ -300,20 +340,9 @@ def _decide_signed(
                 )
             supplied.append(credential)
 
-    try:
-        result = collect(
-            subject_pub=response.subject,
-            subject_creds=supplied,
-            verifier_pub=verifier_pub,
-            policy_attrs=policy.required_attributes,
-            backend=backend,
-            clock=clock,
-        )
-    except BackendError as exc:
-        return AuthzDecision.error(f"name system unavailable: {exc}")
-    except LimitExceeded as exc:
-        return AuthzDecision.error(f"discovery budget exhausted: {exc}")
-
+    result = _collect(response.subject, supplied, verifier_pub, policy, backend, clock)
+    if isinstance(result, AuthzDecision):
+        return result
     if result.unsatisfied:
         return AuthzDecision(
             decision=DENY,
@@ -480,38 +509,43 @@ def make_server(service: VerifierService, host: str, port: int) -> ThreadingHTTP
 # --- subject-side client ----------------------------------------------------------
 
 
-# Per client thread: .connection and its .endpoint, and .challenge, the
-# (endpoint, resource id, Challenge) the last decision reply carried.
-_kept = threading.local()
+class _Kept(threading.local):
+    """Per client thread: the connection to the last endpoint used, and the
+    challenge last carried for each (endpoint, resource id)."""
+
+    def __init__(self) -> None:
+        self.connection: Optional[http.client.HTTPConnection] = None
+        self.endpoint: Optional[tuple[str, str]] = None
+        self.challenges: dict[tuple[str, str], Challenge] = {}
+
+
+_kept = _Kept()
 
 
 def _connection(request: urllib.request.Request) -> http.client.HTTPConnection:
     """This thread's connection to the request's endpoint. A thread keeps
     one connection, to the last endpoint it used; another endpoint closes it."""
     endpoint = (request.type, request.host)
-    connection = getattr(_kept, "connection", None)
-    if connection is not None and _kept.endpoint != endpoint:
-        connection.close()
-        connection = None
-    if connection is None:
+    if _kept.endpoint != endpoint:
+        close_connection()
+    if _kept.connection is None:
         if request.type == "http":
-            connection = http.client.HTTPConnection(request.host)
+            _kept.connection = http.client.HTTPConnection(request.host)
         elif request.type == "https":
-            connection = http.client.HTTPSConnection(request.host)
+            _kept.connection = http.client.HTTPSConnection(request.host)
         else:
             raise urllib.error.URLError(f"unknown url type: {request.type}")
-        _kept.connection, _kept.endpoint = connection, endpoint
-    return connection
+        _kept.endpoint = endpoint
+    return _kept.connection
 
 
 def close_connection() -> None:
     """Close this thread's kept connection, if it has one, and drop its
-    carried challenge."""
-    connection = getattr(_kept, "connection", None)
-    if connection is not None:
-        connection.close()
+    carried challenges."""
+    if _kept.connection is not None:
+        _kept.connection.close()
         _kept.connection = None
-    _kept.challenge = None
+    _kept.challenges = {}
 
 
 def _exchange(connection: http.client.HTTPConnection, request: urllib.request.Request):
@@ -571,16 +605,6 @@ class Challenge:
         )
 
 
-def _take_challenge(endpoint: str, resource_id: str) -> Optional[Challenge]:
-    """Remove this thread's carried challenge; return it if it is for this
-    endpoint and resource."""
-    kept = getattr(_kept, "challenge", None)
-    _kept.challenge = None
-    if kept is not None and kept[:2] == (endpoint, resource_id):
-        return kept[2]
-    return None
-
-
 def _refused(decision: AuthzDecision) -> bool:
     """Whether the verifier refused the nonce rather than judge the response."""
     return (
@@ -614,9 +638,7 @@ def _fetch_challenge(
         return sent
     status, body = sent
     if status != 200:
-        reasons = body.get("reasons")
-        well_formed = isinstance(reasons, list) and reasons and isinstance(reasons[0], str)
-        return AuthzDecision.error(reasons[0] if well_formed else f"policy fetch failed ({status})")
+        return AuthzDecision.from_json(status, body)
     try:
         return Challenge.from_json(resource_id, body)
     except (KeyError, ValueError, TypeError, AbdError) as exc:
@@ -636,18 +658,9 @@ def _answer(
     """Collect, sign and submit an answer to ``challenge``. Returns the
     decision and the challenge the reply carries, if it carries one."""
     policy = challenge.policy
-    try:
-        result = collect(
-            subject_pub=subject.public_key,
-            subject_creds=subject_creds,
-            verifier_pub=challenge.verifier,
-            policy_attrs=policy.required_attributes,
-            backend=backend,
-            clock=clock,
-        )
-    except (CollectionIncomplete, LimitExceeded) as exc:
-        return AuthzDecision.error(str(exc)), None
-
+    result = _collect(subject.public_key, subject_creds, challenge.verifier, policy, backend, clock)
+    if isinstance(result, AuthzDecision):
+        return result, None
     credential_sets = {
         attribute: tuple(result.chains[attribute].credentials())
         if attribute in result.chains
@@ -678,21 +691,12 @@ def _answer(
     )
     if isinstance(sent, AuthzDecision):
         return sent, None
-    _, reply = sent
+    status, reply = sent
     try:
         following = Challenge.from_json(resource_id, reply["next"])
     except (KeyError, ValueError, TypeError, AbdError):
         following = None
-    decision = reply.get("decision")
-    reasons = reply.get("reasons", [])
-    summaries = reply.get("chain_summaries", [])
-    well_formed = decision in (GRANT, DENY, ERROR) and all(
-        isinstance(lines, list) and all(isinstance(line, str) for line in lines)
-        for lines in (reasons, summaries)
-    )
-    if not well_formed:
-        return AuthzDecision.error("bad reply from verifier: not a decision"), following
-    return AuthzDecision(decision, tuple(reasons), tuple(summaries)), following
+    return AuthzDecision.from_json(status, reply), following
 
 
 def request_access(
@@ -710,16 +714,18 @@ def request_access(
     via local discovery, signs the response, and submits it. Every decision
     reply carries the next challenge, which the thread keeps beside its
     connection, so after its first request a thread makes one exchange per
-    decision. It fetches a challenge with ``GET /policy`` only when it holds
-    none for this endpoint and resource. A carried nonce can go stale (it
-    expired, or the verifier restarted or dropped it); if the verifier
-    refuses one, the answer is sent once more, to the challenge the refusal
-    carries (or, if it carries none, to one fetched with ``GET /policy``).
-    Network failures reaching the verifier, replies that are not HTTP or not
-    JSON objects, and backend failures during collection surface as Error.
+    decision on a resource. It keeps one challenge per endpoint and
+    resource, and fetches one with ``GET /policy`` only when it holds none.
+    A carried nonce can go stale (it expired, or the verifier restarted or
+    dropped it); if the verifier refuses one, the answer is sent once more,
+    to the challenge the refusal carries (or, if it carries none, to one
+    fetched with ``GET /policy``).
+    Network failures reaching the verifier, replies that are not HTTP, not
+    JSON objects or not decisions, replies whose status is not 200 unless
+    they state an Error, and failures during collection surface as Error.
     """
     subject_creds = tuple(subject_creds)  # a resend collects again
-    challenge = _take_challenge(endpoint, resource_id)
+    challenge = _kept.challenges.pop((endpoint, resource_id), None)
     carried = challenge is not None
     while True:
         if challenge is None:
@@ -733,5 +739,5 @@ def request_access(
             break
         carried = False
     if challenge is not None:
-        _kept.challenge = (endpoint, resource_id, challenge)
+        _kept.challenges[endpoint, resource_id] = challenge
     return decision

@@ -44,7 +44,7 @@ from .delegation import (
     render_expression,
 )
 from .discovery import DiscoveryTrace, discover
-from .errors import AbdError, NotFound
+from .errors import AbdError
 from .namestore import NamespaceStore
 from .netsim import FileBackend, resolve
 
@@ -302,6 +302,13 @@ def cmd_resolve(cli: Cli) -> int:
     records = resolve(
         cli.args.label, namespace.public_key, record_type, cli.backend, cli.clock
     )
+    if records is None:
+        print(
+            f"abd: no record set for label {cli.args.label!r}"
+            f" in namespace {namespace.public_key.hex()[:16]}",
+            file=sys.stderr,
+        )
+        return EXIT_DENIED
     names = store.names_by_key()
     human = []
     rows = []
@@ -399,11 +406,7 @@ def cmd_request(cli: Cli) -> int:
     finally:
         close_connection()
     cli.emit(
-        {
-            "decision": outcome.decision,
-            "reasons": list(outcome.reasons),
-            "chain_summaries": list(outcome.chain_summaries),
-        },
+        outcome.to_json(),
         [outcome.decision]
         + [f"  reason: {reason}" for reason in outcome.reasons]
         + [f"  chain: {summary}" for summary in outcome.chain_summaries],
@@ -560,9 +563,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     cli = Cli(args)
     try:
         return args.func(cli)
-    except NotFound as exc:
-        print(f"abd: {exc}", file=sys.stderr)
-        return EXIT_DENIED
     except (AbdError, OSError, ValueError) as exc:
         print(f"abd: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -25,7 +25,8 @@ subject's credentials. The result is a reproducible resolve sequence and no
 speculative lookups once the goal is reachable.
 
 Every (namespace, label) pair is resolved at most once per call. Dead ends
-(authoritative absence) fail only their own branch; network-class backend
+(a role with no record set, which ``resolve`` returns as None, or with no
+records) fail only their own branch; network-class backend
 errors abort the whole search, because "could not find out" must never
 masquerade as a denial.
 """
@@ -38,7 +39,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from .core import RecordType, ResourceRecord, check_label
 from .credential import Credential, export_json, verify_credential
 from .delegation import DelegationSetEntry, decode_attr_payload, render_term
-from .errors import BackendError, DecodeError, LimitExceeded, NotFound
+from .errors import BackendError, DecodeError, LimitExceeded
 from .netsim import NameSystemBackend, resolve
 
 
@@ -381,10 +382,7 @@ def discover(
     def expand(node: _Node) -> None:
         node.resolved = True
         subject, label = node.subject, node.trail[0]
-        try:
-            records = resolve(label, subject, RecordType.ATTR, backend, clock)
-        except NotFound:
-            records = None
+        records = resolve(label, subject, RecordType.ATTR, backend, clock)
         if tracing:
             trace.add(
                 kind="resolve",
@@ -572,11 +570,11 @@ def verify_chain(
         where = render_term(subject, (label,))
         try:
             records = resolve(label, subject, RecordType.ATTR, backend, clock)
-        except NotFound:
-            diagnostics.append(f"record for {where} no longer resolves")
-            return None
         except BackendError as exc:
             diagnostics.append(f"network failure re-resolving {where}: {exc}")
+            return None
+        if records is None:
+            diagnostics.append(f"record for {where} no longer resolves")
             return None
         wanted = step.record.canonical_bytes()
         if not any(r.canonical_bytes() == wanted for r in records):

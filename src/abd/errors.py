@@ -2,6 +2,7 @@
 
 Network-class failures (anything that means "we could not find out") derive
 from BackendError so callers can distinguish "denied" from "unknown".
+Absence is not an error: a lookup that finds no record set returns None.
 """
 from __future__ import annotations
 
@@ -28,10 +29,6 @@ class DecodeError(AbdError):
 
 class BadSignature(AbdError):
     """Signature verification failed where a valid signature is mandatory."""
-
-
-class NotFound(AbdError):
-    """Authoritative absence: the name system does not hold this entry."""
 
 
 class BackendError(AbdError):

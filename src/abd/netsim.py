@@ -6,8 +6,11 @@ are accepted only when the set's signature verifies against the embedded
 public key and the query key matches, so only the namespace owner can update
 an entry. Storing a signature-valid EMPTY set deletes the entry: deletion is
 modeled as absence, and stale copies linger only in response caches until
-their TTL runs out. The file backend reads its directory on every lookup, so
-a verifier built on it sees another process's publish at its next request.
+their TTL runs out. Absence is a value, not an error: ``get`` and
+``resolve`` return None when no live set is stored under the key, and only
+network-class failures (``BackendError``) raise. The file backend reads its
+directory on every lookup, so a verifier built on it sees another process's
+publish at its next request.
 
 ``derive_query_key`` checks the label and remembers its answers for up to
 REPLICA_MEMO_SIZE (key, label) pairs; a label that fails its check is never
@@ -52,7 +55,6 @@ from .errors import (
     BackendUnavailable,
     BadSignature,
     DecodeError,
-    NotFound,
     UnknownNode,
 )
 
@@ -94,17 +96,10 @@ class LookupStats:
     lookups: int = 0
     cache_hits: int = 0
     messages: int = 0
-    max_hops: int = 0
     bad_signatures: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "lookups": self.lookups,
-            "cache_hits": self.cache_hits,
-            "messages": self.messages,
-            "max_hops": self.max_hops,
-            "bad_signatures": self.bad_signatures,
-        }
+        return dict(vars(self))
 
 
 class NameSystemBackend(ABC):
@@ -244,9 +239,8 @@ class SimulatedDht(NameSystemBackend):
             if value < least:
                 raise ValueError(f"DhtConfig.{name} must be at least {least}, not {value}")
         self.now_us = 0
-        count = self.config.node_count
         # Hops from the entry node to a key's replicas.
-        self._hops = math.ceil(math.log2(count)) if count > 1 else 0
+        self._hops = math.ceil(math.log2(self.config.node_count))
         self._home = random.Random(self.config.rng_seed).randrange(self.config.node_count)
         self._stats = LookupStats()
         self.nodes: list[_DhtNode] = []
@@ -374,9 +368,6 @@ class SimulatedDht(NameSystemBackend):
             del entry.cache[query_key]
 
         stats, hops = self._stats, self._hops
-        if hops > stats.max_hops:
-            stats.max_hops = hops
-
         # One message to every live replica; the first valid live set answers.
         found = None
         messages = hops
@@ -426,19 +417,17 @@ def resolve(
     record_type: int,
     backend: NameSystemBackend,
     clock: int,
-) -> list[ResourceRecord]:
+) -> Optional[list[ResourceRecord]]:
     """Look up unexpired records of one type under (namespace, label).
 
-    The label is checked once, by ``derive_query_key``, whose memo answers
-    a repeat without hashing again. The set's ``live_records`` skips the
-    per-record expiry test while the clock is below its earliest absolute
-    expiration. An existing set with no matching records yields an empty
-    list; a missing set raises NotFound. Network-class failures propagate
-    from the backend.
+    Absence is a value, as in ``backend.get``: a missing set returns None,
+    and an existing set with no matching records an empty list. Only
+    network-class failures raise, from the backend. The label is checked
+    once, by ``derive_query_key``, whose memo answers a repeat without
+    hashing again. The set's ``live_records`` skips the per-record expiry
+    test while the clock is below its earliest absolute expiration.
     """
     record_set = backend.get(derive_query_key(namespace_pub, label), clock)
     if record_set is None:
-        raise NotFound(
-            f"no record set for label {label!r} in namespace {namespace_pub.hex()[:16]}"
-        )
+        return None
     return [record for record in record_set.live_records(clock) if record.record_type == record_type]

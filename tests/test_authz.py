@@ -600,9 +600,11 @@ def test_exhausted_budget_is_503_over_http_and_an_error_for_the_client(fan_out, 
     (status, payload), outcome = decide_over_http(fan_out, clock)
     assert status == 503
     assert payload["decision"] == ERROR
+    assert payload["reasons"][0].startswith("discovery budget exhausted: ")
     assert "max_nodes" in payload["reasons"][0]
+    # The client's own collect fails before it posts, and reads the same.
     assert outcome.decision == ERROR
-    assert "max_nodes" in outcome.reasons[0]
+    assert outcome.reasons == tuple(payload["reasons"])
 
 
 def test_self_linked_role_denies_in_process_and_over_http(self_linked, clock):
@@ -971,7 +973,7 @@ def test_an_http_1_0_request_still_closes_its_connection(endpoint):
     assert payload["resource_id"] == scenario.RESOURCE_ID
 
 
-def test_switching_endpoints_closes_the_previous_connection(service, fixture, backend, clock):
+def test_switching_endpoints_closes_the_previous_connection(service, sent, fixture, backend, clock):
     with serving(make_server(service, "127.0.0.1", 0)) as first, serving(
         make_server(service, "127.0.0.1", 0)
     ) as second, warnings.catch_warnings(record=True) as caught:
@@ -983,6 +985,8 @@ def test_switching_endpoints_closes_the_previous_connection(service, fixture, ba
             assert outcome.decision == GRANT
         gc.collect()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    # Each switch also drops the challenges carried for the other endpoint.
+    assert sent == {"GET": 3, "POST": 3}
 
 
 # --- each decision carries the next challenge ----------------------------------------------
@@ -1120,8 +1124,21 @@ def test_another_resource_fetches_its_own_challenge(odd_service, sent, fixture, 
                 endpoint, resource_id, fixture.key("bob"), fixture.bob_creds, odd_service.backend, clock
             )
         close_connection()
-    # The unknown resource's 404 carries no challenge and ends the one held.
-    assert sent == {"GET": 3, "POST": 3}
+    # The unknown resource's 404 carries no challenge and leaves the one held
+    # for the other resource, which the last two requests answer.
+    assert sent == {"GET": 2, "POST": 3}
+
+
+def test_a_client_alternating_resources_carries_a_challenge_for_each(staff_service, sent, fixture, clock):
+    expected = {"staff-portal": GRANT, "admin-portal": DENY}
+    with serving(make_server(staff_service, "127.0.0.1", 0)) as endpoint:
+        for resource_id in list(expected) * 3:
+            outcome = request_access(
+                endpoint, resource_id, fixture.key("bob"), fixture.bob_creds, staff_service.backend, clock
+            )
+            assert outcome.decision == expected[resource_id]
+        close_connection()
+    assert sent == {"GET": 2, "POST": 6}
 
 
 def test_two_client_threads_carry_their_own_challenges(endpoint, exchanges, fixture, backend, clock):
@@ -1309,6 +1326,18 @@ def test_http_outage_is_503_not_deny(endpoint, service, fixture, backend, clock)
     assert payload["decision"] == ERROR
 
 
+def test_an_outage_reads_the_same_at_the_client_and_the_verifier(endpoint, fixture, backend, clock):
+    backend.fail_nodes([0])
+    verifier = decide_portal(
+        fixture, backend, clock,
+        lambda nonce: build_response(fixture.key("bob"), nonce, {"user": fixture.bob_creds}),
+    )
+    client = ask(endpoint, fixture, backend, clock)
+    assert client.decision == verifier.decision == ERROR
+    assert client.reasons == verifier.reasons
+    assert verifier.reasons[0].startswith("name system unavailable: ")
+
+
 # --- resource ids that are not URL-safe ----------------------------------------------------
 
 ODD_RESOURCE = "lab reports/2026?all"
@@ -1358,14 +1387,16 @@ def test_a_resource_id_with_a_space_and_a_slash_over_http(odd_service, fixture, 
 
 @pytest.fixture
 def stub_verifier():
-    """A server answering 200 with ``replies[method]`` to every request."""
+    """A server answering every request with ``replies[method]``: a body,
+    sent with status 200, or a (status, body) pair."""
     replies = {}
 
     class Stub(BaseHTTPRequestHandler):
         def _reply(self) -> None:
             self.rfile.read(int(self.headers.get("Content-Length", "0")))
             body = replies[self.command]
-            self.send_response(200)
+            status, body = body if isinstance(body, tuple) else (200, body)
+            self.send_response(status)
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
             self.wfile.write(body)
@@ -1414,6 +1445,22 @@ def test_a_decision_reply_that_is_not_a_decision_is_an_error(
     )
     assert outcome.decision == ERROR
     assert "bad reply" in outcome.reasons[0]
+
+
+@pytest.mark.parametrize("method", ["GET", "POST"])
+def test_a_reply_that_is_not_200_is_an_error_whatever_it_states(
+    stub_verifier, sent, fixture, backend, clock, method
+):
+    endpoint, replies = stub_verifier
+    replies["GET"] = json.dumps(stub_policy(fixture)).encode()
+    grant = {"decision": "grant", "reasons": [], "chain_summaries": ["a chain"]}
+    replies[method] = (403, json.dumps(grant).encode())
+    outcome = request_access(
+        endpoint, scenario.RESOURCE_ID, fixture.key("bob"), fixture.bob_creds, backend, clock
+    )
+    assert (outcome.decision, outcome.chain_summaries) == (ERROR, ())
+    assert outcome.reasons == ("verifier answered grant with status 403",)
+    assert sent == {"GET": 1, "POST": 1} if method == "POST" else {"GET": 1}
 
 
 def stub_policy(fixture) -> dict:

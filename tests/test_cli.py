@@ -207,6 +207,19 @@ def test_revocation_beside_an_expired_delegation_publishes(abd):
     abd("resolve", "--ns", "agency", "--label", "dco", clock=later, expect=1)
 
 
+def test_resolve_of_a_deleted_label_exits_1_naming_the_label(abd, capsys):
+    agency = abd("identity", "create", "--name", "agency")["public_key"]
+    abd("identity", "create", "--name", "lab")
+    abd("delegate", "add", "--issuer", "agency", "--attr", "dco", "--to", "lab")
+    abd("publish", "--issuer", "agency")
+    abd("delegate", "rm", "--issuer", "agency", "--attr", "dco", "--to", "lab")
+    abd("publish", "--issuer", "agency")
+    code = main(["--home", str(abd.home), "resolve", "--ns", "agency", "--label", "dco"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"abd: no record set for label 'dco' in namespace {agency[:16]}\n"
+
+
 # --- discovery ----------------------------------------------------------------------
 
 
