@@ -30,6 +30,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 from .errors import (
     DecodeError,
     InvalidLabel,
+    KeyMismatch,
     MissingPrivateKey,
 )
 
@@ -177,14 +178,27 @@ class NamespaceKey:
 
     @cached_property
     def _signer(self) -> Ed25519PrivateKey:
-        # Built once per key: building it costs about as much as a signature.
-        return Ed25519PrivateKey.from_private_bytes(self.private_key)
-
-    def sign(self, message: bytes) -> bytes:
+        # Built and checked once per key: building it costs about as much as
+        # a signature. A private key that derives another public key would
+        # sign sets that no one can verify.
         if self.private_key is None:
             raise MissingPrivateKey(
                 f"namespace {self.hex[:16]}... has no private key"
             )
+        signer = Ed25519PrivateKey.from_private_bytes(self.private_key)
+        if signer.public_key().public_bytes_raw() != self.public_key:
+            raise KeyMismatch(
+                f"the private key held for namespace {self.hex[:16]}... "
+                "belongs to another public key"
+            )
+        return signer
+
+    def check_private(self) -> None:
+        """Raise unless this key can sign: MissingPrivateKey without a
+        private half, KeyMismatch when it does not derive the public key."""
+        self._signer
+
+    def sign(self, message: bytes) -> bytes:
         return self._signer.sign(message)
 
 

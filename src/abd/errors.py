@@ -19,6 +19,10 @@ class MissingPrivateKey(AbdError):
     """A signing operation was attempted with a public-only key."""
 
 
+class KeyMismatch(AbdError):
+    """A private key does not derive the public key it is paired with."""
+
+
 class DecodeError(AbdError):
     """Byte-level decoding failed; carries the offset of the first bad byte."""
 

@@ -30,7 +30,7 @@ from .core import (
     sign_record_set,
     verify_record_set_signature,
 )
-from .errors import BackendUnavailable, DecodeError, MissingPrivateKey, UnknownPetname
+from .errors import BackendUnavailable, DecodeError, UnknownPetname
 from .netsim import NameSystemBackend, derive_query_key, write_atomic
 
 RRSET_SUFFIX = ".rrset"
@@ -175,9 +175,6 @@ class NamespaceStore:
         Storing an empty record list is legal: the label then resolves to an
         empty set locally and publishes as a deletion.
         """
-        check_label(label)
-        if owner.private_key is None:
-            raise MissingPrivateKey("storing requires the namespace private key")
         record_set = sign_record_set(owner, label, records)
         directory = self._namespace_dir(owner.public_key)
         directory.mkdir(parents=True, exist_ok=True)
@@ -194,13 +191,16 @@ class NamespaceStore:
         Each label publishes its live public records: relative expirations
         are stamped absolute against ``clock``, records expired by then are
         dropped, and the set is re-signed, so republishing refreshes its
-        lifetimes. A label with no live public record left publishes a signed
-        empty set, a deletion. Credential records never leave the local
-        store, and a label holding only credentials publishes nothing.
-        Failures are reported per label; the rest of the publish proceeds.
+        lifetimes. A label whose live public records are exactly its stored
+        records is sent as stored: Ed25519 is deterministic, so signing again
+        would give the same bytes. A label with no live public record left
+        publishes a signed empty set, a deletion. Every label is put at every
+        publish, so a replica that missed one catches up. Credential records
+        never leave the local store, and a label holding only credentials
+        publishes nothing. Failures are reported per label; the rest of the
+        publish proceeds.
         """
-        if owner.private_key is None:
-            raise MissingPrivateKey("publishing requires the namespace private key")
+        owner.check_private()
         report = PublishReport(namespace=owner.public_key)
         for label, record_set in sorted(self.load_namespace(owner.public_key).items()):
             public_records = [
@@ -211,8 +211,11 @@ class NamespaceStore:
                 report.entries.append(PublishEntry(label=label, action="kept-local"))
                 continue
             stamped = (r.stamped(clock) for r in public_records)
-            live = [r for r in stamped if not r.is_expired(clock)]
-            outgoing = sign_record_set(owner, label, live)
+            live = tuple(r for r in stamped if not r.is_expired(clock))
+            if live == record_set.records:
+                outgoing = record_set  # _admit decoded, bound and verified it
+            else:
+                outgoing = sign_record_set(owner, label, live)
             try:
                 backend.put(derive_query_key(owner.public_key, label), outgoing, clock)
             except BackendUnavailable as exc:

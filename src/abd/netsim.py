@@ -4,7 +4,8 @@ Both backends speak the same protocol: signed record sets are stored
 under a 256-bit query key derived from (namespace public key, label). Writes
 are accepted only when the set's signature verifies against the embedded
 public key and the query key matches, so only the namespace owner can update
-an entry. Storing a signature-valid EMPTY set deletes the entry: deletion is
+an entry; the file backend then leaves a file that already holds the set's
+bytes. Storing a signature-valid EMPTY set deletes the entry: deletion is
 modeled as absence, and stale copies linger only in response caches until
 their TTL runs out. Absence is a value, not an error: ``get`` and
 ``resolve`` return None when no live set is stored under the key, and only
@@ -91,6 +92,15 @@ def write_atomic(path: Union[str, Path], data: bytes, mode: int = 0o666) -> None
         raise
 
 
+def _read_or_none(path: str) -> Optional[bytes]:
+    """The bytes of the file at ``path``, or None when there is none."""
+    try:
+        with open(path, "rb") as file:
+            return file.read()
+    except FileNotFoundError:
+        return None
+
+
 @dataclass
 class LookupStats:
     lookups: int = 0
@@ -132,7 +142,9 @@ class FileBackend(NameSystemBackend):
     network. Every get reads the file, so a publish from another process is
     seen at the next lookup; the set is decoded and its key and signature
     checked again only when the bytes differ from those last accepted for
-    that query key.
+    that query key. A put reads the file too, and writes it only when it is
+    missing or holds other bytes, so republishing an unchanged set leaves
+    the file as it is.
     """
 
     def __init__(self, root: Path) -> None:
@@ -152,10 +164,10 @@ class FileBackend(NameSystemBackend):
         _check_signed(query_key, record_set)
         path = self._path(query_key)
         try:
-            if record_set.records:
-                write_atomic(path, canonical_serialize(record_set))
-            else:
+            if not record_set.records:
                 Path(path).unlink(missing_ok=True)
+            elif _read_or_none(path) != (data := canonical_serialize(record_set)):
+                write_atomic(path, data)
         except OSError as exc:
             raise BackendUnavailable(f"file backend cannot write: {exc}") from exc
 
@@ -165,12 +177,11 @@ class FileBackend(NameSystemBackend):
             self._stats.lookups += 1
             accepted = self._accepted.get(query_key)
         try:
-            with open(path, "rb") as file:
-                data = file.read()
-        except FileNotFoundError:
-            return None
+            data = _read_or_none(path)
         except OSError as exc:
             raise BackendUnavailable(f"file backend cannot read: {exc}") from exc
+        if data is None:
+            return None
         if accepted is None or accepted[0] != data:
             try:
                 accepted = (data, canonical_deserialize(data))

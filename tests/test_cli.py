@@ -207,6 +207,24 @@ def test_revocation_beside_an_expired_delegation_publishes(abd):
     abd("resolve", "--ns", "agency", "--label", "dco", clock=later, expect=1)
 
 
+def test_a_seed_file_of_another_key_fails_delegate_and_publish_on_one_line(abd, capsys):
+    acme = abd("identity", "create", "--name", "acme")["public_key"]
+    rob = abd("identity", "create", "--name", "rob")["public_key"]
+    abd("delegate", "add", "--issuer", "acme", "--attr", "dev", "--to", "rob")
+    keys = abd.home / "keys"
+    (keys / f"{acme}.seed").write_bytes((keys / f"{rob}.seed").read_bytes())
+    for argv in (
+        ["delegate", "add", "--issuer", "acme", "--attr", "ops", "--to", "rob"],
+        ["publish", "--issuer", "acme"],
+    ):
+        code = main(["--home", str(abd.home), *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("abd: the private key held for namespace")
+    assert not (abd.home / "names" / acme / "ops.rrset").exists()
+
+
 def test_resolve_of_a_deleted_label_exits_1_naming_the_label(abd, capsys):
     agency = abd("identity", "create", "--name", "agency")["public_key"]
     abd("identity", "create", "--name", "lab")

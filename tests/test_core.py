@@ -25,7 +25,7 @@ from abd.core import (
     verify_record_set_signature,
 )
 from abd.credential import issue_credential, verify_credential
-from abd.errors import DecodeError, InvalidLabel, MissingPrivateKey
+from abd.errors import DecodeError, InvalidLabel, KeyMismatch, MissingPrivateKey
 
 # Ed25519 public key for the all-zeros seed, computed once from the raw
 # primitive and frozen here.
@@ -75,6 +75,16 @@ def test_sign_without_private_key_raises():
     key = NamespaceKey(public_key=make_key().public_key)
     with pytest.raises(MissingPrivateKey):
         key.sign(b"message")
+
+
+def test_a_private_key_of_another_public_key_is_refused():
+    other = NamespaceKey.generate(seed=b"other".ljust(32, b"\0"))
+    key = NamespaceKey(public_key=make_key().public_key, private_key=other.private_key)
+    with pytest.raises(KeyMismatch):
+        key.sign(b"message")
+    with pytest.raises(KeyMismatch):
+        key.check_private()
+    make_key().check_private()
 
 
 # --- record encoding --------------------------------------------------------

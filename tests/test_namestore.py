@@ -18,11 +18,12 @@ from abd.delegation import add_delegation, encode_attr_payload, expression, remo
 from abd.errors import (
     BackendUnavailable,
     InvalidLabel,
+    KeyMismatch,
     MissingPrivateKey,
     UnknownPetname,
 )
 from abd.namestore import NamespaceStore
-from abd.netsim import FileBackend, SimulatedDht, derive_query_key, resolve
+from abd.netsim import DhtConfig, FileBackend, SimulatedDht, derive_query_key, resolve
 from instance_gen import ONE_NODE, memory_dht
 
 CLOCK = 1_700_000_000_000_000
@@ -36,6 +37,32 @@ def key(tag: bytes) -> NamespaceKey:
 def attr_record(subject: bytes, expiration: int = CLOCK + HOUR, relative=False):
     payload = encode_attr_payload(expression([(subject, [])]))
     return ResourceRecord(RecordType.ATTR, payload, expiration, relative=relative)
+
+
+@pytest.fixture
+def signs(monkeypatch):
+    """Counts NamespaceKey.sign calls; reset ``signs.calls`` to start over."""
+    sign = NamespaceKey.sign
+
+    def counted(self, message):
+        counted.calls += 1
+        return sign(self, message)
+
+    counted.calls = 0
+    monkeypatch.setattr(NamespaceKey, "sign", counted)
+    return counted
+
+
+class RecordingPuts(SimulatedDht):
+    """An in-memory name system that keeps the bytes of every put."""
+
+    def __init__(self, config=ONE_NODE):
+        super().__init__(config)
+        self.puts = []
+
+    def put(self, query_key, record_set, clock):
+        self.puts.append((query_key, canonical_serialize(record_set)))
+        super().put(query_key, record_set, clock)
 
 
 # --- identities ------------------------------------------------------------------
@@ -92,6 +119,20 @@ def test_store_requires_private_key(tmp_path):
     store = NamespaceStore(tmp_path)
     with pytest.raises(MissingPrivateKey):
         store.store(NamespaceKey(public_key=key(b"x").public_key), "boss", [])
+
+
+def test_a_seed_file_of_another_key_is_refused_before_anything_is_written(tmp_path):
+    store = NamespaceStore(tmp_path)
+    owner = store.create_identity(petname="owner", seed=b"o".ljust(32, b"\0"))
+    other = store.create_identity(petname="other", seed=b"x".ljust(32, b"\0"))
+    seeds = tmp_path / "keys"
+    (seeds / f"{owner.hex}.seed").write_bytes((seeds / f"{other.hex}.seed").read_bytes())
+    mismatched = store.key_for("owner")
+    with pytest.raises(KeyMismatch):
+        add_delegation(store, mismatched, "boss", expression([(other.public_key, [])]), clock=CLOCK)
+    assert not list((tmp_path / "names").glob(f"{owner.hex}/*"))
+    with pytest.raises(KeyMismatch):
+        store.publish(mismatched, memory_dht(), CLOCK)
 
 
 def test_tampered_entry_is_quarantined_not_loaded(tmp_path):
@@ -196,35 +237,84 @@ def test_seed_is_never_wider_than_0600(tmp_path, monkeypatch):
 # --- publication -----------------------------------------------------------------------
 
 
-def test_publish_stores_attr_and_keeps_credentials_local(tmp_path):
+def test_publish_stores_attr_and_keeps_credentials_local(tmp_path, signs):
     store = NamespaceStore(tmp_path)
     owner = store.create_identity(petname="owner", seed=b"o".ljust(32, b"\0"))
     holder_cred = issue_credential(
         key(b"i"), owner.public_key, "member", clock=CLOCK, lifetime_us=HOUR
     )
-    store.store(owner, "boss", [attr_record(key(b"s").public_key)])
-    store.store(
-        owner,
-        "member",
-        [ResourceRecord(RecordType.CRED, holder_cred.canonical_bytes(), holder_cred.expiration_us)],
+    cred_record = ResourceRecord(
+        RecordType.CRED, holder_cred.canonical_bytes(), holder_cred.expiration_us
     )
+    delegation = attr_record(key(b"s").public_key)
+    store.store(owner, "boss", [delegation])
+    store.store(owner, "member", [cred_record])
+    store.store(owner, "mixed", [delegation, cred_record])
     expired = issue_credential(key(b"i"), owner.public_key, "audit", clock=CLOCK, lifetime_us=0)
     store_credential(store, owner, expired)
-    backend = memory_dht()
+    backend = RecordingPuts()
+    signs.calls = 0
     report = store.publish(owner, backend, CLOCK)
     assert report.ok
     actions = {e.label: e.action for e in report.entries}
-    assert actions == {"audit": "kept-local", "boss": "stored", "member": "kept-local"}
+    assert actions == {
+        "audit": "kept-local", "boss": "stored", "member": "kept-local", "mixed": "stored"
+    }
+    # Only the set that leaves a credential behind is signed anew.
+    assert signs.calls == 1
+    assert len(backend.puts) == 2
     assert backend.get(derive_query_key(owner.public_key, "boss"), CLOCK) is not None
     assert backend.get(derive_query_key(owner.public_key, "member"), CLOCK) is None
+    mixed = backend.get(derive_query_key(owner.public_key, "mixed"), CLOCK)
+    assert mixed.records == (delegation,)
 
 
-def test_publish_stamps_relative_expirations(tmp_path):
+def test_publishing_an_unchanged_namespace_again_signs_nothing_and_puts_the_same_bytes(
+    tmp_path, signs
+):
+    store = NamespaceStore(tmp_path)
+    owner = store.create_identity(petname="owner", seed=b"o".ljust(32, b"\0"))
+    for label in ("boss", "gone"):
+        add_delegation(store, owner, label, expression([(key(b"s").public_key, [])]), clock=CLOCK)
+    remove_delegation(store, owner, "gone", expression([(key(b"s").public_key, [])]))
+    backend = RecordingPuts()
+    signs.calls = 0
+    first = store.publish(owner, backend, CLOCK)
+    second = store.publish(owner, backend, CLOCK + HOUR // 2)
+    assert signs.calls == 0
+    assert first.ok and second.ok
+    assert [e.action for e in second.entries] == ["stored", "deleted"]
+    assert backend.puts[2:] == backend.puts[:2]
+    stored = store.load_namespace(owner.public_key)
+    assert [data for _, data in backend.puts[:2]] == [
+        canonical_serialize(stored[label]) for label in ("boss", "gone")
+    ]
+
+
+def test_publish_restores_an_unchanged_namespace_on_healed_replicas(tmp_path):
+    store = NamespaceStore(tmp_path)
+    owner = store.create_identity(petname="owner", seed=b"o".ljust(32, b"\0"))
+    add_delegation(store, owner, "boss", expression([(key(b"s").public_key, [])]), clock=CLOCK)
+    network = SimulatedDht(DhtConfig(node_count=16, replication_factor=5, cache_ttl_us=0))
+    assert store.publish(owner, network, CLOCK).ok
+    query_key = derive_query_key(owner.public_key, "boss")
+    replicas = network.replica_nodes(query_key)
+    network.fail_nodes(replicas)
+    network.heal_nodes(replicas)
+    assert all(query_key not in network.nodes[i].storage for i in replicas)
+    assert store.publish(owner, network, CLOCK).ok
+    stored = store.entry(owner.public_key, "boss")
+    assert all(network.nodes[i].storage[query_key] == stored for i in replicas)
+
+
+def test_publish_stamps_relative_expirations(tmp_path, signs):
     store = NamespaceStore(tmp_path)
     owner = store.create_identity(petname="owner", seed=b"o".ljust(32, b"\0"))
     store.store(owner, "boss", [attr_record(key(b"s").public_key, HOUR, relative=True)])
     backend = memory_dht()
+    signs.calls = 0
     report = store.publish(owner, backend, CLOCK)
+    assert signs.calls == 1
     assert report.entries[0].expiration_us == CLOCK + HOUR
     published = backend.get(derive_query_key(owner.public_key, "boss"), CLOCK)
     assert published.records[0].expiration_us == CLOCK + HOUR
@@ -232,6 +322,7 @@ def test_publish_stamps_relative_expirations(tmp_path):
     # Republishing later refreshes the lifetime from the local relative record.
     later = CLOCK + 30 * HOUR
     store.publish(owner, backend, later)
+    assert signs.calls == 2
     refreshed = backend.get(derive_query_key(owner.public_key, "boss"), later)
     assert refreshed.records[0].expiration_us == later + HOUR
 
@@ -249,17 +340,20 @@ def test_publish_deletes_a_label_whose_records_all_expired(tmp_path):
     assert backend.get(derive_query_key(owner.public_key, "boss"), CLOCK) is None
 
 
-def test_publish_drops_expired_records_and_keeps_live_ones(tmp_path):
+def test_publish_drops_expired_records_and_keeps_live_ones(tmp_path, signs):
     store = NamespaceStore(tmp_path)
     owner = store.create_identity(petname="owner", seed=b"o".ljust(32, b"\0"))
     live = attr_record(key(b"live").public_key, CLOCK + HOUR)
     store.store(owner, "boss", [live, attr_record(key(b"old").public_key, CLOCK)])
     backend = memory_dht()
+    signs.calls = 0
     report = store.publish(owner, backend, CLOCK)
     assert report.ok
     assert report.entries[0].action == "stored"
+    assert signs.calls == 1
     published = backend.get(derive_query_key(owner.public_key, "boss"), CLOCK)
     assert published.records == (live,)
+    assert published != store.entry(owner.public_key, "boss")
 
 
 def revoke_beside_an_expired_record(tmp_path, backend):

@@ -197,6 +197,27 @@ def test_file_backend_persists_across_instances(tmp_path):
     assert not (tmp_path / "net" / f"{query_key.hex()}.rrset").exists()
 
 
+def test_file_backend_leaves_a_file_that_already_holds_the_bytes(tmp_path):
+    root = tmp_path / "net"
+    backend = FileBackend(root)
+    query_key = put_set(backend, make_set())
+    path = root / f"{query_key.hex()}.rrset"
+    before = path.stat()
+    put_set(backend, make_set())
+    after = path.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert [p.name for p in root.iterdir()] == [path.name]
+
+    newer = make_set(expiration=CLOCK + 2 * HOUR)
+    put_set(backend, newer)
+    assert path.stat().st_ino != before.st_ino
+    assert backend.get(query_key, CLOCK) == newer
+
+    path.unlink()  # removed outside abd: the next put writes it again
+    put_set(backend, newer)
+    assert FileBackend(root).get(query_key, CLOCK) == newer
+
+
 def test_file_backend_skips_unreadable_files(tmp_path):
     root = tmp_path / "net"
     root.mkdir()
