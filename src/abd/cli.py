@@ -64,12 +64,18 @@ _DURATION_UNITS = {
 
 
 def parse_duration(text: str) -> int:
-    """'30d', '1h', '90s', '500ms', '1000us', or a bare microsecond count."""
+    """'30d', '1h', '90s', '500ms', '1000us', or a bare microsecond count.
+    A lifetime must be positive: zero or less raises ValueError."""
     text = text.strip()
     for suffix, factor in sorted(_DURATION_UNITS.items(), key=lambda kv: -len(kv[0])):
         if text.endswith(suffix):
-            return int(text[: -len(suffix)]) * factor
-    return int(text)
+            duration = int(text[: -len(suffix)]) * factor
+            break
+    else:
+        duration = int(text)
+    if duration <= 0:
+        raise ValueError(f"duration must be positive, not {text!r}")
+    return duration
 
 
 class _Parser(argparse.ArgumentParser):
@@ -258,17 +264,13 @@ def cmd_cred_ls(cli: Cli) -> int:
 def cmd_publish(cli: Cli) -> int:
     store = cli.store
     backend = cli.backend
-    issuers = (
-        [name for name, _ in store.identities()]
-        if cli.args.all
-        else [cli.args.issuer]
-    )
-    reports = []
-    for name in issuers:
-        key = store.key_for(name)
-        if not key.has_private:
-            continue
-        reports.append(store.publish(key, backend, cli.clock))
+    if cli.args.all:
+        # Every identity this home can sign for; the rest are others' keys.
+        keys = [store.key_for(name) for name, _ in store.identities()]
+        keys = [key for key in keys if key.has_private]
+    else:
+        keys = [store.key_for(cli.args.issuer)]  # publish raises without a private key
+    reports = [store.publish(key, backend, cli.clock) for key in keys]
     payload = {
         "reports": [
             {

@@ -398,13 +398,6 @@ def _with_signing_bytes(record_set: RecordSet, message: bytes) -> RecordSet:
     return record_set
 
 
-def verify_record_set_signature(record_set: RecordSet) -> bool:
-    """Signature-only check, ignoring expirations (used by backends)."""
-    return verify_signature(
-        record_set.public_key, record_set.signature, record_set.signing_bytes()
-    )
-
-
 def canonical_serialize(record_set: RecordSet) -> bytes:
     return record_set.signing_bytes() + record_set.signature
 

@@ -7,10 +7,10 @@ Layout under the data directory:
     names/<hexpub>/<label>.rrset      canonical record set bytes
 
 Every file is replaced whole, so a crash mid-write leaves the old file.
-Record sets are written in canonical serialization and re-verified whenever
-they are read; a file that fails is renamed to ``<label>.rrset.quarantined``
-and reads as absent. Petnames are purely local and never serialized into
-records.
+Record sets are written in canonical serialization and pass
+``netsim.admits`` again whenever they are read; a file that fails, or whose
+name is no label, is renamed to ``<label>.rrset.quarantined`` and reads as
+absent. Petnames are purely local and never serialized into records.
 """
 from __future__ import annotations
 
@@ -28,10 +28,9 @@ from .core import (
     canonical_serialize,
     check_label,
     sign_record_set,
-    verify_record_set_signature,
 )
-from .errors import BackendUnavailable, DecodeError, UnknownPetname
-from .netsim import NameSystemBackend, derive_query_key, write_atomic
+from .errors import BackendUnavailable, DecodeError, InvalidLabel, UnknownPetname
+from .netsim import NameSystemBackend, admits, derive_query_key, write_atomic
 
 RRSET_SUFFIX = ".rrset"
 QUARANTINE_SUFFIX = ".rrset.quarantined"
@@ -132,22 +131,17 @@ class NamespaceStore:
         return self.root / "names" / public_key.hex()
 
     def _admit(self, public_key: bytes, label: str, path: Path) -> Optional[RecordSet]:
-        """The set in ``path`` if it decodes, names (public_key, label) and
-        its signature verifies. A file that fails is quarantined; a missing
-        or failed file reads as None."""
+        """The set in ``path`` if it decodes and ``admits`` lets it answer
+        for (public_key, label). A file that fails, or whose name is no
+        label, is quarantined; a missing or failed file reads as None."""
         try:
             record_set = canonical_deserialize(path.read_bytes())
+            if admits(derive_query_key(public_key, label), record_set):
+                return record_set
         except FileNotFoundError:
             return None
-        except DecodeError:
+        except (DecodeError, InvalidLabel):
             pass
-        else:
-            if (
-                record_set.public_key == public_key
-                and record_set.label == label
-                and verify_record_set_signature(record_set)
-            ):
-                return record_set
         path.rename(path.with_name(label + QUARANTINE_SUFFIX))
         return None
 

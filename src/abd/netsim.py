@@ -1,17 +1,19 @@
 """Name system backends: a directory and a simulated DHT.
 
 Both backends speak the same protocol: signed record sets are stored
-under a 256-bit query key derived from (namespace public key, label). Writes
-are accepted only when the set's signature verifies against the embedded
-public key and the query key matches, so only the namespace owner can update
-an entry; the file backend then leaves a file that already holds the set's
-bytes. Storing a signature-valid EMPTY set deletes the entry: deletion is
-modeled as absence, and stale copies linger only in response caches until
-their TTL runs out. Absence is a value, not an error: ``get`` and
-``resolve`` return None when no live set is stored under the key, and only
-network-class failures (``BackendError``) raise. The file backend reads its
-directory on every lookup, so a verifier built on it sees another process's
-publish at its next request.
+under a 256-bit query key derived from (namespace public key, label). One
+rule, ``admits``, decides whether a set may answer for a query key, and
+every set that enters passes it: a put that fails raises, and a stored file
+or a replica's answer that fails reads as absent. So only the namespace
+owner can fill an entry, and no set answers for a name it was not signed
+under. The file backend leaves a file that already holds the set's bytes.
+Storing an admitted EMPTY set deletes the entry: deletion is modeled as
+absence, and stale copies linger only in response caches until their TTL
+runs out. Absence is a value, not an error: ``get`` and ``resolve`` return
+None when no live set is stored under the key, and only network-class
+failures (``BackendError``) raise. The file backend reads its directory on
+every lookup, so a verifier built on it sees another process's publish at
+its next request.
 
 ``derive_query_key`` checks the label and remembers its answers for up to
 REPLICA_MEMO_SIZE (key, label) pairs; a label that fails its check is never
@@ -49,13 +51,14 @@ from .core import (
     canonical_deserialize,
     canonical_serialize,
     check_label,
-    verify_record_set_signature,
+    verify_signature,
 )
 from .errors import (
     AllReplicasDown,
     BackendUnavailable,
     BadSignature,
     DecodeError,
+    InvalidLabel,
     UnknownNode,
 )
 
@@ -75,6 +78,19 @@ def derive_query_key(namespace_pub: bytes, label: str) -> bytes:
     """
     check_label(label)
     return hashlib.sha256(namespace_pub + b"\x00" + label.encode("utf-8")).digest()
+
+
+def admits(query_key: bytes, record_set: RecordSet) -> bool:
+    """May ``record_set`` answer for ``query_key``? Only when the key derived
+    from its own (public key, label) is ``query_key`` and its signature
+    verifies; expirations aside, and a label that is no label binds no key."""
+    try:
+        bound = derive_query_key(record_set.public_key, record_set.label) == query_key
+    except InvalidLabel:
+        return False
+    return bound and verify_signature(
+        record_set.public_key, record_set.signature, record_set.signing_bytes()
+    )
 
 
 def write_atomic(path: Union[str, Path], data: bytes, mode: int = 0o666) -> None:
@@ -128,23 +144,15 @@ class NameSystemBackend(ABC):
         ...
 
 
-def _check_signed(query_key: bytes, record_set: RecordSet) -> None:
-    if not verify_record_set_signature(record_set):
-        raise BadSignature("record set signature does not verify")
-    if derive_query_key(record_set.public_key, record_set.label) != query_key:
-        raise BadSignature("query key does not match the set's (key, label)")
-
-
 class FileBackend(NameSystemBackend):
     """A directory holding one ``<query-key>.rrset`` file per record set.
 
     Gives separate CLI invocations a shared name system without running a
     network. Every get reads the file, so a publish from another process is
-    seen at the next lookup; the set is decoded and its key and signature
-    checked again only when the bytes differ from those last accepted for
-    that query key. A put reads the file too, and writes it only when it is
-    missing or holds other bytes, so republishing an unchanged set leaves
-    the file as it is.
+    seen at the next lookup; the set is decoded and ``admits`` asked again
+    only when the bytes differ from those last accepted for that query key.
+    A put reads the file too, and writes it only when it is missing or holds
+    other bytes, so republishing an unchanged set leaves the file as it is.
     """
 
     def __init__(self, root: Path) -> None:
@@ -161,7 +169,8 @@ class FileBackend(NameSystemBackend):
         return os.path.join(self.root, f"{query_key.hex()}.rrset")
 
     def put(self, query_key: bytes, record_set: RecordSet, clock: int) -> None:
-        _check_signed(query_key, record_set)
+        if not admits(query_key, record_set):
+            raise BadSignature("record set is not signed for this query key")
         path = self._path(query_key)
         try:
             if not record_set.records:
@@ -185,10 +194,9 @@ class FileBackend(NameSystemBackend):
         if accepted is None or accepted[0] != data:
             try:
                 accepted = (data, canonical_deserialize(data))
-                _check_signed(query_key, accepted[1])
             except DecodeError:
                 return None  # unreadable entries are treated as absent
-            except BadSignature:
+            if not admits(query_key, accepted[1]):
                 with self._lock:
                     self._stats.bad_signatures += 1
                 return None
@@ -228,8 +236,9 @@ class SimulatedDht(NameSystemBackend):
     next live node in index order, wrapping around. A hit in the entry
     node's response cache is served locally, otherwise the query is routed
     to the replica set and the response cached for min(cache_ttl, time to
-    earliest record expiration). Failed nodes drop all state and answer
-    nothing.
+    earliest record expiration). A replica's answer counts only when it is
+    signed for the asked key (``admits``); any other is skipped and counted
+    in ``bad_signatures``. Failed nodes drop all state and answer nothing.
 
     Replica assignment ignores failures and the ring never changes after
     construction, so ``replica_nodes`` remembers its answers for up to
@@ -338,7 +347,8 @@ class SimulatedDht(NameSystemBackend):
     # --- backend protocol ---------------------------------------------------
 
     def put(self, query_key: bytes, record_set: RecordSet, clock: int) -> None:
-        _check_signed(query_key, record_set)
+        if not admits(query_key, record_set):
+            raise BadSignature("record set is not signed for this query key")
         assigned = [self.nodes[i] for i in self.replica_nodes(query_key)]
         live = [n for n in assigned if not n.failed]
         if not live:
@@ -395,8 +405,8 @@ class SimulatedDht(NameSystemBackend):
             record_set = node.storage.get(query_key)
             if record_set is None:
                 continue
-            if not verify_record_set_signature(record_set):
-                # Hostile or corrupt replica: skip it, count the event.
+            if not admits(query_key, record_set):
+                # Hostile or corrupt replica, not signed for the asked key.
                 stats.bad_signatures += 1
                 continue
             if record_set.has_live_record(clock):

@@ -68,8 +68,9 @@ def test_parse_duration_units():
     assert parse_duration("500ms") == 500 * MILLISECONDS
     assert parse_duration("1000us") == 1000
     assert parse_duration("42") == 42
-    with pytest.raises(ValueError):
-        parse_duration("soon")
+    for text in ("soon", "-1h", "0", "0s"):
+        with pytest.raises(ValueError):
+            parse_duration(text)
 
 
 # --- identities -----------------------------------------------------------------------
@@ -223,6 +224,31 @@ def test_a_seed_file_of_another_key_fails_delegate_and_publish_on_one_line(abd, 
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("abd: the private key held for namespace")
     assert not (abd.home / "names" / acme / "ops.rrset").exists()
+
+
+def test_publish_of_an_issuer_without_its_private_key_fails_on_one_line(abd, capsys):
+    acme = abd("identity", "create", "--name", "acme")["public_key"]
+    abd("delegate", "add", "--issuer", "acme", "--attr", "dev", "--to", "acme")
+    (abd.home / "keys" / f"{acme}.seed").unlink()
+    code = main(["--home", str(abd.home), "publish", "--issuer", "acme"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.count("\n") == 1 and captured.err.startswith("abd: ")
+    assert not list((abd.home / "backend").glob("*.rrset"))
+
+
+def test_a_non_positive_ttl_is_refused_and_the_label_left_as_it_was(abd, capsys):
+    abd("identity", "create", "--name", "me")
+    abd("delegate", "add", "--issuer", "me", "--attr", "dev", "--to", "me")
+    (label_file,) = (abd.home / "names").glob("*/dev.rrset")
+    before = label_file.read_bytes()
+    for ttl in ("-1h", "0", "0s"):
+        argv = ["delegate", "add", "--issuer", "me", "--attr", "dev", "--to", "me", f"--ttl={ttl}"]
+        code = main(["--home", str(abd.home), *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"abd: duration must be positive, not {ttl!r}\n"
+    assert label_file.read_bytes() == before
 
 
 def test_resolve_of_a_deleted_label_exits_1_naming_the_label(abd, capsys):

@@ -22,10 +22,10 @@ from abd.core import (
     canonical_serialize,
     check_label,
     sign_record_set,
-    verify_record_set_signature,
 )
 from abd.credential import issue_credential, verify_credential
 from abd.errors import DecodeError, InvalidLabel, KeyMismatch, MissingPrivateKey
+from abd.netsim import admits, derive_query_key
 
 # Ed25519 public key for the all-zeros seed, computed once from the raw
 # primitive and frozen here.
@@ -40,6 +40,12 @@ def make_key(tag: bytes = b"k") -> NamespaceKey:
 
 def attr_record(payload: bytes, expiration: int = CLOCK + 1_000_000) -> ResourceRecord:
     return ResourceRecord(RecordType.ATTR, payload, expiration)
+
+
+def signed_for_itself(rset: RecordSet) -> bool:
+    """The admission rule asked for the set's own query key, so its
+    signature alone decides."""
+    return admits(derive_query_key(rset.public_key, rset.label), rset)
 
 
 def entity_payload(subject_tag: bytes) -> bytes:
@@ -117,7 +123,7 @@ def test_relative_records_never_count_as_expired():
 def test_sign_and_verify_round_trip():
     key = make_key()
     rset = sign_record_set(key, "user", [attr_record(entity_payload(b"\x01\x02"))])
-    assert verify_record_set_signature(rset)
+    assert signed_for_itself(rset)
 
 
 def test_signing_bytes_layout_matches_hand_packed():
@@ -145,7 +151,7 @@ def test_verify_rejects_flipped_payload_bit():
         records=(attr_record(entity_payload(b"\x01\x03")),),
         signature=rset.signature,
     )
-    assert not verify_record_set_signature(tampered)
+    assert not signed_for_itself(tampered)
 
 
 def test_verify_rejects_wrong_key():
@@ -153,14 +159,15 @@ def test_verify_rejects_wrong_key():
     other = make_key(b"b")
     rset = sign_record_set(key, "user", [attr_record(entity_payload(b"\x01"))])
     moved = dataclasses.replace(rset, public_key=other.public_key)
-    assert not verify_record_set_signature(moved)
+    assert not signed_for_itself(moved)
+    assert not admits(derive_query_key(key.public_key, "user"), moved)
 
 
 def test_verify_rejects_expired_record():
     key = make_key()
     payload = entity_payload(b"\x01")
     rset = sign_record_set(key, "user", [attr_record(payload, expiration=CLOCK - 1)])
-    assert verify_record_set_signature(rset)  # expiry is not the signature's concern
+    assert signed_for_itself(rset)  # expiry is not the signature's concern
     assert not rset.has_live_record(CLOCK)
     # One microsecond before expiration the set is still good.
     rset2 = sign_record_set(key, "user", [attr_record(payload, expiration=CLOCK + 1)])
@@ -171,7 +178,7 @@ def test_empty_record_set_is_legal_and_verifies():
     key = make_key()
     rset = sign_record_set(key, "user", [])
     assert rset.records == ()
-    assert verify_record_set_signature(rset)
+    assert signed_for_itself(rset)
 
 
 def test_signature_independent_of_insertion_order():
@@ -297,7 +304,7 @@ def test_round_trip_property(subjects, label):
     rset = sign_record_set(key, label, records)
     again = canonical_deserialize(canonical_serialize(rset))
     assert again == rset
-    assert verify_record_set_signature(again)
+    assert signed_for_itself(again)
 
 
 @given(st.data())
@@ -365,11 +372,11 @@ def test_a_cached_success_does_not_cover_a_changed_byte(fresh_table, part, index
 
 def test_a_cached_record_set_fails_once_its_payload_changes(fresh_table):
     rset = sign_record_set(make_key(), "user", [attr_record(entity_payload(b"\x01"))])
-    assert verify_record_set_signature(rset)
+    assert signed_for_itself(rset)
     (record,) = rset.records
     changed = dataclasses.replace(record, payload=flip(record.payload, -1))
-    assert not verify_record_set_signature(dataclasses.replace(rset, records=(changed,)))
-    assert verify_record_set_signature(rset)
+    assert not signed_for_itself(dataclasses.replace(rset, records=(changed,)))
+    assert signed_for_itself(rset)
 
 
 def test_a_cached_credential_fails_once_its_attribute_changes(fresh_table):

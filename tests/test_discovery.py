@@ -20,7 +20,7 @@ from abd.discovery import (
     verify_chain,
 )
 from abd.errors import BackendError, LimitExceeded
-from abd.netsim import derive_query_key, resolve
+from abd.netsim import DhtConfig, SimulatedDht, derive_query_key, resolve
 
 from instance_gen import (
     CLOCK as GEN_CLOCK,
@@ -56,6 +56,29 @@ def micro_world(*delegation_triples, clock=GEN_CLOCK):
             clock,
         )
     return backend
+
+
+def test_a_replica_cannot_answer_for_a_name_with_another_names_set():
+    x, y, mallory = key(b"x"), key(b"y"), key(b"mallory")
+    network = SimulatedDht(DhtConfig(node_count=8, rng_seed=1))
+    payload = encode_attr_payload(expression([(mallory.public_key, [])]))
+    friends = sign_record_set(
+        x, "friends", [ResourceRecord(RecordType.ATTR, payload, GEN_CLOCK + HOUR)]
+    )
+    network.put(derive_query_key(x.public_key, "friends"), friends, GEN_CLOCK)
+    admin_key = derive_query_key(y.public_key, "admin")
+    network.nodes[network.replica_nodes(admin_key)[0]].storage[admin_key] = friends
+    assert resolve("admin", y.public_key, RecordType.ATTR, network, GEN_CLOCK) is None
+    chain = discover(
+        issuer_pub=y.public_key,
+        attribute="admin",
+        subject_pub=mallory.public_key,
+        subject_creds=[],
+        backend=network,
+        clock=GEN_CLOCK,
+    )
+    assert chain is None
+    assert network.stats().bad_signatures >= 1
 
 
 # --- scenario discovery --------------------------------------------------------------

@@ -160,6 +160,17 @@ def test_entry_bound_to_wrong_label_is_quarantined(tmp_path):
     assert (directory / "boss.rrset.quarantined").exists()
 
 
+def test_a_file_whose_name_is_no_label_is_quarantined_and_the_rest_load(tmp_path):
+    store = NamespaceStore(tmp_path)
+    owner = store.create_identity(petname="owner", seed=b"o".ljust(32, b"\0"))
+    boss = store.store(owner, "boss", [attr_record(key(b"s").public_key)])
+    directory = tmp_path / "names" / owner.hex
+    (directory / "Bad.rrset").write_bytes((directory / "boss.rrset").read_bytes())
+    assert store.load_namespace(owner.public_key) == {"boss": boss}
+    assert not (directory / "Bad.rrset").exists()
+    assert (directory / "Bad.rrset.quarantined").exists()
+
+
 def test_single_label_read_quarantines_only_its_own_file(tmp_path):
     store = NamespaceStore(tmp_path)
     owner = store.create_identity(petname="owner", seed=b"o".ljust(32, b"\0"))

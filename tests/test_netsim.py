@@ -557,6 +557,22 @@ def test_hostile_replica_is_skipped():
     assert network.stats().bad_signatures == 1
 
 
+@pytest.mark.parametrize("honest", [False, True], ids=["otherwise-absent", "honest-replicas"])
+def test_a_replica_answering_with_another_names_set_is_skipped(honest):
+    network = dht()
+    asked = make_set(owner=key(b"y"), label="admin")
+    swapped = make_set(owner=key(b"x"), label="friends")  # validly signed, for its own key
+    query_key = derive_query_key(asked.public_key, asked.label)
+    if honest:
+        put_set(network, asked)
+    replicas = network.replica_nodes(query_key)
+    network.nodes[replicas[0]].storage[query_key] = swapped
+    # Ask from a non-replica entry so the scan starts at replicas[0].
+    entry = next(i for i in range(16) if i not in replicas)
+    assert network.get(query_key, CLOCK, entry_node=entry) == (asked if honest else None)
+    assert network.stats().bad_signatures == 1
+
+
 # --- DHT lookups against slow references ----------------------------------------------
 
 
