@@ -15,22 +15,24 @@ verifier and the client both collect through ``_collect``, which turns a
 failure into the one Error decision either side reports, and the client
 reads every decision reply with ``AuthzDecision.from_json``.
 
-Transport: the verifier speaks persistent HTTP/1.1 with TCP_NODELAY, and
-every reply, the errors the standard library detects included, is a JSON
-decision. A reply whose status is not 200 carries ``Connection: close`` and
-ends the connection. A connection idle or stalled for ``READ_TIMEOUT_S`` is
-closed. The client keeps one connection per thread, to the last endpoint it
-used, and for each resource there the challenge its last reply carried,
-until it switches endpoints or calls ``close_connection``.
-It sends through ``http.client`` without reading proxy environment
-variables. It retries a request once, on a fresh connection, only when a
-reused connection was closed before any status line arrived.
+Transport: persistent HTTP/1.1 with TCP_NODELAY, framed here (RFC 9112): a
+head of at most ``MAX_HEAD_LINES`` lines of ``MAX_LINE_BYTES`` each, a
+``Content-Length`` body, no ``Transfer-Encoding``. Every verifier reply but
+a ``100 Continue`` is a JSON decision; one whose status is not 200 ends the
+connection, and so does ``READ_TIMEOUT_S`` of silence. A client thread keeps
+one connection, to the last endpoint it used, and for each resource there
+the challenge its last reply carried. It sends a request in one write, with
+no proxy, refuses a body over ``MAX_BODY_BYTES``, and resends once, on a new
+connection, only when a reused one was closed before any status line came.
 """
 from __future__ import annotations
 
 import http.client
 import json
+import re
 import secrets
+import socket
+import ssl
 import threading
 import urllib.error
 import urllib.request
@@ -40,7 +42,7 @@ from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Union
-from urllib.parse import quote, unquote
+from urllib.parse import quote, unquote, urlsplit
 
 from .core import CLIP_CHARS, KEY_LEN, U32, NamespaceKey, check_label, clip, pack_label, verify_signature
 from .credential import CollectResult, Credential, collect, export_json, import_json, verify_credential
@@ -54,6 +56,8 @@ NONCE_LIFETIME_US = 120_000_000  # two minutes
 MAX_BODY_BYTES = 1 << 20  # an /authorize body for a few attributes is a few KB
 MAX_NONCES = 65_536  # outstanding nonces; a few hundred bytes each
 READ_TIMEOUT_S = 10.0  # a connection idle or stalled this long is closed
+MAX_HEAD_LINES = 100  # header lines in a request or a reply
+MAX_LINE_BYTES = 65_536  # one start line or header line, its line end included
 
 GRANT, DENY, ERROR = "grant", "deny", "error"
 
@@ -360,7 +364,36 @@ def _decide_signed(
     )
 
 
-# --- HTTP verifier service ------------------------------------------------------
+# --- HTTP framing and the verifier service --------------------------------------
+
+_REQUEST_LINE = re.compile(rb"([^\x00-\x20\x7f]+) ([^\x00-\x20\x7f]+) (HTTP/1\.[01])\r?\n")
+_STATUS_LINE = re.compile(rb"HTTP/1\.([0-9]) ([0-9]{3})(?: [^\r\n]*)?\r?\n")
+# A token, a colon, a value: no line without a colon or starting with whitespace (obs-fold).
+_HEADER_LINE = re.compile(r"([!#$%&'*+.^_`|~0-9A-Za-z-]+):([^\r\n]*)\r?\n")
+
+
+def _read_head(rfile) -> dict[str, str]:
+    """Header lines up to the blank line, as lower-case names to first values.
+    Raises HTTPException(status, reason), the status a verifier answers with."""
+    headers: dict[str, str] = {}
+    for count in range(MAX_HEAD_LINES + 1):
+        line = rfile.readline(MAX_LINE_BYTES + 1)
+        if line in (b"\r\n", b"\n"):
+            break
+        if len(line) > MAX_LINE_BYTES or count == MAX_HEAD_LINES:
+            raise http.client.HTTPException(431, "header fields too large")
+        field = _HEADER_LINE.fullmatch(line.decode("latin-1"))
+        if field is None:
+            raise http.client.HTTPException(400, "malformed header line")
+        name, value = field[1].lower(), field[2].strip(" \t")
+        if headers.setdefault(name, value) != value and name == "content-length":
+            raise http.client.HTTPException(400, "Content-Length values differ")
+    if "transfer-encoding" in headers:
+        raise http.client.HTTPException(501, "Transfer-Encoding is not supported")
+    length = headers.get("content-length", "0")
+    if not (length.isascii() and length.isdigit()) or len(length) > 18:  # over any body cap
+        raise http.client.HTTPException(400, "Content-Length must be a non-negative integer")
+    return headers
 
 
 @dataclass
@@ -453,12 +486,33 @@ class _Handler(BaseHTTPRequestHandler):
 
     def send_error(self, code: int, message: Optional[str] = None, explain: Optional[str] = None) -> None:
         """Errors the standard library finds itself (an unsupported method,
-        an over-long request line or header, a malformed request line) are
-        decisions too. Its message can quote the request, so a long one is
-        replaced by the status phrase."""
+        a request line over 64 KiB) are decisions too. Its message can quote
+        the request, so a long one is replaced by the status phrase."""
         if message is None or len(message) > CLIP_CHARS:
             message = HTTPStatus(code).phrase
         self._send_error(code, message)
+
+    def parse_request(self) -> bool:
+        """Read ``METHOD SP target SP HTTP/1.0|HTTP/1.1`` (else 400) and the
+        header lines; False once a malformed head is answered."""
+        self.close_connection = True
+        self.requestline = self.raw_requestline.decode("latin-1").rstrip("\r\n")
+        self.command, self.request_version = None, ""  # not HTTP/0.9: errors carry a head
+        request_line = _REQUEST_LINE.fullmatch(self.raw_requestline)
+        if request_line is None:
+            self._send_error(400, "malformed request line")
+            return False
+        self.command, self.path, self.request_version = (p.decode("latin-1") for p in request_line.groups())
+        try:
+            self.headers = _read_head(self.rfile)
+        except http.client.HTTPException as exc:
+            self._send_error(*exc.args)
+            return False
+        connection, http_1_1 = self.headers.get("connection", "").lower(), self.request_version == "HTTP/1.1"
+        self.close_connection = connection == "close" if http_1_1 else connection != "keep-alive"
+        if http_1_1 and self.headers.get("expect", "").lower() == "100-continue":
+            return self.handle_expect_100()
+        return True
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
         if not self.path.startswith("/policy/"):
@@ -474,13 +528,7 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path != "/authorize":
             self._send_error(404, "not found")
             return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:  # also a digit string too long to convert
-            length = -1
-        if length < 0:
-            self._send_error(400, "Content-Length must be a non-negative integer")
-            return
+        length = int(self.headers.get("content-length", "0"))  # digits: _read_head checked
         if length > MAX_BODY_BYTES:
             self._send_error(413, f"request body over {MAX_BODY_BYTES} bytes")
             return
@@ -510,75 +558,116 @@ def make_server(service: VerifierService, host: str, port: int) -> ThreadingHTTP
 
 
 class _Kept(threading.local):
-    """Per client thread: the connection to the last endpoint used, and the
-    challenge last carried for each (endpoint, resource id)."""
+    """Per client thread: the socket to the last endpoint used (Nagle off)
+    with a buffered reader, and the challenge last carried for each
+    (endpoint, resource id)."""
 
     def __init__(self) -> None:
-        self.connection: Optional[http.client.HTTPConnection] = None
         self.endpoint: Optional[tuple[str, str]] = None
+        self.sock: Optional[socket.socket] = None
+        self.reader = None
         self.challenges: dict[tuple[str, str], Challenge] = {}
+
+    def connect(self, timeout: float) -> None:
+        scheme, host = self.endpoint
+        address = urlsplit(f"//{host}")
+        port = address.port or (443 if scheme == "https" else 80)
+        sock = socket.create_connection((address.hostname, port), timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if scheme == "https":
+                sock = ssl.create_default_context().wrap_socket(sock, server_hostname=address.hostname)
+        except BaseException:
+            sock.close()
+            raise
+        self.sock, self.reader = sock, sock.makefile("rb")
+
+    def disconnect(self) -> None:
+        if self.sock is not None:
+            self.reader.close()
+            self.sock.close()
+            self.sock = self.reader = None
 
 
 _kept = _Kept()
 
 
-def _connection(request: urllib.request.Request) -> http.client.HTTPConnection:
-    """This thread's connection to the request's endpoint. A thread keeps
-    one connection, to the last endpoint it used; another endpoint closes it."""
-    endpoint = (request.type, request.host)
-    if _kept.endpoint != endpoint:
-        close_connection()
-    if _kept.connection is None:
-        if request.type == "http":
-            _kept.connection = http.client.HTTPConnection(request.host)
-        elif request.type == "https":
-            _kept.connection = http.client.HTTPSConnection(request.host)
-        else:
-            raise urllib.error.URLError(f"unknown url type: {request.type}")
-        _kept.endpoint = endpoint
-    return _kept.connection
-
-
 def close_connection() -> None:
     """Close this thread's kept connection, if it has one, and drop its
     carried challenges."""
-    if _kept.connection is not None:
-        _kept.connection.close()
-        _kept.connection = None
+    _kept.disconnect()
     _kept.challenges = {}
 
 
-def _exchange(connection: http.client.HTTPConnection, request: urllib.request.Request):
-    connection.request(
-        request.get_method(), request.selector, request.data, dict(request.header_items())
-    )
-    return connection.getresponse()
+def _exchange(request: urllib.request.Request) -> bytes:
+    """Send the request in one write and return the reply's first line."""
+    head = [f"{request.get_method()} {request.selector} HTTP/1.1", f"Host: {request.host}"]
+    head += [f"{name}: {value}" for name, value in request.header_items()]
+    if request.data is not None:
+        head.append(f"Content-Length: {len(request.data)}")
+    _kept.sock.sendall("\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + (request.data or b""))
+    line = _kept.reader.readline(MAX_LINE_BYTES + 1)
+    if not line:
+        raise http.client.RemoteDisconnected("verifier closed the connection without a reply")
+    return line
+
+
+def _read_reply(reader, line: bytes) -> tuple[int, bytes, bool]:
+    """The status and body of the reply that starts with ``line``, skipping a
+    ``100 Continue``, and whether the connection stays open after it."""
+    while True:
+        status_line = _STATUS_LINE.fullmatch(line)
+        if status_line is None:
+            raise http.client.BadStatusLine(clip(line.decode("latin-1")))
+        headers = _read_head(reader)
+        if status_line[2] != b"100":
+            break
+        line = reader.readline(MAX_LINE_BYTES + 1)
+    length = headers.get("content-length")
+    if length is not None and int(length) > MAX_BODY_BYTES:
+        raise http.client.HTTPException(f"reply Content-Length {clip(length)}")
+    body = reader.read(MAX_BODY_BYTES + 1 if length is None else int(length))  # no length: to EOF
+    if len(body) > MAX_BODY_BYTES:
+        raise http.client.HTTPException(f"reply body over {MAX_BODY_BYTES} bytes")
+    if length is not None and len(body) < int(length):
+        raise http.client.IncompleteRead(body, int(length) - len(body))
+    keep = length is not None and status_line[1] == b"1" and headers.get("connection", "").lower() != "close"
+    return int(status_line[2]), body, keep
 
 
 def _http_json(request: urllib.request.Request, timeout: float) -> tuple[int, dict]:
     """The reply's status and JSON object; ValueError if it is not one.
 
-    The request goes over this thread's kept connection. If a reused
-    connection turns out closed before any status line arrives, the server
-    dropped it idle without reading the request, so it is sent once more on
-    a fresh connection: a POST is never decided twice.
+    The request goes over this thread's kept connection, to the last
+    endpoint it used; another endpoint closes it. If a reused connection
+    turns out closed before any status line arrives, the server dropped it
+    idle without reading the request, so it is sent once more on a fresh
+    connection: a POST is never decided twice.
     """
-    connection = _connection(request)
-    connection.timeout = timeout
-    reused = connection.sock is not None
+    if _kept.endpoint != (request.type, request.host):
+        close_connection()
+        if request.type not in ("http", "https"):
+            raise urllib.error.URLError(f"unknown url type: {request.type}")
+        _kept.endpoint = (request.type, request.host)
+    reused = _kept.sock is not None
     try:
         if reused:
-            connection.sock.settimeout(timeout)
+            _kept.sock.settimeout(timeout)
+        else:
+            _kept.connect(timeout)
         try:
-            reply = _exchange(connection, request)
+            line = _exchange(request)
         except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected too
             if not reused:
                 raise
-            connection.close()
-            reply = _exchange(connection, request)
-        status, body = reply.status, reply.read()
+            _kept.disconnect()
+            _kept.connect(timeout)
+            line = _exchange(request)
+        status, body, keep = _read_reply(_kept.reader, line)
+        if not keep:
+            _kept.disconnect()
     except BaseException:
-        connection.close()
+        _kept.disconnect()
         raise
     payload = json.loads(body)
     if not isinstance(payload, dict):

@@ -45,7 +45,7 @@ from .delegation import (
 )
 from .discovery import DiscoveryTrace, discover
 from .errors import AbdError
-from .namestore import NamespaceStore
+from .namestore import NamespaceStore, PublishReport
 from .netsim import FileBackend, resolve
 
 EXIT_OK = 0
@@ -270,11 +270,19 @@ def cmd_publish(cli: Cli) -> int:
         keys = [key for key in keys if key.has_private]
     else:
         keys = [store.key_for(cli.args.issuer)]  # publish raises without a private key
-    reports = [store.publish(key, backend, cli.clock) for key in keys]
+    reports = []
+    for key in keys:
+        try:
+            reports.append(store.publish(key, backend, cli.clock))
+        except (AbdError, OSError) as exc:
+            if not cli.args.all:
+                raise  # one namespace asked for: one stderr line
+            reports.append(PublishReport(key.public_key, error=str(exc)))
     payload = {
         "reports": [
             {
                 "namespace": report.namespace.hex(),
+                "error": report.error,
                 "entries": [
                     {
                         "label": entry.label,
@@ -290,6 +298,8 @@ def cmd_publish(cli: Cli) -> int:
     }
     human = []
     for report in reports:
+        if report.error is not None:
+            human.append(f"{report.namespace.hex()[:16]}: {report.error}")
         for entry in report.entries:
             status = entry.error or entry.action
             human.append(f"{report.namespace.hex()[:16]} {entry.label}: {status}")

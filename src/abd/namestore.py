@@ -48,10 +48,11 @@ class PublishEntry:
 class PublishReport:
     namespace: bytes
     entries: list[PublishEntry] = field(default_factory=list)
+    error: Optional[str] = None  # why no label of the namespace was published
 
     @property
     def ok(self) -> bool:
-        return all(e.error is None for e in self.entries)
+        return self.error is None and all(e.error is None for e in self.entries)
 
 
 class NamespaceStore:

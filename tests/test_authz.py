@@ -6,8 +6,10 @@ import contextlib
 import gc
 import hashlib
 import http.client
+import io
 import json
 import socket
+import ssl
 import threading
 import time
 import urllib.error
@@ -813,17 +815,18 @@ def test_http_checks_content_length_before_reading(endpoint, content_length, sta
 
 
 def send_raw(endpoint: str, request: bytes) -> tuple[int, dict]:
-    """Send raw request bytes, close the sending half, read the reply to EOF."""
-    host, port = endpoint.removeprefix("http://").split(":")
-    with socket.create_connection((host, int(port)), timeout=10) as sock:
-        sock.sendall(request)
-        sock.shutdown(socket.SHUT_WR)
-        reply = b""
-        while chunk := sock.recv(65536):
-            reply += chunk
-    head, _, body = reply.partition(b"\r\n\r\n")
-    status = int(head.split(b" ", 2)[1])
-    return status, json.loads(body)
+    """Send ``request`` and read the first reply that is not ``100
+    Continue``: its status and JSON body. The server may answer and close
+    before it reads the whole request, so a failed send or shutdown (EPIPE,
+    ECONNRESET, ENOTCONN) is not an error."""
+    with raw_connection(endpoint) as (sock, reader):
+        with contextlib.suppress(OSError):
+            sock.sendall(request)
+            sock.shutdown(socket.SHUT_WR)
+        while (head := read_head(reader))[0].startswith(b"HTTP/1.1 100 "):
+            pass
+        line, headers = head
+        return int(line.split(b" ", 2)[1]), json.loads(reader.read(int(headers["content-length"])))
 
 
 def test_a_stalled_request_body_is_dropped_after_the_read_timeout(service, monkeypatch):
@@ -846,15 +849,22 @@ def test_a_stalled_request_body_is_dropped_after_the_read_timeout(service, monke
 # --- persistent connections -------------------------------------------------------------
 
 
+def read_head(reader) -> tuple[bytes, dict]:
+    """A start line and the header lines after it (lower-case names) from
+    a buffered socket reader."""
+    line = reader.readline()
+    headers = {}
+    while (field := reader.readline()) not in (b"\r\n", b""):
+        name, _, value = field.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return line, headers
+
+
 def read_reply(reader) -> tuple[int, dict, dict]:
     """One reply from a buffered socket reader: its status, its headers
     (lower-case names) and its JSON body, read by its Content-Length."""
-    status = int(reader.readline().split(b" ", 2)[1])
-    headers = {}
-    while (line := reader.readline()) not in (b"\r\n", b""):
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    return status, headers, json.loads(reader.read(int(headers["content-length"])))
+    line, headers = read_head(reader)
+    return int(line.split(b" ", 2)[1]), headers, json.loads(reader.read(int(headers["content-length"])))
 
 
 @contextlib.contextmanager
@@ -1580,3 +1590,333 @@ def test_request_access_reports_unreachable_verifier(fixture, backend, clock):
     )
     assert outcome.decision == ERROR
     assert "unreachable" in outcome.reasons[0]
+
+
+# --- request heads the verifier reads itself ------------------------------------------------
+
+
+TOKEN_CHARS = "!#$%&'*+.^_`|~-0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+TOKENS = st.text(alphabet=TOKEN_CHARS, min_size=1, max_size=12)
+VALUES = st.from_regex(r"[!-~]([ !-~]{0,20}[!-~])?", fullmatch=True)
+WELL_FORMED_LINES = st.tuples(TOKENS, VALUES).map(lambda field: f"{field[0]}: {field[1]}".encode())
+HEAD_LINES = st.one_of(
+    WELL_FORMED_LINES,
+    st.binary(max_size=40),
+    VALUES.map(str.encode),  # no colon, mostly
+    WELL_FORMED_LINES.map(lambda line: b" " + line),  # obs-fold
+    st.sampled_from(
+        [b"Content-Length: 0", b"Content-Length: 2", b"Connection: close", b"Connection: keep-alive",
+         b"Transfer-Encoding: chunked", b"Expect: 100-continue", b"Host: 127.0.0.1"]
+    ),
+)
+LONG_LINES = st.integers(min_value=-4, max_value=4).map(lambda d: b"X-Long: " + b"x" * (authz.MAX_LINE_BYTES - 10 + d))
+REQUEST_LINES = st.one_of(
+    st.tuples(
+        st.sampled_from([b"GET", b"POST", b"PUT", b"get"]),
+        st.sampled_from([POLICY_PATH.encode(), b"/authorize", b"/policy/nope", b"*"]),
+        st.sampled_from([b"HTTP/1.1", b"HTTP/1.0", b"HTTP/1.2", b"HTTP/2.0", b"http/1.1", b""]),
+    ).map(b" ".join),
+    st.binary(max_size=60),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(
+    request_line=REQUEST_LINES,
+    lines=st.lists(st.tuples(HEAD_LINES, st.sampled_from([b"\r\n", b"\n"])), max_size=120),
+    long_lines=st.lists(LONG_LINES, max_size=2),
+    body=st.sampled_from([b"", b"{}", b"{nope"]),
+)
+def test_every_request_head_gets_a_json_reply(endpoint, request_line, lines, long_lines, body):
+    head = b"".join(line + end for line, end in lines) + b"".join(line + b"\r\n" for line in long_lines)
+    status, payload = send_raw(endpoint, request_line + b"\r\n" + head + b"\r\n" + body)
+    assert 200 <= status < 600
+    if status == 200:  # a challenge
+        assert payload["resource_id"] == scenario.RESOURCE_ID
+    else:
+        assert payload["decision"] == ERROR
+    # The server is still there for a well-formed request.
+    with raw_connection(endpoint) as (sock, reader):
+        sock.sendall(get_request(POLICY_PATH))
+        assert read_reply(reader)[0] == 200
+
+
+def parsed_by_the_verifier(head: bytes) -> authz._Handler:
+    """A handler that has read ``head`` as ``abd serve`` reads a request."""
+    handler = authz._Handler.__new__(authz._Handler)
+    handler.rfile, handler.wfile = io.BytesIO(head), io.BytesIO()
+    handler.raw_requestline = handler.rfile.readline(65537)
+    assert handler.parse_request(), handler.wfile.getvalue()
+    return handler
+
+
+def parsed_by_the_standard_library(head: bytes):
+    """The reference: the request line split on spaces, and the header lines
+    as ``http.client.parse_headers`` reads them."""
+    rfile = io.BytesIO(head)
+    method, target, version = rfile.readline().decode("latin-1").rstrip("\r\n").split(" ")
+    return method, target, version, http.client.parse_headers(rfile)
+
+
+@settings(max_examples=200)
+@given(
+    method=st.sampled_from(["GET", "POST", "PUT"]),
+    target=st.from_regex(r"/[!-~]{0,30}", fullmatch=True),
+    version=st.sampled_from(["HTTP/1.0", "HTTP/1.1"]),
+    # Within the standard library's bound of 99; a second Content-Length
+    # that differs is refused, so it is left out.
+    fields=st.lists(
+        st.tuples(TOKENS.filter(lambda name: name.lower() not in ("content-length", "transfer-encoding")), VALUES),
+        max_size=99,
+    ),
+    ends=st.sampled_from(["\r\n", "\n"]),
+)
+def test_the_verifier_reads_a_well_formed_head_as_the_standard_library_does(method, target, version, fields, ends):
+    lines = [f"{method} {target} {version}"] + [f"{name}: {value}" for name, value in fields]
+    head = (ends.join(lines) + ends + ends).encode("latin-1")
+    handler = parsed_by_the_verifier(head)
+    reference_method, reference_target, reference_version, reference = parsed_by_the_standard_library(head)
+    assert (handler.command, handler.path, handler.request_version) == (reference_method, reference_target, reference_version)
+    assert set(handler.headers) == {name.lower() for name in reference.keys()}
+    for name in reference.keys():
+        assert handler.headers[name.lower()] == reference.get(name)
+
+
+def test_expect_100_continue_is_answered_before_the_body_is_sent(endpoint):
+    with raw_connection(endpoint) as (sock, reader):
+        sock.sendall(b"POST /authorize HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 2\r\n\r\n")
+        assert read_head(reader) == (b"HTTP/1.1 100 Continue\r\n", {})
+        sock.sendall(b"{}")
+        status, _, payload = read_reply(reader)
+    assert (status, payload["decision"]) == (400, ERROR)
+    assert payload["reasons"] == ["missing field 'resource_id'"]
+
+
+@pytest.mark.parametrize(
+    "head, status",
+    [
+        (b"Content-Length: 2\r\nContent-Length: 3\r\n", 400),
+        (b"Transfer-Encoding: chunked\r\n", 501),
+        (b"X-Header: h\r\n" * 101, 431),
+        (b" Folded: h\r\n", 400),
+        (b"No colon\r\n", 400),
+    ],
+    ids=["content-lengths-differ", "chunked", "101-lines", "obs-fold", "no-colon"],
+)
+def test_a_refused_head_gets_its_status_and_ends_the_connection(endpoint, head, status):
+    with raw_connection(endpoint) as (sock, reader):
+        sock.sendall(b"POST /authorize HTTP/1.1\r\n" + head + b"\r\n{}" + get_request(POLICY_PATH))
+        got, headers, payload = read_reply(reader)
+        assert reader.read() == b""
+    assert (got, headers["connection"], payload["decision"]) == (status, "close", ERROR)
+
+
+def test_a_hundred_header_lines_are_read(endpoint):
+    # Host and 99 more
+    request = get_request(POLICY_PATH).replace(b"\r\n\r\n", b"\r\n" + b"X-Header: h\r\n" * 99 + b"\r\n")
+    status, payload = send_raw(endpoint, request)
+    assert (status, payload["resource_id"]) == (200, scenario.RESOURCE_ID)
+
+
+# --- replies the client reads itself -----------------------------------------------------------
+
+
+@contextlib.contextmanager
+def raw_verifier(replies: dict):
+    """A verifier that answers each request with ``replies[method]``, a
+    pair of raw reply bytes and whether to close the connection after them."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.01)
+    stopping = threading.Event()
+
+    def answer(connection):
+        # The client may hang up first, on a reply it refused.
+        with connection, connection.makefile("rb") as reader, contextlib.suppress(OSError):
+            while (head := read_head(reader))[0]:
+                request_line, headers = head
+                reader.read(int(headers.get("content-length", "0")))
+                reply, close = replies[request_line.split(b" ")[0].decode()]
+                connection.sendall(reply)
+                if close:
+                    return
+
+    def accept():
+        threads = []
+        while not stopping.is_set():
+            try:
+                connection, _ = listener.accept()
+            except TimeoutError:
+                continue
+            connection.settimeout(5)
+            threads.append(threading.Thread(target=answer, args=(connection,), daemon=True))
+            threads[-1].start()
+        for thread in threads:
+            thread.join(timeout=5)
+
+    acceptor = threading.Thread(target=accept, daemon=True)
+    acceptor.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}"
+    finally:
+        close_connection()  # the client's kept connection ends its answering thread
+        stopping.set()
+        acceptor.join(timeout=5)
+        listener.close()
+
+
+def framed(body: bytes) -> bytes:
+    return b"HTTP/1.1 200 OK\r\nContent-Length: " + str(len(body)).encode() + b"\r\n\r\n" + body
+
+
+POLICY_REPLY = {"resource_id": scenario.RESOURCE_ID, "required_attributes": ["user"], "nonce": "00" * 16}
+DENY_REPLY = json.dumps({"decision": "deny", "reasons": ["no"], "chain_summaries": []}).encode()
+STATUS_LINES = st.sampled_from(
+    [b"HTTP/1.1 200 OK", b"HTTP/1.0 200 OK", b"HTTP/1.1 200", b"HTTP/1.1 503 Unavailable", b"HTTP/1.1 100 Continue",
+     b"HTTP/2 200 OK", b"HTTP/1.1 20 OK", b"ICY 200 OK", b"HTTP/1.1 2000 OK", b""]
+) | st.binary(max_size=20)
+REPLY_HEAD_LINES = st.sampled_from(
+    [b"Content-Length: 5", b"Content-Length: 100000", b"Content-Length: " + str(MAX_BODY_BYTES + 1).encode(),
+     b"Content-Length: -1", b"Content-Length: x", b"Transfer-Encoding: chunked", b"Connection: close",
+     b"Content-Type: application/json", b" folded", b"no colon"]
+) | st.binary(max_size=20)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    method=st.sampled_from(["GET", "POST"]),
+    status_line=STATUS_LINES,
+    head=st.lists(REPLY_HEAD_LINES, max_size=4),
+    with_length=st.booleans(),
+    body=st.sampled_from([DENY_REPLY, b'{"decision": "grant"}', b"5\r\nhello\r\n0\r\n\r\n", b""]) | st.binary(max_size=40),
+    cut=st.none() | st.integers(min_value=0, max_value=200),
+    continue_first=st.booleans(),
+)
+def test_the_client_answers_grant_deny_or_error_whatever_the_reply(
+    fixture, backend, clock, method, status_line, head, with_length, body, cut, continue_first
+):
+    lines = [status_line, *head] + ([b"Content-Length: " + str(len(body)).encode()] if with_length else [])
+    reply = b"\r\n".join(lines) + b"\r\n\r\n" + body
+    if continue_first:
+        reply = b"HTTP/1.1 100 Continue\r\n\r\n" + reply
+    if cut is not None:
+        reply = reply[:cut]
+    policy = dict(POLICY_REPLY, verifier=fixture.key("portal").public_key.hex())
+    replies = {"GET": (framed(json.dumps(policy).encode()), False), "POST": (framed(DENY_REPLY), False)}
+    replies[method] = (reply, True)
+    with raw_verifier(replies) as endpoint:
+        started = time.monotonic()
+        outcome = request_access(
+            endpoint, scenario.RESOURCE_ID, fixture.key("bob"), fixture.bob_creds, backend, clock, timeout=2
+        )
+    assert outcome.decision in (GRANT, DENY, ERROR)
+    assert time.monotonic() - started < 4
+
+
+@pytest.mark.parametrize(
+    "reply, reason",
+    [
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{}", "timed out"),  # the connection stays open
+        (b"HTTP/1.1 200 OK\r\nContent-Length: " + str(MAX_BODY_BYTES + 1).encode() + b"\r\n\r\n", "Content-Length"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n", "Transfer-Encoding"),
+        (b"HTTP/1.1 200 OK\r\n\r\n" + b" " * (MAX_BODY_BYTES + 1), "over"),
+        (b"HTTP/1.1 200\r\n" + b"X: y\r\n" * 101 + b"\r\n", "too large"),
+    ],
+    ids=["short-body", "length-over-cap", "chunked", "body-over-cap", "101-lines"],
+)
+def test_a_reply_the_client_refuses_is_an_error(fixture, backend, clock, reply, reason):
+    with raw_verifier({"GET": (reply, reason != "timed out")}) as endpoint:
+        outcome = request_access(
+            endpoint, scenario.RESOURCE_ID, fixture.key("bob"), fixture.bob_creds, backend, clock, timeout=0.5
+        )
+    assert outcome.decision == ERROR
+    assert reason in outcome.reasons[0]
+
+
+def test_a_reply_without_a_length_runs_to_eof_and_ends_the_connection(fixture, backend, clock):
+    policy = json.dumps(dict(POLICY_REPLY, verifier=fixture.key("portal").public_key.hex())).encode()
+    replies = {"GET": (b"HTTP/1.1 200 OK\r\n\r\n" + policy, True), "POST": (b"HTTP/1.0 200 OK\r\n\r\n" + DENY_REPLY, True)}
+    with raw_verifier(replies) as endpoint:
+        for _ in range(2):
+            outcome = request_access(
+                endpoint, scenario.RESOURCE_ID, fixture.key("bob"), fixture.bob_creds, backend, clock, timeout=2
+            )
+            assert (outcome.decision, outcome.reasons) == (DENY, ("no",))
+
+
+# --- TLS ------------------------------------------------------------------------------------------
+
+
+def issue_test_certificates(directory) -> tuple[str, str, str]:
+    """A CA, and a certificate it signs for 127.0.0.1: the CA file, the
+    server's certificate file and its key file."""
+    from cryptography import x509
+    from cryptography.hazmat.primitives import hashes, serialization
+    from cryptography.hazmat.primitives.asymmetric import ec
+    from cryptography.x509.oid import ExtendedKeyUsageOID, NameOID
+    import datetime
+    import ipaddress
+
+    now = datetime.datetime.now(datetime.timezone.utc)
+
+    def certificate(subject, key, issuer, issuer_key, extensions):
+        builder = (
+            x509.CertificateBuilder()
+            .subject_name(x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, subject)]))
+            .issuer_name(x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, issuer)]))
+            .public_key(key.public_key())
+            .serial_number(x509.random_serial_number())
+            .not_valid_before(now - datetime.timedelta(hours=1))
+            .not_valid_after(now + datetime.timedelta(days=1))
+            .add_extension(x509.SubjectKeyIdentifier.from_public_key(key.public_key()), critical=False)
+            .add_extension(x509.AuthorityKeyIdentifier.from_issuer_public_key(issuer_key.public_key()), critical=False)
+        )
+        for extension, critical in extensions:
+            builder = builder.add_extension(extension, critical=critical)
+        return builder.sign(issuer_key, hashes.SHA256())
+
+    usage = dict(content_commitment=False, data_encipherment=False, key_agreement=False,
+                 encipher_only=False, decipher_only=False)
+    ca_key, server_key = ec.generate_private_key(ec.SECP256R1()), ec.generate_private_key(ec.SECP256R1())
+    ca = certificate("abd test CA", ca_key, "abd test CA", ca_key, [
+        (x509.BasicConstraints(ca=True, path_length=0), True),
+        (x509.KeyUsage(digital_signature=False, key_encipherment=False, key_cert_sign=True, crl_sign=True, **usage), True),
+    ])
+    server = certificate("127.0.0.1", server_key, "abd test CA", ca_key, [
+        (x509.BasicConstraints(ca=False, path_length=None), True),
+        (x509.KeyUsage(digital_signature=True, key_encipherment=False, key_cert_sign=False, crl_sign=False, **usage), True),
+        (x509.ExtendedKeyUsage([ExtendedKeyUsageOID.SERVER_AUTH]), False),
+        (x509.SubjectAlternativeName([x509.IPAddress(ipaddress.ip_address("127.0.0.1"))]), False),
+    ])
+    paths = [str(directory / name) for name in ("ca.pem", "server.pem", "server.key")]
+    for path, blob in zip(paths, [
+        ca.public_bytes(serialization.Encoding.PEM),
+        server.public_bytes(serialization.Encoding.PEM),
+        server_key.private_bytes(
+            serialization.Encoding.PEM, serialization.PrivateFormat.PKCS8, serialization.NoEncryption()
+        ),
+    ]):
+        with open(path, "wb") as out:
+            out.write(blob)
+    return paths[0], paths[1], paths[2]
+
+
+@pytest.mark.parametrize("trusted", [True, False], ids=["ca-trusted", "ca-unknown"])
+def test_request_access_over_tls(service, fixture, backend, clock, tmp_path, monkeypatch, trusted):
+    ca_file, cert_file, key_file = issue_test_certificates(tmp_path)
+    if trusted:
+        monkeypatch.setenv("SSL_CERT_FILE", ca_file)
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert_file, key_file)
+    httpd = make_server(service, "127.0.0.1", 0)
+    httpd.socket = context.wrap_socket(httpd.socket, server_side=True)
+    with serving(httpd) as endpoint:
+        close_connection()
+        try:
+            outcome = ask(endpoint.replace("http://", "https://"), fixture, backend, clock)
+        finally:
+            close_connection()
+    if trusted:
+        assert outcome.decision == GRANT
+    else:
+        assert outcome.decision == ERROR
+        assert "CERTIFICATE_VERIFY_FAILED" in outcome.reasons[0]

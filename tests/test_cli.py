@@ -226,6 +226,28 @@ def test_a_seed_file_of_another_key_fails_delegate_and_publish_on_one_line(abd, 
     assert not (abd.home / "names" / acme / "ops.rrset").exists()
 
 
+def test_publish_all_reports_a_namespace_it_cannot_sign_for_and_publishes_the_rest(abd, capsys):
+    keys = {name: abd("identity", "create", "--name", name)["public_key"] for name in ("acme", "zed", "zoo")}
+    for issuer, subject in (("acme", "zed"), ("zed", "acme"), ("zoo", "acme")):
+        abd("delegate", "add", "--issuer", issuer, "--attr", "dev", "--to", subject)
+    seeds = abd.home / "keys"
+    (seeds / f"{keys['zed']}.seed").write_bytes((seeds / f"{keys['acme']}.seed").read_bytes())
+    payload = abd("publish", "--all", expect=2)
+    reports = {report["namespace"]: report for report in payload["reports"]}
+    assert reports[keys["zed"]]["entries"] == []
+    assert reports[keys["zed"]]["error"].startswith("the private key held for namespace")
+    for name in ("acme", "zoo"):
+        assert reports[keys[name]]["error"] is None
+        assert [entry["action"] for entry in reports[keys[name]]["entries"]] == ["stored"]
+        abd("resolve", "--ns", name, "--label", "dev")
+    lines = abd("publish", "--all", expect=2, json_mode=False).splitlines()
+    assert lines == [
+        f"{keys['acme'][:16]} dev: stored",
+        f"{keys['zed'][:16]}: {reports[keys['zed']]['error']}",
+        f"{keys['zoo'][:16]} dev: stored",
+    ]
+
+
 def test_publish_of_an_issuer_without_its_private_key_fails_on_one_line(abd, capsys):
     acme = abd("identity", "create", "--name", "acme")["public_key"]
     abd("delegate", "add", "--issuer", "acme", "--attr", "dev", "--to", "acme")
