@@ -15,15 +15,18 @@ verifier and the client both collect through ``_collect``, which turns a
 failure into the one Error decision either side reports, and the client
 reads every decision reply with ``AuthzDecision.from_json``.
 
-Transport: persistent HTTP/1.1 with TCP_NODELAY, framed here (RFC 9112): a
-head of at most ``MAX_HEAD_LINES`` lines of ``MAX_LINE_BYTES`` each, a
-``Content-Length`` body, no ``Transfer-Encoding``. Every verifier reply but
-a ``100 Continue`` is a JSON decision; one whose status is not 200 ends the
-connection, and so does ``READ_TIMEOUT_S`` of silence. A client thread keeps
-one connection, to the last endpoint it used, and for each resource there
-the challenge its last reply carried. It sends a request in one write, with
-no proxy, refuses a body over ``MAX_BODY_BYTES``, and resends once, on a new
-connection, only when a reused one was closed before any status line came.
+Transport: persistent HTTP/1.1 with TCP_NODELAY, framed here (RFC 9112) on
+both sides, without ``http.server``: ``_read_head`` reads every head, of at
+most ``MAX_HEAD_LINES`` lines of ``MAX_LINE_BYTES`` each; a body is sent by
+``Content-Length``, never ``Transfer-Encoding``. The verifier writes each
+reply, a JSON decision unless it is a ``100 Continue``, in one send with a
+``Date``, and says ``Connection: close`` when it closes after it: on every
+status but 200, and when the request asked. A peer that closes mid-head, or
+is silent ``READ_TIMEOUT_S``, is dropped without a reply. A client thread
+keeps one connection, to the last endpoint it used, and for each resource
+there the challenge its last reply carried. It sends a request in one write,
+with no proxy, refuses a body over ``MAX_BODY_BYTES``, and resends once, on
+a new connection, only when a reused one closed before the reply began.
 """
 from __future__ import annotations
 
@@ -32,19 +35,20 @@ import json
 import re
 import secrets
 import socket
+import socketserver
 import ssl
 import threading
 import urllib.error
 import urllib.request
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from email.utils import formatdate
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Union
 from urllib.parse import quote, unquote, urlsplit
 
-from .core import CLIP_CHARS, KEY_LEN, U32, NamespaceKey, check_label, clip, pack_label, verify_signature
+from .core import KEY_LEN, U32, NamespaceKey, check_label, clip, pack_label, verify_signature
 from .credential import CollectResult, Credential, collect, export_json, import_json, verify_credential
 from .discovery import DelegationChain
 from .errors import AbdError, BackendError, LimitExceeded, UnknownResource
@@ -372,9 +376,19 @@ _STATUS_LINE = re.compile(rb"HTTP/1\.([0-9]) ([0-9]{3})(?: [^\r\n]*)?\r?\n")
 _HEADER_LINE = re.compile(r"([!#$%&'*+.^_`|~0-9A-Za-z-]+):([^\r\n]*)\r?\n")
 
 
-def _read_head(rfile) -> dict[str, str]:
-    """Header lines up to the blank line, as lower-case names to first values.
-    Raises HTTPException(status, reason), the status a verifier answers with."""
+def _read_head(rfile, start: re.Pattern) -> Optional[tuple[re.Match, dict[str, str]]]:
+    """A start line matching ``start``, and the header lines up to the blank
+    line as lower-case names to first values; None when the stream ends
+    before the head does. Raises HTTPException(status, reason), the status
+    a verifier answers with."""
+    line = rfile.readline(MAX_LINE_BYTES + 1)
+    if len(line) > MAX_LINE_BYTES:
+        raise http.client.HTTPException(414, "start line too long")
+    if not line.endswith(b"\n"):
+        return None
+    start_line = start.fullmatch(line)
+    if start_line is None:
+        raise http.client.HTTPException(400, "malformed start line")
     headers: dict[str, str] = {}
     for count in range(MAX_HEAD_LINES + 1):
         line = rfile.readline(MAX_LINE_BYTES + 1)
@@ -382,6 +396,8 @@ def _read_head(rfile) -> dict[str, str]:
             break
         if len(line) > MAX_LINE_BYTES or count == MAX_HEAD_LINES:
             raise http.client.HTTPException(431, "header fields too large")
+        if not line.endswith(b"\n"):
+            return None
         field = _HEADER_LINE.fullmatch(line.decode("latin-1"))
         if field is None:
             raise http.client.HTTPException(400, "malformed header line")
@@ -393,7 +409,7 @@ def _read_head(rfile) -> dict[str, str]:
     length = headers.get("content-length", "0")
     if not (length.isascii() and length.isdigit()) or len(length) > 18:  # over any body cap
         raise http.client.HTTPException(400, "Content-Length must be a non-negative integer")
-    return headers
+    return start_line, headers
 
 
 @dataclass
@@ -461,97 +477,77 @@ class VerifierService:
         return (200 if decision.decision != ERROR else 503), payload
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Persistent HTTP/1.1 with Nagle's algorithm off: a reply's headers and
-    body go out in two sends, and with Nagle on the body would wait for the
-    client's delayed ACK. Every reply but a 200 ends the connection, so bytes
-    left unread after a rejected request are never parsed as a new one."""
+class _Connection(socketserver.StreamRequestHandler):
+    """One client connection, Nagle's algorithm off. Its requests are
+    answered in order, each reply in one send, until a reply is not 200, the
+    client asks to close or closes, or any OSError, a read timeout included.
+    Bytes left unread after a rejected request are never parsed as a new one."""
 
     service: VerifierService  # set on the subclass by make_server
-    protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
 
-    def _send_error(self, status: int, reason: str) -> None:
-        self._send(status, AuthzDecision.error(reason).to_json())
-
-    def _send(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if status != 200:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def send_error(self, code: int, message: Optional[str] = None, explain: Optional[str] = None) -> None:
-        """Errors the standard library finds itself (an unsupported method,
-        a request line over 64 KiB) are decisions too. Its message can quote
-        the request, so a long one is replaced by the status phrase."""
-        if message is None or len(message) > CLIP_CHARS:
-            message = HTTPStatus(code).phrase
-        self._send_error(code, message)
-
-    def parse_request(self) -> bool:
-        """Read ``METHOD SP target SP HTTP/1.0|HTTP/1.1`` (else 400) and the
-        header lines; False once a malformed head is answered."""
-        self.close_connection = True
-        self.requestline = self.raw_requestline.decode("latin-1").rstrip("\r\n")
-        self.command, self.request_version = None, ""  # not HTTP/0.9: errors carry a head
-        request_line = _REQUEST_LINE.fullmatch(self.raw_requestline)
-        if request_line is None:
-            self._send_error(400, "malformed request line")
-            return False
-        self.command, self.path, self.request_version = (p.decode("latin-1") for p in request_line.groups())
+    def handle(self) -> None:
+        keep = True
         try:
-            self.headers = _read_head(self.rfile)
-        except http.client.HTTPException as exc:
-            self._send_error(*exc.args)
-            return False
-        connection, http_1_1 = self.headers.get("connection", "").lower(), self.request_version == "HTTP/1.1"
-        self.close_connection = connection == "close" if http_1_1 else connection != "keep-alive"
-        if http_1_1 and self.headers.get("expect", "").lower() == "100-continue":
-            return self.handle_expect_100()
-        return True
+            while keep:
+                try:
+                    if (head := _read_head(self.rfile, _REQUEST_LINE)) is None:
+                        return  # the client is gone: nobody is left to answer
+                    (method, target, version), headers = head[0].groups(), head[1]
+                    connection = headers.get("connection", "").lower()
+                    keep = connection != "close" if version == b"HTTP/1.1" else connection == "keep-alive"
+                    status, payload = self._dispatch(method, target.decode("latin-1"), version, headers)
+                except http.client.HTTPException as exc:
+                    status, payload = exc.args[0], AuthzDecision.error(exc.args[1]).to_json()
+                keep = keep and status == 200
+                body = json.dumps(payload).encode("utf-8")
+                close = "" if keep else "Connection: close\r\n"
+                self.wfile.write(
+                    f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\nDate: {formatdate(usegmt=True)}\r\n"
+                    f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n{close}\r\n".encode()
+                    + body
+                )
+        except OSError:
+            pass  # the client is gone or went quiet
 
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        if not self.path.startswith("/policy/"):
-            self._send_error(404, "not found")
-            return
-        resource_id = unquote(self.path[len("/policy/") :])
-        try:
-            self._send(200, self.service.policy_payload(resource_id))
-        except UnknownResource as exc:
-            self._send_error(404, str(exc))
-
-    def do_POST(self) -> None:  # noqa: N802
-        if self.path != "/authorize":
-            self._send_error(404, "not found")
-            return
-        length = int(self.headers.get("content-length", "0"))  # digits: _read_head checked
+    def _dispatch(self, method: bytes, target: str, version: bytes, headers: dict) -> tuple[int, dict]:
+        """The status and payload for ``GET /policy/<id>`` and ``POST
+        /authorize``; raises HTTPException(status, reason) for any other."""
+        if method == b"GET" and target.startswith("/policy/"):
+            try:
+                return 200, self.service.policy_payload(unquote(target[len("/policy/") :]))
+            except UnknownResource as exc:
+                raise http.client.HTTPException(404, str(exc)) from None
+        if method not in (b"GET", b"POST"):
+            raise http.client.HTTPException(501, f"method {clip(method.decode('latin-1'))} not supported")
+        if method == b"GET" or target != "/authorize":
+            raise http.client.HTTPException(404, "not found")
+        length = int(headers.get("content-length", "0"))  # digits: _read_head checked
         if length > MAX_BODY_BYTES:
-            self._send_error(413, f"request body over {MAX_BODY_BYTES} bytes")
-            return
+            raise http.client.HTTPException(413, f"request body over {MAX_BODY_BYTES} bytes")
+        if version == b"HTTP/1.1" and headers.get("expect", "").lower() == "100-continue":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         try:
             body = json.loads(self.rfile.read(length))
         except ValueError as exc:
-            self._send_error(400, f"bad JSON: {exc}")
-            return
-        status, payload = self.service.authorize_payload(body)
-        self._send(status, payload)
-
-    def log_message(self, format: str, *args) -> None:
-        pass  # keep the CLI quiet; decisions are reported to the client
+            raise http.client.HTTPException(400, f"bad JSON: {exc}") from None
+        return self.service.authorize_payload(body)
 
 
-def make_server(service: VerifierService, host: str, port: int) -> ThreadingHTTPServer:
+class _Server(socketserver.ThreadingTCPServer):
+    # Daemon threads: closing the server does not wait on kept-alive connections.
+    daemon_threads = True
+    allow_reuse_address = True
+
+
+def make_server(service: VerifierService, host: str, port: int) -> socketserver.ThreadingTCPServer:
     # ``timeout`` is set on each connection's socket: a body shorter than its
     # Content-Length ends in a timeout that closes the connection, rather
     # than in a handler thread blocked for good.
     handler = type(
-        "BoundHandler", (_Handler,), {"service": service, "timeout": READ_TIMEOUT_S}
+        "BoundConnection", (_Connection,), {"service": service, "timeout": READ_TIMEOUT_S}
     )
-    return ThreadingHTTPServer((host, port), handler)
+    return _Server((host, port), handler)
 
 
 # --- subject-side client ----------------------------------------------------------
@@ -599,30 +595,25 @@ def close_connection() -> None:
     _kept.challenges = {}
 
 
-def _exchange(request: urllib.request.Request) -> bytes:
-    """Send the request in one write and return the reply's first line."""
+def _exchange(request: urllib.request.Request) -> None:
+    """Send the request in one write and wait for the reply's first byte."""
     head = [f"{request.get_method()} {request.selector} HTTP/1.1", f"Host: {request.host}"]
     head += [f"{name}: {value}" for name, value in request.header_items()]
     if request.data is not None:
         head.append(f"Content-Length: {len(request.data)}")
     _kept.sock.sendall("\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + (request.data or b""))
-    line = _kept.reader.readline(MAX_LINE_BYTES + 1)
-    if not line:
+    if not _kept.reader.peek(1):
         raise http.client.RemoteDisconnected("verifier closed the connection without a reply")
-    return line
 
 
-def _read_reply(reader, line: bytes) -> tuple[int, bytes, bool]:
-    """The status and body of the reply that starts with ``line``, skipping a
-    ``100 Continue``, and whether the connection stays open after it."""
-    while True:
-        status_line = _STATUS_LINE.fullmatch(line)
-        if status_line is None:
-            raise http.client.BadStatusLine(clip(line.decode("latin-1")))
-        headers = _read_head(reader)
-        if status_line[2] != b"100":
-            break
-        line = reader.readline(MAX_LINE_BYTES + 1)
+def _read_reply(reader) -> tuple[int, bytes, bool]:
+    """The status and body of a reply, skipping a ``100 Continue``, and
+    whether the connection stays open after it."""
+    while (head := _read_head(reader, _STATUS_LINE)) is not None and head[0][2] == b"100":
+        pass
+    if head is None:
+        raise http.client.HTTPException("verifier closed the connection mid-reply")
+    status_line, headers = head
     length = headers.get("content-length")
     if length is not None and int(length) > MAX_BODY_BYTES:
         raise http.client.HTTPException(f"reply Content-Length {clip(length)}")
@@ -640,9 +631,9 @@ def _http_json(request: urllib.request.Request, timeout: float) -> tuple[int, di
 
     The request goes over this thread's kept connection, to the last
     endpoint it used; another endpoint closes it. If a reused connection
-    turns out closed before any status line arrives, the server dropped it
-    idle without reading the request, so it is sent once more on a fresh
-    connection: a POST is never decided twice.
+    turns out closed before any byte of the reply arrives, the server
+    dropped it idle without reading the request, so it is sent once more on
+    a fresh connection: a POST is never decided twice.
     """
     if _kept.endpoint != (request.type, request.host):
         close_connection()
@@ -656,14 +647,14 @@ def _http_json(request: urllib.request.Request, timeout: float) -> tuple[int, di
         else:
             _kept.connect(timeout)
         try:
-            line = _exchange(request)
+            _exchange(request)
         except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected too
             if not reused:
                 raise
             _kept.disconnect()
             _kept.connect(timeout)
-            line = _exchange(request)
-        status, body, keep = _read_reply(_kept.reader, line)
+            _exchange(request)
+        status, body, keep = _read_reply(_kept.reader)
         if not keep:
             _kept.disconnect()
     except BaseException:

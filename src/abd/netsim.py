@@ -109,12 +109,19 @@ def write_atomic(path: Union[str, Path], data: bytes, mode: int = 0o666) -> None
 
 
 def _read_or_none(path: str) -> Optional[bytes]:
-    """The bytes of the file at ``path``, or None when there is none."""
+    """The bytes of the file at ``path``, or None when there is none, read
+    with ``os`` calls: a file object's ``read`` takes twice as long."""
     try:
-        with open(path, "rb") as file:
-            return file.read()
+        fd = os.open(path, os.O_RDONLY)
     except FileNotFoundError:
         return None
+    try:
+        data = os.read(fd, os.fstat(fd).st_size + 1)
+        while chunk := os.read(fd, 1 << 16):  # the file grew since fstat
+            data += chunk
+        return data
+    finally:
+        os.close(fd)
 
 
 @dataclass

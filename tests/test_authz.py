@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import email.utils
 import gc
 import hashlib
 import http.client
@@ -977,10 +978,43 @@ def test_a_reply_that_is_not_200_ends_the_connection(endpoint, status):
 def test_an_http_1_0_request_still_closes_its_connection(endpoint):
     with raw_connection(endpoint) as (sock, reader):
         sock.sendall(get_request(POLICY_PATH, "HTTP/1.0"))
-        status, _, payload = read_reply(reader)
+        status, headers, payload = read_reply(reader)
         assert reader.read() == b""
-    assert status == 200
+    assert (status, headers["connection"]) == (200, "close")
     assert payload["resource_id"] == scenario.RESOURCE_ID
+
+
+def test_a_request_asking_to_close_gets_connection_close_and_no_more(endpoint):
+    asking = get_request(POLICY_PATH).replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n")
+    with raw_connection(endpoint) as (sock, reader):
+        sock.sendall(asking + get_request(POLICY_PATH))
+        status, headers, _ = read_reply(reader)
+        assert reader.read() == b""
+    assert (status, headers["connection"]) == (200, "close")
+
+
+def test_each_reply_is_one_write_with_a_date_and_no_server_name(endpoint, monkeypatch):
+    writes = []
+    setup = authz._Connection.setup
+
+    def counting_setup(self):
+        setup(self)
+        write = self.wfile.write
+        self.wfile.write = lambda data: (writes.append(data), write(data))[1]
+
+    monkeypatch.setattr(authz._Connection, "setup", counting_setup)
+    keep_alive = get_request(POLICY_PATH, "HTTP/1.0").replace(b"\r\n\r\n", b"\r\nConnection: keep-alive\r\n\r\n")
+    with raw_connection(endpoint) as (sock, reader):
+        sock.sendall(get_request(POLICY_PATH) + keep_alive + get_request("/elsewhere"))
+        replies = [read_reply(reader) for _ in range(3)]
+        assert reader.read() == b""
+    assert [status for status, _, _ in replies] == [200, 200, 404]
+    assert len(writes) == 3
+    for (_, headers, payload), write in zip(replies, writes):
+        assert write.startswith(b"HTTP/1.1 ") and write.endswith(json.dumps(payload).encode())
+        assert email.utils.parsedate_to_datetime(headers["date"]).tzinfo is not None
+        assert "server" not in headers
+    assert ["connection" in headers for _, headers, _ in replies] == [False, False, True]
 
 
 def test_switching_endpoints_closes_the_previous_connection(service, sent, fixture, backend, clock):
@@ -1172,8 +1206,9 @@ def test_two_client_threads_carry_their_own_challenges(endpoint, exchanges, fixt
     assert exchanges == {"GET": 2, "POST": 20}
 
 
-# Errors the standard library answers itself: an unsupported method, a
-# request line over 64 KiB and a header line over 64 KiB.
+# Errors once answered by the standard library's request handler, and now
+# found and answered by abd itself: an unsupported method, a request line
+# over 64 KiB and a header line over 64 KiB.
 STDLIB_ERRORS = {
     "put": (b"PUT /authorize HTTP/1.1\r\nContent-Length: 0\r\n\r\n", 501),
     "head": (b"HEAD /policy/r HTTP/1.1\r\n\r\n", 501),
@@ -1641,13 +1676,12 @@ def test_every_request_head_gets_a_json_reply(endpoint, request_line, lines, lon
         assert read_reply(reader)[0] == 200
 
 
-def parsed_by_the_verifier(head: bytes) -> authz._Handler:
-    """A handler that has read ``head`` as ``abd serve`` reads a request."""
-    handler = authz._Handler.__new__(authz._Handler)
-    handler.rfile, handler.wfile = io.BytesIO(head), io.BytesIO()
-    handler.raw_requestline = handler.rfile.readline(65537)
-    assert handler.parse_request(), handler.wfile.getvalue()
-    return handler
+def parsed_by_the_verifier(head: bytes):
+    """The request line split in three, and the header lines, as ``abd
+    serve`` reads a request head."""
+    request_line, headers = authz._read_head(io.BytesIO(head), authz._REQUEST_LINE)
+    method, target, version = (part.decode("latin-1") for part in request_line.groups())
+    return method, target, version, headers
 
 
 def parsed_by_the_standard_library(head: bytes):
@@ -1674,12 +1708,12 @@ def parsed_by_the_standard_library(head: bytes):
 def test_the_verifier_reads_a_well_formed_head_as_the_standard_library_does(method, target, version, fields, ends):
     lines = [f"{method} {target} {version}"] + [f"{name}: {value}" for name, value in fields]
     head = (ends.join(lines) + ends + ends).encode("latin-1")
-    handler = parsed_by_the_verifier(head)
+    method, target, version, headers = parsed_by_the_verifier(head)
     reference_method, reference_target, reference_version, reference = parsed_by_the_standard_library(head)
-    assert (handler.command, handler.path, handler.request_version) == (reference_method, reference_target, reference_version)
-    assert set(handler.headers) == {name.lower() for name in reference.keys()}
+    assert (method, target, version) == (reference_method, reference_target, reference_version)
+    assert set(headers) == {name.lower() for name in reference.keys()}
     for name in reference.keys():
-        assert handler.headers[name.lower()] == reference.get(name)
+        assert headers[name.lower()] == reference.get(name)
 
 
 def test_expect_100_continue_is_answered_before_the_body_is_sent(endpoint):
@@ -1820,8 +1854,9 @@ def test_the_client_answers_grant_deny_or_error_whatever_the_reply(
         (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n", "Transfer-Encoding"),
         (b"HTTP/1.1 200 OK\r\n\r\n" + b" " * (MAX_BODY_BYTES + 1), "over"),
         (b"HTTP/1.1 200\r\n" + b"X: y\r\n" * 101 + b"\r\n", "too large"),
+        (b"HTTP/1.1 200 OK\r\nContent-Le", "closed the connection mid-reply"),
     ],
-    ids=["short-body", "length-over-cap", "chunked", "body-over-cap", "101-lines"],
+    ids=["short-body", "length-over-cap", "chunked", "body-over-cap", "101-lines", "cut-head"],
 )
 def test_a_reply_the_client_refuses_is_an_error(fixture, backend, clock, reply, reason):
     with raw_verifier({"GET": (reply, reason != "timed out")}) as endpoint:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import http.client
 import json
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -323,9 +324,10 @@ def test_discover_denies_a_stranger(abd):
 
 
 @contextmanager
-def serving(home):
-    """An ``abd serve`` child for the scenario's portal; yields the child
-    and its endpoint, and stops the child on exit."""
+def serving(home, stderr=subprocess.DEVNULL):
+    """An ``abd serve`` child for the scenario's portal, its stderr going to
+    ``stderr``; yields the child and its endpoint, and stops the child on
+    exit."""
     server = subprocess.Popen(
         [
             sys.executable, "-m", "abd",
@@ -337,7 +339,7 @@ def serving(home):
             "--listen", "127.0.0.1:0",
         ],
         stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
+        stderr=stderr,
         text=True,
     )
     try:
@@ -404,6 +406,37 @@ def test_serve_stops_promptly_with_a_kept_alive_connection_open(abd):
             assert server.wait(timeout=2) == 0
         finally:
             connection.close()
+
+
+# Requests cut off before their head ends: a peer that closes then is gone,
+# and nothing is answered or reported.
+PARTIAL_HEADS = [
+    b"",
+    b"GET /pol",
+    b"GET /policy/" + scenario.RESOURCE_ID.encode() + b" HTTP/1.1\r\n",
+    b"POST /authorize HTTP/1.1\r\nContent-Len",
+    b"GET /policy/" + scenario.RESOURCE_ID.encode() + b" HTTP/1.1\r\nHost: 127.0.0.1\r\n",
+]
+
+
+def test_serve_closes_quietly_when_a_client_hangs_up_mid_head(abd, tmp_path):
+    abd("scenario", "init")
+    with open(tmp_path / "serve.err", "w+") as errors:
+        with serving(abd.home, stderr=errors) as (_, endpoint):
+            host, port = endpoint.removeprefix("http://").split(":")
+            for index in range(10):
+                with socket.create_connection((host, int(port)), timeout=5) as sock:
+                    sock.sendall(PARTIAL_HEADS[index % len(PARTIAL_HEADS)])
+            # The server still answers, and has had time to read every close.
+            connection = http.client.HTTPConnection(host, int(port), timeout=5)
+            try:
+                connection.request("GET", f"/policy/{scenario.RESOURCE_ID}")
+                assert connection.getresponse().status == 200
+            finally:
+                connection.close()
+            time.sleep(0.2)
+        errors.seek(0)
+        assert errors.read() == ""
 
 
 @pytest.mark.parametrize("attributes", ["user", 5, [1]], ids=["string", "number", "list-of-number"])

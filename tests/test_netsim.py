@@ -218,6 +218,21 @@ def test_file_backend_leaves_a_file_that_already_holds_the_bytes(tmp_path):
     assert FileBackend(root).get(query_key, CLOCK) == newer
 
 
+def test_file_backend_reads_a_set_over_64_kib_whole(tmp_path):
+    subjects = [hashlib.sha256(index.to_bytes(4, "big")).digest() for index in range(2_000)]
+    payload = encode_attr_payload(expression([(subject, []) for subject in subjects]))
+    large = make_set(records=[ResourceRecord(RecordType.ATTR, payload, CLOCK + HOUR)])
+    root = tmp_path / "net"
+    query_key = put_set(FileBackend(root), large)
+    path = root / f"{query_key.hex()}.rrset"
+    before = path.stat()
+    assert before.st_size > 1 << 16
+    backend = FileBackend(root)
+    assert backend.get(query_key, CLOCK) == large
+    put_set(backend, large)  # the same bytes: the file is left as it is
+    assert path.stat().st_ino == before.st_ino
+
+
 def test_file_backend_skips_unreadable_files(tmp_path):
     root = tmp_path / "net"
     root.mkdir()
