@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Mapping, Optional, Union
 from urllib.parse import quote, unquote, urlsplit
 
 from .core import KEY_LEN, U32, NamespaceKey, check_label, clip, pack_label, verify_signature
-from .credential import CollectResult, Credential, collect, export_json, import_json, verify_credential
+from .credential import Credential, collect, export_json, import_json, refusal
 from .discovery import DelegationChain
 from .errors import AbdError, BackendError, LimitExceeded, UnknownResource
 from .netsim import NameSystemBackend
@@ -302,10 +302,10 @@ def _collect(
     policy: Policy,
     backend: NameSystemBackend,
     clock: int,
-) -> Union[CollectResult, AuthzDecision]:
-    """``collect`` for the policy, or the Error decision its failure comes
-    to. The verifier and the client both collect through here, so a failure
-    reads the same on either side."""
+) -> Union[dict, AuthzDecision]:
+    """``collect``'s chains for the policy, or the Error decision its failure
+    comes to. The verifier and the client both collect through here, so a
+    failure reads the same on either side."""
     try:
         return collect(
             subject_pub=subject_pub,
@@ -332,38 +332,30 @@ def _decide_signed(
     supplied: list[Credential] = []
     for attribute, credentials in response.credential_sets.items():
         for credential in credentials:
-            if credential.subject != response.subject:
+            problem = refusal(credential, response.subject, clock)
+            if problem is not None:
                 return AuthzDecision(
-                    decision=DENY,
-                    reasons=(
-                        f"credential under {attribute!r} names a different subject",
-                    ),
-                )
-            if not verify_credential(credential, clock):
-                return AuthzDecision(
-                    decision=DENY,
-                    reasons=(
-                        f"credential under {attribute!r} is expired or forged",
-                    ),
+                    decision=DENY, reasons=(f"credential under {attribute!r} {problem}",)
                 )
             supplied.append(credential)
 
-    result = _collect(response.subject, supplied, verifier_pub, policy, backend, clock)
-    if isinstance(result, AuthzDecision):
-        return result
-    if result.unsatisfied:
+    chains = _collect(response.subject, supplied, verifier_pub, policy, backend, clock)
+    if isinstance(chains, AuthzDecision):
+        return chains
+    unsatisfied = [
+        attribute for attribute in policy.required_attributes if attribute not in chains
+    ]
+    if unsatisfied:
         return AuthzDecision(
             decision=DENY,
             reasons=tuple(
-                f"no delegation chain proves {attribute!r}"
-                for attribute in result.unsatisfied
+                f"no delegation chain proves {attribute!r}" for attribute in unsatisfied
             ),
         )
     return AuthzDecision(
         decision=GRANT,
         chain_summaries=tuple(
-            _summarize_chain(result.chains[attribute])
-            for attribute in policy.required_attributes
+            _summarize_chain(chains[attribute]) for attribute in policy.required_attributes
         ),
     )
 
@@ -738,13 +730,11 @@ def _answer(
     """Collect, sign and submit an answer to ``challenge``. Returns the
     decision and the challenge the reply carries, if it carries one."""
     policy = challenge.policy
-    result = _collect(subject.public_key, subject_creds, challenge.verifier, policy, backend, clock)
-    if isinstance(result, AuthzDecision):
-        return result, None
+    chains = _collect(subject.public_key, subject_creds, challenge.verifier, policy, backend, clock)
+    if isinstance(chains, AuthzDecision):
+        return chains, None
     credential_sets = {
-        attribute: tuple(result.chains[attribute].credentials())
-        if attribute in result.chains
-        else ()
+        attribute: tuple(chains[attribute].credentials()) if attribute in chains else ()
         for attribute in policy.required_attributes
     }
     response = build_response(subject, challenge.nonce, credential_sets)

@@ -5,11 +5,19 @@ with an expiration. Credentials travel as JSON between parties and live as
 CRED records in the subject's local namestore. They are never published to
 the name system; the only place a credential crosses the wire is inside the
 subject's message to a verifier.
+
+One rule decides whether a credential counts for a subject: ``refusal``. It
+names the subject's key, and ``verify_credential`` passes: unexpired, and the
+issuer's signature verifies. Discovery's credential index, the verifier's
+check of a response's credential sets and ``verify_chain``'s leaf check all
+ask it, so finding a chain and checking one agree on which credentials count.
+``import_json`` keeps its own signature check: it is the JSON boundary, where
+a forged credential is refused as malformed before its nonce is looked up.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .core import (
     KEY_LEN,
@@ -109,6 +117,16 @@ def verify_credential(credential: Credential, clock: int) -> bool:
     )
 
 
+def refusal(credential: Credential, subject_pub: bytes, clock: int) -> Optional[str]:
+    """None when ``credential`` counts for ``subject_pub`` at ``clock``,
+    else why not: it names another key, or it is expired or forged."""
+    if credential.subject != subject_pub:
+        return "names a different subject"
+    if not verify_credential(credential, clock):
+        return "is expired or forged"
+    return None
+
+
 # --- CRED record codec --------------------------------------------------------
 
 
@@ -161,28 +179,28 @@ def import_json(data: dict) -> Credential:
     credential is legal, using it is not.
     """
     if not isinstance(data, dict):
-        raise JsonError("credential must be a JSON object", field="")
+        raise JsonError("credential must be a JSON object")
     for name in _JSON_FIELDS:
         if name not in data:
-            raise JsonError(f"missing field {name!r}", field=name)
+            raise JsonError(f"missing field {name!r}")
     try:
         issuer = bytes.fromhex(data["issuer"])
     except (TypeError, ValueError):
-        raise JsonError("issuer must be a hex string", field="issuer")
+        raise JsonError("issuer must be a hex string")
     try:
         subject = bytes.fromhex(data["subject"])
     except (TypeError, ValueError):
-        raise JsonError("subject must be a hex string", field="subject")
+        raise JsonError("subject must be a hex string")
     attribute = data["attribute"]
     if not isinstance(attribute, str):
-        raise JsonError("attribute must be a string", field="attribute")
+        raise JsonError("attribute must be a string")
     expiration = data["expiration_us"]
     if not isinstance(expiration, int) or isinstance(expiration, bool):
-        raise JsonError("expiration_us must be an integer", field="expiration_us")
+        raise JsonError("expiration_us must be an integer")
     try:
         signature = bytes.fromhex(data["signature"])
     except (TypeError, ValueError):
-        raise JsonError("signature must be a hex string", field="signature")
+        raise JsonError("signature must be a hex string")
     try:
         credential = Credential(
             issuer=issuer,
@@ -192,7 +210,7 @@ def import_json(data: dict) -> Credential:
             signature=signature,
         )
     except Exception as exc:
-        raise JsonError(str(exc), field="")
+        raise JsonError(str(exc))
     if not verify_signature(issuer, signature, credential.signing_bytes()):
         raise BadSignature("imported credential signature does not verify")
     return credential
@@ -230,19 +248,6 @@ def list_credentials(store: NamespaceStore, holder_pub: bytes) -> list[Credentia
 # --- collection -----------------------------------------------------------------
 
 
-@dataclass
-class CollectResult:
-    """Outcome of gathering proof material for a policy.
-
-    ``unsatisfied`` lists policy attributes with no chain; ``chains`` keeps
-    the discovered chain per satisfied attribute, whose ``credentials()``
-    are the set handed to the verifier.
-    """
-
-    unsatisfied: tuple[str, ...]
-    chains: dict
-
-
 def collect(
     subject_pub: bytes,
     subject_creds: Iterable[Credential],
@@ -250,8 +255,10 @@ def collect(
     policy_attrs: Iterable[str],
     backend: NameSystemBackend,
     clock: int,
-) -> CollectResult:
-    """Find, per policy attribute, a credential subset proving membership.
+) -> dict:
+    """The chain found per policy attribute, keyed by attribute; an
+    attribute no chain proves is absent. A chain's ``credentials()`` are
+    the set handed to the verifier.
 
     Runs chain discovery from the verifier's namespace toward the subject's
     credentials. Backend failures abort with CollectionIncomplete: "could
@@ -260,8 +267,7 @@ def collect(
     from .discovery import discover
 
     creds = list(subject_creds)
-    satisfied: dict = {}
-    unsatisfied: list[str] = []
+    chains: dict = {}
     for attribute in policy_attrs:
         try:
             chain = discover(
@@ -273,12 +279,9 @@ def collect(
                 clock=clock,
             )
         except BackendError as exc:
-            raise CollectionIncomplete(attribute, exc)
-        if chain is None:
-            unsatisfied.append(attribute)
-        else:
-            satisfied[attribute] = chain
-    return CollectResult(
-        unsatisfied=tuple(unsatisfied),
-        chains=satisfied,
-    )
+            raise CollectionIncomplete(
+                f"collection failed at attribute {attribute!r}: {exc}"
+            )
+        if chain is not None:
+            chains[attribute] = chain
+    return chains

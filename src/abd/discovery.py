@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import RecordType, ResourceRecord, check_label
-from .credential import Credential, export_json, verify_credential
+from .credential import Credential, export_json, refusal
 from .delegation import DelegationSetEntry, decode_attr_payload, render_term
 from .errors import BackendError, DecodeError, LimitExceeded
 from .netsim import NameSystemBackend, resolve
@@ -260,14 +260,11 @@ def discover(
     check_label(attribute)
     tracing = trace is not None
 
-    # Foreign or expired credentials can never close an obligation; drop
-    # them up front. Deterministic order makes credential choice stable.
+    # A credential ``refusal`` refuses (another key's, expired or forged) can
+    # never close an obligation; drop it up front. Deterministic order makes
+    # credential choice stable.
     usable = sorted(
-        (
-            c
-            for c in subject_creds
-            if c.subject == subject_pub and verify_credential(c, clock)
-        ),
+        (c for c in subject_creds if refusal(c, subject_pub, clock) is None),
         key=lambda c: c.canonical_bytes(),
     )
     cred_index: dict[tuple[bytes, str], Credential] = {}
@@ -551,13 +548,13 @@ def verify_chain(
         if credential.issuer != leaf.subject or credential.attribute != leaf.label:
             diagnostics.append(f"credential at {where} asserts a different attribute")
             return False
-        if credential.subject != leaf.member or leaf.member != subject_pub:
-            diagnostics.append(f"credential at {where} names a different subject")
-            return False
-        if not verify_credential(credential, clock):
-            diagnostics.append(f"credential at {where} is expired or forged")
-            return False
-        return True
+        if leaf.member != subject_pub:
+            problem = "names a different subject"
+        else:
+            problem = refusal(credential, leaf.member, clock)
+        if problem is not None:
+            diagnostics.append(f"credential at {where} {problem}")
+        return problem is None
 
     def check_step(member: bytes, subject: bytes, label: str) -> Optional[list[_Obligation]]:
         """The obligations a step rests on, or None when the step is wrong."""

@@ -77,11 +77,7 @@ class LimitExceeded(AbdError):
 
 
 class JsonError(AbdError):
-    """Credential JSON is malformed; ``field`` names the offending field."""
-
-    def __init__(self, message: str, field: str):
-        super().__init__(message)
-        self.field = field
+    """Credential JSON is malformed; the message names the offending field."""
 
 
 class UnknownResource(AbdError):
@@ -92,13 +88,9 @@ class CollectionIncomplete(BackendError):
     """Credential collection aborted on a network-class failure.
 
     Distinguishes "no chain exists in what we could resolve" (a plain
-    unsatisfied attribute) from "we could not resolve enough to know".
+    unsatisfied attribute) from "we could not resolve enough to know". The
+    message names the attribute and the failure.
     """
-
-    def __init__(self, attribute: str, cause: Exception):
-        super().__init__(f"collection failed at attribute {attribute!r}: {cause}")
-        self.attribute = attribute
-        self.cause = cause
 
 
 class DataDirNotEmpty(AbdError):

@@ -30,7 +30,7 @@ from .core import (
     sign_record_set,
 )
 from .errors import BackendUnavailable, DecodeError, InvalidLabel, UnknownPetname
-from .netsim import NameSystemBackend, admits, derive_query_key, write_atomic
+from .netsim import NameSystemBackend, admits, derive_query_key, read_or_none, write_atomic
 
 RRSET_SUFFIX = ".rrset"
 QUARANTINE_SUFFIX = ".rrset.quarantined"
@@ -135,12 +135,13 @@ class NamespaceStore:
         """The set in ``path`` if it decodes and ``admits`` lets it answer
         for (public_key, label). A file that fails, or whose name is no
         label, is quarantined; a missing or failed file reads as None."""
+        data = read_or_none(path)
+        if data is None:
+            return None
         try:
-            record_set = canonical_deserialize(path.read_bytes())
+            record_set = canonical_deserialize(data)
             if admits(derive_query_key(public_key, label), record_set):
                 return record_set
-        except FileNotFoundError:
-            return None
         except (DecodeError, InvalidLabel):
             pass
         path.rename(path.with_name(label + QUARANTINE_SUFFIX))

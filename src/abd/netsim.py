@@ -108,7 +108,7 @@ def write_atomic(path: Union[str, Path], data: bytes, mode: int = 0o666) -> None
         raise
 
 
-def _read_or_none(path: str) -> Optional[bytes]:
+def read_or_none(path: Union[str, Path]) -> Optional[bytes]:
     """The bytes of the file at ``path``, or None when there is none, read
     with ``os`` calls: a file object's ``read`` takes twice as long."""
     try:
@@ -182,7 +182,7 @@ class FileBackend(NameSystemBackend):
         try:
             if not record_set.records:
                 Path(path).unlink(missing_ok=True)
-            elif _read_or_none(path) != (data := canonical_serialize(record_set)):
+            elif read_or_none(path) != (data := canonical_serialize(record_set)):
                 write_atomic(path, data)
         except OSError as exc:
             raise BackendUnavailable(f"file backend cannot write: {exc}") from exc
@@ -193,7 +193,7 @@ class FileBackend(NameSystemBackend):
             self._stats.lookups += 1
             accepted = self._accepted.get(query_key)
         try:
-            data = _read_or_none(path)
+            data = read_or_none(path)
         except OSError as exc:
             raise BackendUnavailable(f"file backend cannot read: {exc}") from exc
         if data is None:

@@ -1,9 +1,12 @@
 """Credential issuance, verification, JSON interchange, and collection."""
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from abd.core import NamespaceKey, RecordType
+from abd.authz import DENY, GRANT, Policy, build_response
+from abd.core import NamespaceKey, RecordType, ResourceRecord, sign_record_set
 from abd.credential import (
     collect,
     credential_signing_bytes,
@@ -12,12 +15,16 @@ from abd.credential import (
     import_json,
     issue_credential,
     list_credentials,
+    refusal,
     store_credential,
     verify_credential,
 )
+from abd.delegation import encode_attr_payload, expression, render_term
+from abd.discovery import discover, verify_chain
 from abd.errors import BadSignature, CollectionIncomplete, DecodeError, JsonError
 from abd.namestore import NamespaceStore
-from instance_gen import memory_dht
+from abd.netsim import derive_query_key
+from instance_gen import decide_fresh, memory_dht
 
 CLOCK = 1_700_000_000_000_000
 HOUR = 3_600_000_000
@@ -97,6 +104,72 @@ def test_issuer_determines_signature():
             signature=a.signature,
         ),
         CLOCK,
+    )
+
+
+# --- one rule at every site ----------------------------------------------------------
+
+VERIFIER = key(b"verifier")
+
+
+def flip_signature_byte(credential):
+    signature = bytes([credential.signature[0] ^ 1]) + credential.signature[1:]
+    return dataclasses.replace(credential, signature=signature)
+
+
+CREDENTIAL_VARIANTS = [
+    pytest.param(cred, None, id="valid"),
+    pytest.param(lambda: cred(subject=key(b"other")), "names a different subject",
+                 id="another-subject"),
+    pytest.param(lambda: cred(lifetime=0), "is expired or forged", id="expiring-at-the-clock"),
+    pytest.param(lambda: flip_signature_byte(cred()), "is expired or forged",
+                 id="flipped-signature-byte"),
+]
+
+
+@pytest.mark.parametrize("variant, reason", CREDENTIAL_VARIANTS)
+def test_discovery_the_verifier_and_chain_checks_agree_with_refusal(variant, reason):
+    # VERIFIER.user <- ISSUER.member, and SUBJECT presents one credential.
+    backend = memory_dht()
+    record = ResourceRecord(
+        RecordType.ATTR,
+        encode_attr_payload(expression([(ISSUER.public_key, ["member"])])),
+        CLOCK + HOUR,
+    )
+    backend.put(
+        derive_query_key(VERIFIER.public_key, "user"),
+        sign_record_set(VERIFIER, "user", [record]),
+        CLOCK,
+    )
+    credential = variant()
+    assert refusal(credential, SUBJECT.public_key, CLOCK) == reason
+
+    def find(credentials):
+        return discover(VERIFIER.public_key, "user", SUBJECT.public_key, credentials, backend, CLOCK)
+
+    assert (find([credential]) is not None) == (reason is None)
+
+    decision = decide_fresh(
+        VERIFIER.public_key,
+        lambda nonce: build_response(SUBJECT, nonce, {"user": (credential,)}),
+        Policy(resource_id="wiki", required_attributes=("user",)),
+        backend,
+        CLOCK,
+    )
+    if reason is None:
+        assert (decision.decision, decision.reasons) == (GRANT, ())
+    else:
+        assert (decision.decision, decision.reasons) == (DENY, (f"credential under 'user' {reason}",))
+
+    # The chain a valid credential closes, with this credential at its leaf.
+    chain = find([cred()])
+    (leaf,) = chain.leaves
+    chain = dataclasses.replace(chain, leaves=(dataclasses.replace(leaf, credential=credential),))
+    ok, diagnostics = verify_chain(chain, SUBJECT.public_key, backend, CLOCK)
+    where = render_term(ISSUER.public_key, ("member",))
+    assert (ok, diagnostics) == (
+        reason is None,
+        [] if reason is None else [f"credential at {where} {reason}"],
     )
 
 
@@ -181,7 +254,7 @@ def test_store_and_list(tmp_path):
 
 def test_collect_finds_satisfying_subsets(fixture, backend, clock):
     verifier = fixture.key("portal").public_key
-    result = collect(
+    chains = collect(
         subject_pub=fixture.key("bob").public_key,
         subject_creds=fixture.bob_creds,
         verifier_pub=verifier,
@@ -189,14 +262,14 @@ def test_collect_finds_satisfying_subsets(fixture, backend, clock):
         backend=backend,
         clock=clock,
     )
-    assert not result.unsatisfied
-    chosen = {(c.issuer, c.attribute) for c in result.chains["user"].credentials()}
+    assert list(chains) == ["user"]
+    chosen = {(c.issuer, c.attribute) for c in chains["user"].credentials()}
     lab_two = fixture.key("lab-two").public_key
     assert chosen == {(lab_two, "employee"), (lab_two, "controller")}
 
 
 def test_collect_reports_unsatisfied(fixture, backend, clock):
-    result = collect(
+    chains = collect(
         subject_pub=fixture.key("bob").public_key,
         subject_creds=[c for c in fixture.bob_creds if c.attribute == "employee"],
         verifier_pub=fixture.key("portal").public_key,
@@ -204,7 +277,7 @@ def test_collect_reports_unsatisfied(fixture, backend, clock):
         backend=backend,
         clock=clock,
     )
-    assert result.unsatisfied == ("user",)
+    assert chains == {}
 
 
 def test_collect_raises_on_backend_outage(fixture, clock):
