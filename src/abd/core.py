@@ -218,7 +218,9 @@ def verify_signature(
     Failures are not remembered: forged signatures cost their sender
     nothing and must not evict good entries. Pass ``remember=False`` for a
     signature that is never checked again, such as one over a single-use
-    nonce, so it does not evict entries that could be hits.
+    nonce, so it does not evict entries that could be hits. The table also
+    holds each record-set signature ``sign_record_set`` made, entered
+    without a check: its key is known to derive the public key.
     """
     if len(public_key) != KEY_LEN or len(signature) != SIGNATURE_LEN:
         return False
@@ -231,13 +233,17 @@ def verify_signature(
         Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
     except (InvalidSignature, ValueError):
         return False
-    if not remember:
-        return True
+    if remember:
+        _remember(digest)
+    return True
+
+
+def _remember(digest: bytes) -> None:
+    """Enter a good signature's digest in the table, evicting the oldest."""
     with _verified_lock:
         _verified[digest] = None
         if len(_verified) > VERIFIED_CACHE_SIZE:
             _verified.popitem(last=False)
-    return True
 
 
 @dataclass(frozen=True)
@@ -373,12 +379,15 @@ def sign_record_set(
     """Sign ``records`` under ``label`` in the owner's namespace.
 
     Records are sorted into canonical order first, so insertion order never
-    leaks into the signature.
+    leaks into the signature. The signature goes into the verified table:
+    ``owner.sign`` has checked that the private key derives the public key,
+    so the set's own first check would pass.
     """
     check_label(label)
     ordered = sort_records(records)
     message = record_set_signing_bytes(owner.public_key, label, ordered)
     signature = owner.sign(message)
+    _remember(hashlib.sha256(owner.public_key + signature + message).digest())
     return _with_signing_bytes(
         RecordSet(
             public_key=owner.public_key,

@@ -7,14 +7,17 @@ Layout under the data directory:
     names/<hexpub>/<label>.rrset      canonical record set bytes
 
 Every file is replaced whole, so a crash mid-write leaves the old file.
-Record sets are written in canonical serialization and pass
-``netsim.admits`` again whenever they are read; a file that fails, or whose
-name is no label, is renamed to ``<label>.rrset.quarantined`` and reads as
-absent. Petnames are purely local and never serialized into records.
+Record sets are written in canonical serialization and are read again from
+disk at every read; bytes the store has not admitted before are decoded and
+pass ``netsim.admits``, and bytes it has are answered with the set they
+decoded to. A file that fails, or whose name is no label, is renamed to
+``<label>.rrset.quarantined`` and reads as absent. Petnames are purely
+local and never serialized into records.
 """
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
@@ -62,6 +65,9 @@ class NamespaceStore:
         self.root = Path(root)
         (self.root / "keys").mkdir(parents=True, exist_ok=True)
         (self.root / "names").mkdir(parents=True, exist_ok=True)
+        # file path -> (bytes last admitted there, the set they decoded to);
+        # each pair is right on its own, so a race costs a decode, no lock
+        self._admitted: dict[str, tuple[bytes, RecordSet]] = {}
 
     # --- identities and petnames -------------------------------------------
 
@@ -128,37 +134,50 @@ class NamespaceStore:
 
     # --- namespace entries ---------------------------------------------------
 
-    def _namespace_dir(self, public_key: bytes) -> Path:
-        return self.root / "names" / public_key.hex()
+    # Paths are str, not Path: these run at every edit and publish, and
+    # pathlib's joins and glob took a quarter of a five-label load_namespace.
+    def _namespace_dir(self, public_key: bytes) -> str:
+        return os.path.join(self.root, "names", public_key.hex())
 
-    def _admit(self, public_key: bytes, label: str, path: Path) -> Optional[RecordSet]:
-        """The set in ``path`` if it decodes and ``admits`` lets it answer
-        for (public_key, label). A file that fails, or whose name is no
-        label, is quarantined; a missing or failed file reads as None."""
+    def _admit(self, public_key: bytes, label: str, directory: str) -> Optional[RecordSet]:
+        """The set in ``label``'s file if it decodes and ``admits`` lets it
+        answer for (public_key, label); bytes admitted before are answered
+        from memory. A file that fails, or whose name is no label, is
+        quarantined; a missing or failed file reads as None."""
+        path = os.path.join(directory, label + RRSET_SUFFIX)
         data = read_or_none(path)
         if data is None:
             return None
+        admitted = self._admitted.get(path)
+        if admitted is not None and admitted[0] == data:
+            return admitted[1]
         try:
             record_set = canonical_deserialize(data)
             if admits(derive_query_key(public_key, label), record_set):
+                self._admitted[path] = (data, record_set)
                 return record_set
         except (DecodeError, InvalidLabel):
             pass
-        path.rename(path.with_name(label + QUARANTINE_SUFFIX))
+        os.rename(path, os.path.join(directory, label + QUARANTINE_SUFFIX))
         return None
 
     def entry(self, public_key: bytes, label: str) -> Optional[RecordSet]:
         """The set stored under one label, reading only that label's file."""
         check_label(label)
-        path = self._namespace_dir(public_key) / f"{label}{RRSET_SUFFIX}"
-        return self._admit(public_key, label, path)
+        return self._admit(public_key, label, self._namespace_dir(public_key))
 
     def load_namespace(self, public_key: bytes) -> dict[str, RecordSet]:
-        """Every stored set by label; corrupt files are quarantined."""
+        """Every stored set by label; corrupt files are quarantined. A
+        namespace with no directory has no labels."""
+        directory = self._namespace_dir(public_key)
+        try:
+            names = sorted(n for n in os.listdir(directory) if n.endswith(RRSET_SUFFIX))
+        except FileNotFoundError:
+            return {}
         entries = {}
-        for path in sorted(self._namespace_dir(public_key).glob(f"*{RRSET_SUFFIX}")):
-            label = path.name[: -len(RRSET_SUFFIX)]
-            record_set = self._admit(public_key, label, path)
+        for name in names:
+            label = name[: -len(RRSET_SUFFIX)]
+            record_set = self._admit(public_key, label, directory)
             if record_set is not None:
                 entries[label] = record_set
         return entries
@@ -173,8 +192,8 @@ class NamespaceStore:
         """
         record_set = sign_record_set(owner, label, records)
         directory = self._namespace_dir(owner.public_key)
-        directory.mkdir(parents=True, exist_ok=True)
-        write_atomic(directory / f"{label}{RRSET_SUFFIX}", canonical_serialize(record_set))
+        os.makedirs(directory, exist_ok=True)
+        write_atomic(os.path.join(directory, label + RRSET_SUFFIX), canonical_serialize(record_set))
         return record_set
 
     # --- publication ---------------------------------------------------------

@@ -390,6 +390,17 @@ def test_a_cached_credential_fails_once_its_attribute_changes(fresh_table):
     assert verify_credential(credential, CLOCK)
 
 
+def test_a_signed_record_set_enters_the_table_and_a_response_or_credential_does_not(
+    fresh_table,
+):
+    issuer, subject = make_key(b"issuer"), make_key(b"subject")
+    build_response(subject, b"\x07" * 16, {})
+    issue_credential(issuer, subject.public_key, "employee", clock=CLOCK, lifetime_us=1_000_000)
+    assert len(core._verified) == 0
+    sign_record_set(issuer, "user", [])
+    assert len(core._verified) == 1
+
+
 def test_a_cached_response_fails_once_its_nonce_changes(fresh_table):
     response = build_response(make_key(b"subject"), b"\x07" * 16, {})
 

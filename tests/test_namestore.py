@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import os
+from collections import OrderedDict
 
 import pytest
 
+from abd import core, namestore
 from abd.core import (
     DAYS,
     NamespaceKey,
@@ -51,6 +53,37 @@ def signs(monkeypatch):
     counted.calls = 0
     monkeypatch.setattr(NamespaceKey, "sign", counted)
     return counted
+
+
+@pytest.fixture
+def ed25519_checks(monkeypatch):
+    """Counts full Ed25519 checks against an empty verified-signature table."""
+    checks = []
+    real = core.Ed25519PublicKey
+
+    class Counting:
+        @staticmethod
+        def from_public_bytes(data):
+            checks.append(data)
+            return real.from_public_bytes(data)
+
+    monkeypatch.setattr(core, "_verified", OrderedDict())
+    monkeypatch.setattr(core, "Ed25519PublicKey", Counting)
+    return checks
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """Counts the record-set files the store decodes."""
+    calls = []
+    real = namestore.canonical_deserialize
+
+    def counted(data):
+        calls.append(data)
+        return real(data)
+
+    monkeypatch.setattr(namestore, "canonical_deserialize", counted)
+    return calls
 
 
 class RecordingPuts(SimulatedDht):
@@ -203,6 +236,35 @@ def test_single_label_read_checks_the_label_before_the_path(tmp_path):
         store.entry(owner.public_key, "../keys/x")
 
 
+def test_a_namespace_with_no_directory_has_no_labels(tmp_path):
+    assert NamespaceStore(tmp_path).load_namespace(key(b"absent").public_key) == {}
+
+
+def test_a_set_another_store_writes_is_read_not_the_remembered_one(tmp_path):
+    first, second = NamespaceStore(tmp_path), NamespaceStore(tmp_path)
+    owner = first.create_identity(petname="owner", seed=b"o".ljust(32, b"\0"))
+    first.store(owner, "boss", [attr_record(key(b"s").public_key)])
+    assert first.entry(owner.public_key, "boss") is not None
+    replaced = second.store(owner, "boss", [attr_record(key(b"t").public_key)])
+    assert first.entry(owner.public_key, "boss") == replaced
+    assert first.load_namespace(owner.public_key) == {"boss": replaced}
+
+
+def test_a_byte_flipped_in_an_admitted_file_gets_it_quarantined(tmp_path):
+    store = NamespaceStore(tmp_path)
+    owner = store.create_identity(petname="owner", seed=b"o".ljust(32, b"\0"))
+    store.store(owner, "boss", [attr_record(key(b"s").public_key)])
+    assert store.entry(owner.public_key, "boss") is not None
+    path = tmp_path / "names" / owner.hex / "boss.rrset"
+    raw = bytearray(path.read_bytes())
+    raw[-1] ^= 0x01  # flip a signature bit
+    path.write_bytes(bytes(raw))
+    assert store.entry(owner.public_key, "boss") is None
+    assert not path.exists()
+    assert path.with_name("boss.rrset.quarantined").exists()
+    assert store.load_namespace(owner.public_key) == {}
+
+
 # --- atomic writes ----------------------------------------------------------------------
 
 
@@ -300,6 +362,28 @@ def test_publishing_an_unchanged_namespace_again_signs_nothing_and_puts_the_same
     assert [data for _, data in backend.puts[:2]] == [
         canonical_serialize(stored[label]) for label in ("boss", "gone")
     ]
+
+
+@pytest.mark.parametrize("backend", ["file", "dht"])
+def test_an_edit_and_its_publish_run_no_ed25519_check(tmp_path, ed25519_checks, backend):
+    store = NamespaceStore(tmp_path / "home")
+    owner = store.create_identity(petname="owner", seed=b"o".ljust(32, b"\0"))
+    network = FileBackend(tmp_path / "backend") if backend == "file" else memory_dht()
+    add_delegation(store, owner, "boss", expression([(key(b"s").public_key, [])]), clock=CLOCK)
+    assert store.publish(owner, network, CLOCK).ok
+    assert ed25519_checks == []
+
+
+def test_republishing_an_unchanged_namespace_decodes_nothing(tmp_path, decodes):
+    store = NamespaceStore(tmp_path)
+    owner = store.create_identity(petname="owner", seed=b"o".ljust(32, b"\0"))
+    for label in ("boss", "peer"):
+        add_delegation(store, owner, label, expression([(key(b"s").public_key, [])]), clock=CLOCK)
+    backend = memory_dht()
+    assert store.publish(owner, backend, CLOCK).ok
+    assert len(decodes) == 2
+    assert store.publish(owner, backend, CLOCK).ok
+    assert len(decodes) == 2
 
 
 def test_publish_restores_an_unchanged_namespace_on_healed_replicas(tmp_path):
