@@ -16,6 +16,13 @@ won. A metric is flagged ``noisy`` when the base's own IQR is wider than
 the metric's bound in ``BENCHMARK.json``: a regression smaller than that
 spread cannot be told from noise.
 
+A workload whose simulated clock advances has a horizon: the decisions a
+timed run can make before the world's delegations and credentials expire
+(``world.LIFETIME_US`` after the build), after which every grant becomes a
+false deny. Each such run records its decisions as ``horizon_share``, and a
+share above HORIZON_SHARE_FLAG is flagged ``near_horizon``: a faster tree,
+or a faster host, would push that run past it.
+
 Ops mode counts instead of timing, so both sides do identical work::
 
     python3 scripts/bench_pairs.py --ops 1500 [--tree DIR]
@@ -25,12 +32,15 @@ It imports ``benchmark.workloads`` from DIR (this checkout by default, each
 revision's worktree when revisions are given), builds each in-process
 workload's world, warms up, drives its ``step`` for N seeded ops and prints
 one JSON line per workload and seed: ops, decisions and publishes, DHT
-lookups and messages, Ed25519 verifies and signatures, record-set decodes
-and decodes per publish. Two runs of one tree print the same counts.
+lookups and messages, ``lookup_digest`` (a sha256 of the query keys of
+every get, in order), Ed25519 verifies and signatures, record-set decodes
+and decodes per publish. Two runs of one tree print the same line, and two
+trees that search alike print the same lookups and digest.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib
 import json
 import os
@@ -45,6 +55,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKTREES = ROOT / ".bench_pairs"
 RUN_TIMEOUT_S = 600
+HORIZON_SHARE_FLAG = 0.85
 
 
 def git(*args: str) -> str:
@@ -63,6 +74,34 @@ def checkout(sha: str) -> Path:
 
 def remove(path: Path) -> None:
     git("worktree", "remove", "--force", str(path))
+
+
+def load_benchmark(tree: Path):
+    """The ``benchmark.workloads`` and ``world`` modules of ``tree``, over the
+    abd of ``tree``."""
+    for path in (tree / "benchmark", tree / "src", tree):
+        sys.path.insert(0, str(path))
+    import abd
+    import abd.cli  # noqa: F401  (loads every abd module)
+
+    if Path(abd.__file__).resolve().parent != (tree / "src" / "abd").resolve():
+        raise SystemExit(f"bench_pairs: imported abd from {abd.__file__}, not from {tree / 'src'}")
+    return importlib.import_module("benchmark.workloads"), importlib.import_module("world")
+
+
+def horizon(workloads, world, workload: str) -> int | None:
+    """The decisions a timed run of ``workload`` can make before the world's
+    records expire, or None when its clock does not advance.
+
+    Simulated time moves ADVANCE_STEP_US every ADVANCE_EVERY decisions, and
+    warm-up has spent WARMUP_TTLS cache TTLs of it already.
+    """
+    cls = workloads.WORKLOADS[workload]
+    step = getattr(cls, "ADVANCE_STEP_US", 0)
+    if not step:
+        return None
+    left = world.LIFETIME_US - cls.WARMUP_TTLS * cls.dht.cache_ttl_us
+    return left // step * cls.ADVANCE_EVERY
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -114,7 +153,9 @@ def pairs(args, base_tree: Path, change_tree: Path, revs: dict) -> Path:
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     report = {"revisions": revs, "seconds": args.seconds, "pairs": args.pairs, "seeds": args.seeds,
               "workloads": {}}
+    modules = load_benchmark(change_tree)
     for workload in workloads:
+        limit = horizon(*modules, workload)
         runs = []
         for seed in args.seeds:
             for index in range(args.pairs):
@@ -122,11 +163,14 @@ def pairs(args, base_tree: Path, change_tree: Path, revs: dict) -> Path:
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
                     tree = base_tree if side == "base" else change_tree
-                    pair[side] = run_once(tree, workload, seed, args.seconds)
+                    run = pair[side] = run_once(tree, workload, seed, args.seconds)
+                    if limit:
+                        run["horizon_share"] = run["detail"]["samples"]["decide"] / limit
                 runs.append(pair)
                 print(json.dumps({"workload": workload, "seed": seed, "pair": index, **{
                     side: {"correct": pair[side]["result"]["correct"],
-                           **{k: round(v["value"], 4) for k, v in pair[side]["result"]["metrics"].items()}}
+                           **{k: round(v["value"], 4) for k, v in pair[side]["result"]["metrics"].items()},
+                           **({"horizon_share": round(pair[side]["horizon_share"], 4)} if limit else {})}
                     for side in ("base", "change")}}), flush=True)
         summary = summarize(runs, spec["end_to_end"])
         report["workloads"][workload] = {
@@ -134,10 +178,19 @@ def pairs(args, base_tree: Path, change_tree: Path, revs: dict) -> Path:
             "summary": summary,
             "runs": runs,
         }
+        if limit:
+            report["workloads"][workload]["horizon"] = {
+                "decisions": limit,
+                "near_horizon": [
+                    {"seed": r["seed"], "side": side, "horizon_share": r[side]["horizon_share"]}
+                    for r in runs for side in ("base", "change") if r[side]["horizon_share"] > HORIZON_SHARE_FLAG
+                ],
+            }
         print(json.dumps({"workload": workload, **{
             name: {k: m[k] for k in ("median_change", "pairs_won", "noisy")} | {
                 side: {k: round(m[side][k], 4) for k in ("median", "iqr")} for side in ("base", "change")}
-            for name, m in summary.items()}}), flush=True)
+            for name, m in summary.items()}, **({"horizon": report["workloads"][workload]["horizon"]} if limit else {})}),
+            flush=True)
     path = ROOT / f"BENCH_{revs['change'][:12]}.json"
     path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return path
@@ -165,16 +218,9 @@ def count_calls(counts: Counter, owner, attribute: str, name: str, modules=()) -
 def ops(tree: Path, names: list[str], seeds: list[int], n: int) -> None:
     """Print the counts of ``n`` ops after warm-up, per workload and seed,
     for the abd and benchmark of ``tree``."""
-    for path in (tree / "benchmark", tree / "src", tree):
-        sys.path.insert(0, str(path))
-    import abd
-    import abd.cli  # noqa: F401  (loads every abd module)
-
-    if Path(abd.__file__).resolve().parent != (tree / "src" / "abd").resolve():
-        raise SystemExit(f"bench_pairs: imported abd from {abd.__file__}, not from {tree / 'src'}")
+    workloads, _ = load_benchmark(tree)
     from abd import core, namestore
 
-    workloads = importlib.import_module("benchmark.workloads")
     counts: Counter = Counter()
     modules = [m for name, m in sorted(sys.modules.items()) if name == "abd" or name.startswith("abd.")]
     count_calls(counts, core, "canonical_deserialize", "decodes", modules)
@@ -203,6 +249,14 @@ def ops(tree: Path, names: list[str], seeds: list[int], n: int) -> None:
                 workload.build()
                 warm = workload.warm_up()
                 counts.clear()
+                digest = hashlib.sha256()
+                get = workload.backend.get
+
+                def recorded(query_key, *args, **kwargs):
+                    digest.update(query_key)
+                    return get(query_key, *args, **kwargs)
+
+                workload.backend.get = recorded
                 before = workload.backend.stats().as_dict()
                 window = workloads.Window()
                 for _ in range(n):
@@ -219,6 +273,7 @@ def ops(tree: Path, names: list[str], seeds: list[int], n: int) -> None:
                 "failures": sum(window.failures.values()) + sum(warm.failures.values()),
                 "lookups": after["lookups"] - before["lookups"],
                 "messages": after["messages"] - before["messages"],
+                "lookup_digest": digest.hexdigest(),
                 "ed25519_verifies": counts["ed25519_verifies"],
                 "signatures": counts["signatures"],
                 "decodes": counts["decodes"],
@@ -258,7 +313,7 @@ def main() -> int:
         else:
             print(f"wrote {pairs(args, trees[0], trees[1], revs)}")
     finally:
-        for tree in trees:
+        for tree in dict.fromkeys(trees):  # BASE and CHANGE may be one revision
             remove(tree)
         if WORKTREES.exists() and not os.listdir(WORKTREES):
             WORKTREES.rmdir()

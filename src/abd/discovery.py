@@ -205,11 +205,11 @@ class _Node:
         "terms",
     )
 
-    def __init__(self, subject: bytes, trail: tuple[str, ...]):
+    def __init__(self, subject: bytes, trail: tuple[str, ...], every: bool):
         self.subject = subject
         self.trail = trail
         self.members: dict[bytes, object] = {}
-        self.every = False  # every member wanted, not only the subject
+        self.every = every  # every member wanted, not only the subject
         self.resolved = False
         self.prefix: Optional[_Node] = None  # links only
         # A node fills few of these (1.2 of the four on average, in searches
@@ -256,6 +256,12 @@ def discover(
     Returns None when the search space is exhausted without a chain. The
     node budget, MAX_NODES, raises LimitExceeded when hit. Network-class
     backend errors propagate: an unreachable name system is not a denial.
+
+    Each resolved record takes the shortest path for its shape. A record
+    naming one key admits that key. A record with one one-label entry, such
+    as ``agency.dco <- lab.dco``, subscribes its role to that entry's role.
+    Only a conjunction or a trail builds a node per entry and checks each
+    candidate member against every entry.
     """
     check_label(attribute)
     tracing = trace is not None
@@ -272,25 +278,24 @@ def discover(
         cred_index.setdefault((cred.issuer, cred.attribute), cred)
     hinted_issuers = {cred.issuer for cred in usable}
 
-    nodes: dict[tuple[bytes, tuple[str, ...]], _Node] = {}
+    # A role is keyed by (namespace, label), as the credentials are, and a
+    # link by (namespace, trail).
+    nodes: dict[tuple[bytes, str | tuple[str, ...]], _Node] = {}
     queue_every: deque[_Node] = deque()
     queue_hinted: deque[_Node] = deque()  # namespace issued a credential
     queue_cold: deque[_Node] = deque()
 
-    def new_node(subject: bytes, trail: tuple[str, ...]) -> _Node:
-        if len(nodes) >= MAX_NODES:
-            raise LimitExceeded("max_nodes", MAX_NODES)
-        node = nodes[(subject, trail)] = _Node(subject, trail)
-        return node
-
     def role(subject: bytes, label: str, every: bool) -> _Node:
-        node = nodes.get((subject, (label,)))
+        ident = (subject, label)
+        node = nodes.get(ident)
         if node is not None:
             if every:
                 want_all(node)
             return node
-        node = new_node(subject, (label,))
-        credential = cred_index.get((subject, label))
+        if len(nodes) >= MAX_NODES:
+            raise LimitExceeded("max_nodes", MAX_NODES)
+        node = nodes[ident] = _Node(subject, (label,), every)
+        credential = cred_index.get(ident)
         if tracing:
             trace.add(
                 kind="no_credential" if credential is None else "credential_match",
@@ -300,7 +305,6 @@ def discover(
             )
         if credential is not None:
             add(node, subject_pub, credential)
-        node.every = every
         if every:
             queue_every.append(node)
         elif credential is None:
@@ -309,14 +313,16 @@ def discover(
 
     def link(prefix: _Node, label: str, every: bool) -> _Node:
         trail = prefix.trail + (label,)
-        node = nodes.get((prefix.subject, trail))
+        ident = (prefix.subject, trail)
+        node = nodes.get(ident)
         if node is not None:
             if every:
                 want_all(node)
             return node
-        node = new_node(prefix.subject, trail)
+        if len(nodes) >= MAX_NODES:
+            raise LimitExceeded("max_nodes", MAX_NODES)
+        node = nodes[ident] = _Node(prefix.subject, trail, every)
         node.prefix = prefix
-        node.every = every
         if prefix.links:
             prefix.links.append(node)
         else:
@@ -368,13 +374,25 @@ def discover(
             if node.prefix is not None:
                 # A member whose join is still to come gets its role from
                 # ``join``, which reads ``every`` then.
-                label = node.trail[-1:]
+                label = node.trail[-1]
                 roles = (nodes.get((m, label)) for m in node.prefix.members)
                 stack.extend(r for r in roles if r is not None)
             else:
                 if not node.resolved:
                     queue_every.append(node)
                 stack.extend(node.terms)
+
+    def subscribe(rule: _Rule, entry_node: _Node) -> None:
+        """Hand ``rule`` each member ``entry_node`` gains from now on."""
+        owner = rule.owner
+        if owner.terms:
+            owner.terms.append(entry_node)
+        else:
+            owner.terms = [entry_node]
+        if entry_node.rules:
+            entry_node.rules.append(rule)
+        else:
+            entry_node.rules = [rule]
 
     def expand(node: _Node) -> None:
         node.resolved = True
@@ -416,11 +434,25 @@ def discover(
                     children=tuple((e.subject, e.trail) for e in expr.entries),
                 )
             entries = expr.entries
-            if len(entries) == 1 and not entries[0].trail:
-                # The record names one key: it admits that key and no other,
-                # and has no entry node to subscribe to.
-                add(node, entries[0].subject, _Rule(node, record, entries, (None,)))
-                continue
+            if len(entries) == 1:
+                entry = entries[0]
+                trail = entry.trail
+                if not trail:
+                    # The record names one key: it admits that key and no
+                    # other, and has no entry node to subscribe to.
+                    add(node, entry.subject, _Rule(node, record, entries, (None,)))
+                    continue
+                if len(trail) == 1:
+                    # The record admits every member of one role: subscribe
+                    # to it. ``role`` makes it want every member when this
+                    # node does, and creating a role cannot change this
+                    # node's ``every``, so there is nothing to fix up.
+                    entry_node = role(entry.subject, trail[0], node.every)
+                    rule = _Rule(node, record, entries, (entry_node,))
+                    subscribe(rule, entry_node)
+                    for key in list(entry_node.members):
+                        add(node, key, rule)
+                    continue
             terms = tuple(
                 term(entry, node.every) if entry.trail else None
                 for entry in entries
@@ -430,14 +462,7 @@ def discover(
                 # A term's creation may have made this role want every member.
                 if node.every:
                     want_all(entry_node)
-                if node.terms:
-                    node.terms.append(entry_node)
-                else:
-                    node.terms = [entry_node]
-                if entry_node.rules:
-                    entry_node.rules.append(rule)
-                else:
-                    entry_node.rules = [rule]
+                subscribe(rule, entry_node)
             first = terms[0]
             candidates = [entries[0].subject] if first is None else list(first.members)
             for key in candidates:
@@ -489,7 +514,7 @@ def _via(node: _Node, member: bytes) -> tuple[bytes, ...]:
 
 
 def _build_chain(
-    nodes: Mapping[tuple[bytes, tuple[str, ...]], _Node],
+    nodes: Mapping[tuple[bytes, str | tuple[str, ...]], _Node],
     issuer: bytes,
     attribute: str,
     subject_pub: bytes,
@@ -504,7 +529,7 @@ def _build_chain(
             continue
         seen.add(obligation)
         member, subject, label = obligation
-        why = nodes[(subject, (label,))].members[member]
+        why = nodes[(subject, label)].members[member]
         if isinstance(why, Credential):
             leaves.append(ChainLeaf(member, subject, label, why))
             continue

@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import gc
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +23,13 @@ from abd.discovery import (
     verify_chain,
 )
 from abd.errors import BackendError, LimitExceeded
-from abd.netsim import DhtConfig, SimulatedDht, derive_query_key, resolve
+from abd.netsim import (
+    DhtConfig,
+    NameSystemBackend,
+    SimulatedDht,
+    derive_query_key,
+    resolve,
+)
 
 from instance_gen import (
     CLOCK as GEN_CLOCK,
@@ -369,6 +378,46 @@ def test_a_link_can_want_every_member_before_its_roles_exist():
     assert chain is None and not entailed
 
 
+def test_a_rule_whose_own_term_makes_its_owner_want_every_member():
+    # a.x is the root, so it starts wanting only the subject. Its record
+    # b.y & a.x.z creates b.y first, matched by the subject's credential and
+    # left unresolved, then a.x.z, whose prefix a.x must now give every
+    # member. So b.y must be resolved after all: only then does c, a member
+    # of b.y and of a.x.z (through e in a.x), join a.x, and the subject join
+    # c.z.
+    a, b, c, e, subject = key(b"a"), key(b"b"), key(b"c"), key(b"e"), key(b"s")
+    triples = [
+        (a, "x", expression([(b.public_key, ["y"]), (a.public_key, ["x", "z"])])),
+        (a, "x", expression([(e.public_key, [])])),
+        (e, "z", expression([(c.public_key, [])])),
+        (b, "y", expression([(c.public_key, [])])),
+        (c, "z", expression([(subject.public_key, [])])),
+    ]
+    backend = micro_world(*triples)
+    cred = issue_credential(b, subject.public_key, "y", clock=GEN_CLOCK, lifetime_us=HOUR)
+    assert oracle_entailed(
+        [(issuer.public_key, label, expr) for issuer, label, expr in triples],
+        [cred],
+        a.public_key,
+        "x",
+        subject.public_key,
+    )
+    trace = DiscoveryTrace()
+    chain = discover(
+        issuer_pub=a.public_key,
+        attribute="x",
+        subject_pub=subject.public_key,
+        subject_creds=[cred],
+        backend=backend,
+        clock=GEN_CLOCK,
+        trace=trace,
+    )
+    assert chain is not None
+    assert (b.public_key, "y") in trace.resolves()
+    ok, diagnostics = verify_chain(chain, subject.public_key, backend, GEN_CLOCK)
+    assert ok, diagnostics
+
+
 def test_node_budget_raises():
     portal = key(b"portal")
     backend = publish_fan_out(portal)
@@ -611,6 +660,57 @@ def run_equivalence_case(seed: int):
         )
         assert ok, f"seed {seed}: {diagnostics}"
     return instance, backend, chain
+
+
+# --- the search order, pinned beyond the fixture ------------------------------------
+
+# One sha256 per generated world, seeds 0 to 199 in order, over the query keys
+# its search asked for, in order, then its chain (``to_dict``) as JSON. A change
+# that keeps every decision but reorders the resolves fails here.
+SEARCH_ORDER_GOLDEN = Path(__file__).parent / "golden" / "search-order.sha256"
+
+
+class RecordingBackend(NameSystemBackend):
+    """Passes every call to ``inner`` and keeps the query key of each get."""
+
+    def __init__(self, inner: NameSystemBackend):
+        self.inner = inner
+        self.query_keys: list[bytes] = []
+
+    def put(self, query_key, record_set, clock):
+        self.inner.put(query_key, record_set, clock)
+
+    def get(self, query_key, clock):
+        self.query_keys.append(query_key)
+        return self.inner.get(query_key, clock)
+
+    def stats(self):
+        return self.inner.stats()
+
+
+def search_order_digest(seed: int) -> str:
+    instance = generate_instance(random.Random(seed))
+    backend = RecordingBackend(publish_instance(instance))
+    chain = discover(
+        issuer_pub=instance.root_issuer,
+        attribute=instance.root_attribute,
+        subject_pub=instance.subject.public_key,
+        subject_creds=instance.credentials,
+        backend=backend,
+        clock=GEN_CLOCK,
+    )
+    digest = hashlib.sha256(b"".join(backend.query_keys))
+    digest.update(json.dumps(chain and chain.to_dict(), sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_search_order_matches_the_golden_digests():
+    golden = SEARCH_ORDER_GOLDEN.read_text().split()
+    assert len(golden) == 200
+    drifted = [
+        seed for seed, pinned in enumerate(golden) if search_order_digest(seed) != pinned
+    ]
+    assert not drifted, f"search order or chain drifted for seeds {drifted}"
 
 
 @settings(max_examples=100)
