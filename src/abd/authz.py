@@ -9,6 +9,16 @@ decision reply carries the next challenge, so over HTTP a client makes one
 exchange per decision after its first: ``GET /policy`` fetches a challenge
 only when the client holds none for that resource.
 
+A chain is found once and then checked. ``VerifierService`` remembers, in a
+``ChainTable``, the chain that last proved each (subject key, attribute),
+and re-checks it with ``verify_chain`` before it searches; the client
+thread remembers the credential sets that last granted and re-presents them
+without a search. So a repeat grant over HTTP searches on neither side. A
+remembered chain that no longer verifies is forgotten and the verifier
+searches, so a grant always rests on a chain that holds now and a deny on a
+full search; the client, denied what granted before, forgets it and answers
+once more from a search: one extra exchange, only after a revocation.
+
 Decisions are three-valued. Deny carries reasons; a backend failure during
 collection is an Error ("could not find out"), never a silent Deny. The
 verifier and the client both collect through ``_collect``, which turns a
@@ -50,7 +60,7 @@ from urllib.parse import quote, unquote, urlsplit
 
 from .core import KEY_LEN, U32, NamespaceKey, check_label, clip, pack_label, verify_signature
 from .credential import Credential, collect, export_json, import_json, refusal
-from .discovery import DelegationChain
+from .discovery import DelegationChain, verify_chain
 from .errors import AbdError, BackendError, LimitExceeded, UnknownResource
 from .netsim import NameSystemBackend
 
@@ -59,6 +69,8 @@ NONCE_LEN = 16
 NONCE_LIFETIME_US = 120_000_000  # two minutes
 MAX_BODY_BYTES = 1 << 20  # an /authorize body for a few attributes is a few KB
 MAX_NONCES = 65_536  # outstanding nonces; a few hundred bytes each
+MAX_CHAINS = 4_096  # chains a verifier remembers, one per (subject, attribute)
+MAX_KEPT_GRANTS = 64  # granting credential sets a client thread keeps
 READ_TIMEOUT_S = 10.0  # a connection idle or stalled this long is closed
 MAX_HEAD_LINES = 100  # header lines in a request or a reply
 MAX_LINE_BYTES = 65_536  # one start line or header line, its line end included
@@ -115,6 +127,39 @@ class PolicyStore:
         if policy is None:
             raise UnknownResource(f"no policy for resource {clip(resource_id)}")
         return policy
+
+
+class ChainTable:
+    """The chain that last proved each (subject key, attribute), at most
+    ``MAX_CHAINS`` of them; the least recently used goes first.
+
+    A remembered chain only says where to look: ``authorize`` grants on it
+    only after ``verify_chain`` accepts it against the name system as it is.
+    """
+
+    def __init__(self) -> None:
+        self._chains: OrderedDict[tuple[bytes, str], DelegationChain] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, subject: bytes, attribute: str) -> Optional[DelegationChain]:
+        with self._lock:
+            chain = self._chains.get((subject, attribute))
+            if chain is not None:
+                self._chains.move_to_end((subject, attribute))
+            return chain
+
+    def put(self, subject: bytes, attribute: str, chain: DelegationChain) -> None:
+        with self._lock:
+            self._chains[subject, attribute] = chain
+            self._chains.move_to_end((subject, attribute))
+            if len(self._chains) > MAX_CHAINS:
+                self._chains.popitem(last=False)
+
+    def drop(self, subject: bytes, attribute: str, chain: DelegationChain) -> None:
+        """Forget ``chain``, unless another decision has replaced it since."""
+        with self._lock:
+            if self._chains.get((subject, attribute)) is chain:
+                del self._chains[subject, attribute]
 
 
 class NonceTable:
@@ -270,15 +315,22 @@ def authorize(
     backend: NameSystemBackend,
     clock: int,
     nonce_table: NonceTable,
+    chains: Optional[ChainTable] = None,
 ) -> AuthzDecision:
     """Decide a signed response against a policy.
 
     The verifier trusts nothing from the subject but the credentials
     themselves: it runs the subject's own ``collect`` from its own
-    namespace over them. Once the response signature verifies, the request
-    uses up its nonce whatever it decides, so a response is decided at most
-    once. Only the request that consumes the nonce grants, so one response
-    cannot grant twice, even when two copies of it are decided at once.
+    namespace over them. Given a ``ChainTable``, it first re-checks with
+    ``verify_chain`` the chain that last proved each attribute for the
+    subject, when every credential that chain rests on is presented, and
+    collects only the attributes no remembered chain still proves; a chain
+    that fails is forgotten. So a grant still rests on a chain that holds
+    now, and a deny on a full search. Once the response signature verifies,
+    the request uses up its nonce whatever it decides, so a response is
+    decided at most once. Only the request that consumes the nonce grants,
+    so one response cannot grant twice, even when two copies of it are
+    decided at once.
     """
     problem = nonce_table.status(response.nonce, policy.resource_id, clock)
     if problem is not None:
@@ -289,7 +341,7 @@ def authorize(
         response.subject, response.signature, response.signing_bytes(), remember=False
     ):
         return AuthzDecision(decision=DENY, reasons=("response signature invalid",))
-    decision = _decide_signed(verifier_pub, response, policy, backend, clock)
+    decision = _decide_signed(verifier_pub, response, policy, backend, clock, chains)
     if not nonce_table.consume(response.nonce) and decision.decision == GRANT:
         return AuthzDecision(decision=DENY, reasons=(NONCE_UNKNOWN,))
     return decision
@@ -299,19 +351,19 @@ def _collect(
     subject_pub: bytes,
     subject_creds: Iterable[Credential],
     verifier_pub: bytes,
-    policy: Policy,
+    attributes: Iterable[str],
     backend: NameSystemBackend,
     clock: int,
 ) -> Union[dict, AuthzDecision]:
-    """``collect``'s chains for the policy, or the Error decision its failure
-    comes to. The verifier and the client both collect through here, so a
-    failure reads the same on either side."""
+    """``collect``'s chains for the attributes, or the Error decision its
+    failure comes to. The verifier and the client both collect through
+    here, so a failure reads the same on either side."""
     try:
         return collect(
             subject_pub=subject_pub,
             subject_creds=subject_creds,
             verifier_pub=verifier_pub,
-            policy_attrs=policy.required_attributes,
+            policy_attrs=attributes,
             backend=backend,
             clock=clock,
         )
@@ -327,6 +379,7 @@ def _decide_signed(
     policy: Policy,
     backend: NameSystemBackend,
     clock: int,
+    chains: Optional[ChainTable],
 ) -> AuthzDecision:
     """The decision on a response whose signature verified, nonce aside."""
     supplied: list[Credential] = []
@@ -339,11 +392,33 @@ def _decide_signed(
                 )
             supplied.append(credential)
 
-    chains = _collect(response.subject, supplied, verifier_pub, policy, backend, clock)
-    if isinstance(chains, AuthzDecision):
-        return chains
+    subject = response.subject
+    proved: dict[str, DelegationChain] = {}
+    if chains is not None:
+        presented = set(supplied)
+        for attribute in policy.required_attributes:
+            chain = chains.get(subject, attribute)
+            if (
+                chain is None
+                or chain.issuer != verifier_pub
+                or not all(leaf.credential in presented for leaf in chain.leaves)
+            ):
+                continue
+            if verify_chain(chain, subject, backend, clock)[0]:
+                proved[attribute] = chain
+            else:
+                chains.drop(subject, attribute, chain)
+    unproved = [a for a in policy.required_attributes if a not in proved]
+    if unproved:
+        found = _collect(subject, supplied, verifier_pub, unproved, backend, clock)
+        if isinstance(found, AuthzDecision):
+            return found
+        if chains is not None:
+            for attribute, chain in found.items():
+                chains.put(subject, attribute, chain)
+        proved.update(found)
     unsatisfied = [
-        attribute for attribute in policy.required_attributes if attribute not in chains
+        attribute for attribute in policy.required_attributes if attribute not in proved
     ]
     if unsatisfied:
         return AuthzDecision(
@@ -355,7 +430,7 @@ def _decide_signed(
     return AuthzDecision(
         decision=GRANT,
         chain_summaries=tuple(
-            _summarize_chain(chains[attribute]) for attribute in policy.required_attributes
+            _summarize_chain(proved[attribute]) for attribute in policy.required_attributes
         ),
     )
 
@@ -408,13 +483,15 @@ def _read_head(rfile, start: re.Pattern) -> Optional[tuple[re.Match, dict[str, s
 class VerifierService:
     """State behind the two HTTP endpoints. Each decision on a known
     resource carries the next challenge, so a client answers it without
-    another ``GET /policy``."""
+    another ``GET /policy``. The chain that last proved each subject's
+    attribute is re-checked before any search for one."""
 
     verifier_pub: bytes
     policies: PolicyStore
     backend: NameSystemBackend
     clock_fn: Callable[[], int]
     nonces: NonceTable = field(default_factory=NonceTable, init=False)
+    chains: ChainTable = field(default_factory=ChainTable, init=False)
 
     def policy_payload(self, resource_id: str) -> dict:
         return self._challenge(self.policies.get_policy(resource_id))
@@ -463,6 +540,7 @@ class VerifierService:
             backend=self.backend,
             clock=self.clock_fn(),
             nonce_table=self.nonces,
+            chains=self.chains,
         )
         payload = decision.to_json()
         payload["next"] = self._challenge(policy)
@@ -547,14 +625,16 @@ def make_server(service: VerifierService, host: str, port: int) -> socketserver.
 
 class _Kept(threading.local):
     """Per client thread: the socket to the last endpoint used (Nagle off)
-    with a buffered reader, and the challenge last carried for each
-    (endpoint, resource id)."""
+    with a buffered reader, the challenge last carried for each (endpoint,
+    resource id), and the credential sets that last granted each (endpoint,
+    resource id, subject key), at most ``MAX_KEPT_GRANTS``."""
 
     def __init__(self) -> None:
         self.endpoint: Optional[tuple[str, str]] = None
         self.sock: Optional[socket.socket] = None
         self.reader = None
         self.challenges: dict[tuple[str, str], Challenge] = {}
+        self.grants: dict[tuple[str, str, bytes], dict[str, tuple[Credential, ...]]] = {}
 
     def connect(self, timeout: float) -> None:
         scheme, host = self.endpoint
@@ -582,9 +662,10 @@ _kept = _Kept()
 
 def close_connection() -> None:
     """Close this thread's kept connection, if it has one, and drop its
-    carried challenges."""
+    carried challenges and granting credential sets."""
     _kept.disconnect()
     _kept.challenges = {}
+    _kept.grants = {}
 
 
 def _exchange(request: urllib.request.Request) -> None:
@@ -722,21 +803,12 @@ def _answer(
     resource_id: str,
     challenge: Challenge,
     subject: NamespaceKey,
-    subject_creds: Iterable[Credential],
-    backend: NameSystemBackend,
-    clock: int,
+    credential_sets: Mapping[str, tuple[Credential, ...]],
     timeout: float,
 ) -> tuple[AuthzDecision, Optional[Challenge]]:
-    """Collect, sign and submit an answer to ``challenge``. Returns the
-    decision and the challenge the reply carries, if it carries one."""
-    policy = challenge.policy
-    chains = _collect(subject.public_key, subject_creds, challenge.verifier, policy, backend, clock)
-    if isinstance(chains, AuthzDecision):
-        return chains, None
-    credential_sets = {
-        attribute: tuple(chains[attribute].credentials()) if attribute in chains else ()
-        for attribute in policy.required_attributes
-    }
+    """Sign and submit ``credential_sets`` as the answer to ``challenge``.
+    Returns the decision and the challenge the reply carries, if it carries
+    one."""
     response = build_response(subject, challenge.nonce, credential_sets)
     body = json.dumps(
         {
@@ -769,6 +841,26 @@ def _answer(
     return AuthzDecision.from_json(status, reply), following
 
 
+def _presentable(
+    granted: Mapping[str, tuple[Credential, ...]],
+    policy: Policy,
+    subject_pub: bytes,
+    subject_creds: tuple[Credential, ...],
+    clock: int,
+) -> bool:
+    """Whether credential sets that granted can answer ``policy`` again:
+    they answer its attributes, and each credential is among those the
+    caller holds and still counts."""
+    if set(granted) != set(policy.required_attributes):
+        return False
+    held = set(subject_creds)
+    return all(
+        credential in held and refusal(credential, subject_pub, clock) is None
+        for credentials in granted.values()
+        for credential in credentials
+    )
+
+
 def request_access(
     endpoint: str,
     resource_id: str,
@@ -790,11 +882,18 @@ def request_access(
     dropped it); if the verifier refuses one, the answer is sent once more,
     to the challenge the refusal carries (or, if it carries none, to one
     fetched with ``GET /policy``).
+    The thread also keeps the credential sets that last granted the subject
+    the resource, and re-presents them without a search while each is still
+    held and counts. If the verifier denies them, as after a revocation, they
+    are forgotten and the answer is collected and sent once more, to the
+    challenge the deny carries.
     Network failures reaching the verifier, replies that are not HTTP, not
     JSON objects or not decisions, replies whose status is not 200 unless
     they state an Error, and failures during collection surface as Error.
     """
     subject_creds = tuple(subject_creds)  # a resend collects again
+    kept = (endpoint, resource_id, subject.public_key)
+    granted = _kept.grants.get(kept)
     challenge = _kept.challenges.pop((endpoint, resource_id), None)
     carried = challenge is not None
     while True:
@@ -802,9 +901,38 @@ def request_access(
             challenge = _fetch_challenge(endpoint, resource_id, timeout)
             if isinstance(challenge, AuthzDecision):
                 return challenge
-        decision, challenge = _answer(
-            endpoint, resource_id, challenge, subject, subject_creds, backend, clock, timeout
+        policy = challenge.policy
+        reused = granted is not None and _presentable(
+            granted, policy, subject.public_key, subject_creds, clock
         )
+        if reused:
+            credential_sets = granted
+        else:
+            chains = _collect(
+                subject.public_key, subject_creds, challenge.verifier,
+                policy.required_attributes, backend, clock,
+            )
+            if isinstance(chains, AuthzDecision):
+                return chains
+            credential_sets = {
+                attribute: tuple(chains[attribute].credentials()) if attribute in chains else ()
+                for attribute in policy.required_attributes
+            }
+        granted = None  # sets are re-presented at most once per call
+        decision, challenge = _answer(
+            endpoint, resource_id, challenge, subject, credential_sets, timeout
+        )
+        if decision.decision == GRANT:
+            _kept.grants.pop(kept, None)
+            _kept.grants[kept] = credential_sets
+            if len(_kept.grants) > MAX_KEPT_GRANTS:
+                del _kept.grants[next(iter(_kept.grants))]
+        elif reused and decision.decision == DENY and not _refused(decision):
+            # What granted last time no longer does, as after a revocation:
+            # forget it and answer once more, from a search.
+            _kept.grants.pop(kept, None)
+            carried = False
+            continue
         if not (carried and _refused(decision)):
             break
         carried = False

@@ -564,21 +564,27 @@ def verify_chain(
     diagnostics: list[str] = []
     steps = {(step.member, step.subject, step.label): step for step in chain.steps}
 
+    # The names of roles and members are rendered only for a diagnostic, so
+    # a chain that verifies pays for its resolves and nothing else.
+    def where(subject: bytes, label: str) -> str:
+        return render_term(subject, (label,))
+
     def describe(member: bytes, subject: bytes, label: str) -> str:
-        return f"{member.hex()[:16]} in {render_term(subject, (label,))}"
+        return f"{member.hex()[:16]} in {where(subject, label)}"
 
     def check_leaf(leaf: ChainLeaf) -> bool:
         credential = leaf.credential
-        where = render_term(leaf.subject, (leaf.label,))
         if credential.issuer != leaf.subject or credential.attribute != leaf.label:
-            diagnostics.append(f"credential at {where} asserts a different attribute")
+            diagnostics.append(
+                f"credential at {where(leaf.subject, leaf.label)} asserts a different attribute"
+            )
             return False
         if leaf.member != subject_pub:
             problem = "names a different subject"
         else:
             problem = refusal(credential, leaf.member, clock)
         if problem is not None:
-            diagnostics.append(f"credential at {where} {problem}")
+            diagnostics.append(f"credential at {where(leaf.subject, leaf.label)} {problem}")
         return problem is None
 
     def check_step(member: bytes, subject: bytes, label: str) -> Optional[list[_Obligation]]:
@@ -589,32 +595,34 @@ def verify_chain(
                 f"no step or leaf covers {describe(member, subject, label)}"
             )
             return None
-        where = render_term(subject, (label,))
         try:
             records = resolve(label, subject, RecordType.ATTR, backend, clock)
         except BackendError as exc:
-            diagnostics.append(f"network failure re-resolving {where}: {exc}")
+            diagnostics.append(f"network failure re-resolving {where(subject, label)}: {exc}")
             return None
         if records is None:
-            diagnostics.append(f"record for {where} no longer resolves")
+            diagnostics.append(f"record for {where(subject, label)} no longer resolves")
             return None
-        wanted = step.record.canonical_bytes()
-        if not any(r.canonical_bytes() == wanted for r in records):
-            diagnostics.append(f"record used at {where} is not currently published")
+        # Records are equal exactly when their canonical bytes are: each
+        # field is encoded, and nothing else is.
+        if step.record not in records:
+            diagnostics.append(
+                f"record used at {where(subject, label)} is not currently published"
+            )
             return None
         try:
             expr = decode_attr_payload(step.record.payload)
         except DecodeError as exc:
-            diagnostics.append(f"record at {where} is malformed: {exc}")
+            diagnostics.append(f"record at {where(subject, label)} is malformed: {exc}")
             return None
         if len(step.via) != len(expr.entries) or any(
             len(keys) != max(len(entry.trail) - 1, 0)
             for entry, keys in zip(expr.entries, step.via)
         ):
-            diagnostics.append(f"via at {where} does not follow from the record")
+            diagnostics.append(f"via at {where(subject, label)} does not follow from the record")
             return None
         if any(not e.trail and e.subject != member for e in expr.entries):
-            diagnostics.append(f"record at {where} names another key")
+            diagnostics.append(f"record at {where(subject, label)} names another key")
             return None
         return [
             obligation

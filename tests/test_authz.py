@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import dataclasses
 import email.utils
 import gc
 import hashlib
 import http.client
 import io
 import json
+import random
 import socket
 import ssl
 import threading
@@ -31,6 +33,7 @@ from abd.authz import (
     NONCE_UNKNOWN,
     AuthorizationResponse,
     AuthzDecision,
+    ChainTable,
     NonceTable,
     Policy,
     PolicyStore,
@@ -42,13 +45,28 @@ from abd.authz import (
     request_access,
     response_signing_bytes,
 )
-from abd.core import NamespaceKey, verify_signature
-from abd.credential import export_json, issue_credential
-from abd.delegation import add_delegation, parse_expression, remove_delegation
+from abd.core import NamespaceKey, RecordType, ResourceRecord, sign_record_set, verify_signature
+from abd.credential import export_json, issue_credential, verify_credential
+from abd.delegation import (
+    add_delegation,
+    decode_attr_payload,
+    encode_attr_payload,
+    parse_expression,
+    remove_delegation,
+)
+from abd.discovery import oracle_entailed
 from abd.errors import BackendUnavailable, InvalidLabel, UnknownResource
 from abd.namestore import NamespaceStore
 from abd.netsim import FileBackend, SimulatedDht, derive_query_key
-from instance_gen import ONE_NODE, decide_fresh, memory_dht, publish_fan_out
+from instance_gen import (
+    CLOCK as GEN_CLOCK,
+    ONE_NODE,
+    decide_fresh,
+    generate_instance,
+    memory_dht,
+    publish_fan_out,
+    publish_instance,
+)
 
 HOUR = 3_600_000_000
 
@@ -418,6 +436,135 @@ def test_a_response_whose_signature_fails_leaves_its_nonce(fixture, backend, clo
     portal = fixture.key("portal").public_key
     assert authorize(portal, forged, portal_policy(), backend, clock, nonce_table=table).decision == DENY
     assert authorize(portal, good, portal_policy(), backend, clock, nonce_table=table).decision == GRANT
+
+
+# --- a remembered chain is re-checked, never trusted ---------------------------------------
+
+# What may change between the grant that remembered a chain and the next
+# decision on the same subject and attribute.
+STATE_CHANGES = ("revoke_on_chain", "revoke_off_chain", "drop_credential", "clock_past_expiry")
+
+
+def decide_with(chains, instance, backend, clock, presented) -> AuthzDecision:
+    """The root's decision on the subject presenting ``presented``, with or
+    without a chain table."""
+    policy = Policy(resource_id="r", required_attributes=(instance.root_attribute,))
+    nonces = NonceTable()
+    response = build_response(
+        instance.subject, nonces.issue("r", clock), {instance.root_attribute: presented}
+    )
+    return authorize(instance.root_issuer, response, policy, backend, clock, nonces, chains)
+
+
+def granted_instance(seed: int):
+    """The first generated world from ``seed`` on whose root the subject is
+    granted, its name system, and a chain table holding the granting chain;
+    None when a hundred worlds grant nothing."""
+    for offset in range(100):
+        instance = generate_instance(random.Random(seed + offset))
+        backend = publish_instance(instance)
+        chains = ChainTable()
+        presented = instance.live_credentials()
+        if decide_with(chains, instance, backend, GEN_CLOCK, presented).decision == GRANT:
+            return instance, backend, chains
+    return None
+
+
+def revoke(instance, backend, delegation):
+    """``instance`` without ``delegation``, its label republished without it."""
+    issuer_pub, label, _ = delegation
+    delegations = [d for d in instance.delegations if d != delegation]
+    records = [
+        ResourceRecord(RecordType.ATTR, encode_attr_payload(expr), GEN_CLOCK + 24 * HOUR)
+        for owner, at, expr in delegations
+        if (owner, at) == (issuer_pub, label)
+    ]
+    owner = next(ns for ns in instance.namespaces if ns.public_key == issuer_pub)
+    backend.put(derive_query_key(issuer_pub, label), sign_record_set(owner, label, records), GEN_CLOCK)
+    return dataclasses.replace(instance, delegations=delegations)
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=0, max_value=2**48), st.sampled_from(STATE_CHANGES), st.randoms(use_true_random=False))
+def test_a_remembered_chain_decides_as_a_search_and_the_oracle_do(seed, change, rng):
+    found = granted_instance(seed)
+    if found is None:
+        return
+    instance, backend, chains = found
+    (chain,) = chains._chains.values()
+    presented, clock = instance.live_credentials(), GEN_CLOCK
+    on_chain = {(s.subject, s.label, decode_attr_payload(s.record.payload)) for s in chain.steps}
+    if change == "revoke_on_chain" and on_chain:
+        instance = revoke(instance, backend, rng.choice(sorted(on_chain, key=repr)))
+    elif change == "revoke_off_chain":
+        elsewhere = [d for d in instance.delegations if d not in on_chain]
+        if elsewhere:
+            instance = revoke(instance, backend, rng.choice(elsewhere))
+    elif change == "drop_credential" and presented:
+        presented.pop(rng.randrange(len(presented)))
+    elif change == "clock_past_expiry":
+        # Credentials live an hour, delegation records a day.
+        clock = rng.choice([GEN_CLOCK + HOUR, GEN_CLOCK + 24 * HOUR])
+        presented = [c for c in presented if verify_credential(c, clock)]
+    live = instance.delegations if clock < GEN_CLOCK + 24 * HOUR else []
+    entailed = oracle_entailed(
+        live, presented, instance.root_issuer, instance.root_attribute, instance.subject.public_key
+    )
+    remembered = decide_with(chains, instance, backend, clock, presented)
+    searched = decide_with(None, instance, backend, clock, presented)
+    assert (remembered.decision, remembered.reasons) == (searched.decision, searched.reasons)
+    assert remembered.decision == (GRANT if entailed else DENY), change
+
+
+def test_the_chain_table_stays_within_its_cap(fixture, backend, clock, monkeypatch):
+    monkeypatch.setattr(authz, "MAX_CHAINS", 8)
+    portal = fixture.key("portal")
+    members = [fresh_key(b"member%d" % index) for index in range(30)]
+    for member in members:
+        add_delegation(fixture.store, portal, "user", parse_expression(member.public_key.hex()), clock=clock)
+    assert fixture.store.publish(portal, backend, clock).ok
+    chains, nonces = ChainTable(), NonceTable()
+    for member in members:
+        response = build_response(member, nonces.issue(scenario.RESOURCE_ID, clock), {"user": ()})
+        decision = authorize(portal.public_key, response, portal_policy(), backend, clock, nonces, chains)
+        assert decision.decision == GRANT
+        assert len(chains._chains) <= 8
+    # The most recent grants are the ones kept.
+    assert [subject for subject, _ in chains._chains] == [m.public_key for m in members[-8:]]
+
+
+def test_two_threads_deciding_at_once_share_one_chain_table(tmp_path, clock):
+    root = tmp_path / "backend"
+    fixture = scenario.build_fixture(NamespaceStore(tmp_path / "home"), FileBackend(root), clock=clock)
+    served = FileBackend(root)  # as `abd serve` builds it
+    portal, chains, nonces = fixture.key("portal").public_key, ChainTable(), NonceTable()
+    employee_only = [c for c in fixture.bob_creds if c.attribute == "employee"]
+    mix = [
+        (fixture.key("bob"), fixture.bob_creds, GRANT),
+        (fixture.key("alice"), fixture.alice_creds, GRANT),
+        (fixture.key("bob"), employee_only, DENY),
+    ]
+    start, failures = threading.Barrier(2), []
+
+    def decide(offset):
+        try:
+            start.wait()
+            for index in range(30):
+                subject, creds, expected = mix[(index + offset) % len(mix)]
+                nonce = nonces.issue(scenario.RESOURCE_ID, clock)
+                response = build_response(subject, nonce, {"user": creds})
+                decision = authorize(portal, response, portal_policy(), served, clock, nonces, chains)
+                assert decision.decision == expected
+        except BaseException as exc:  # reported by the main thread
+            failures.append(exc)
+
+    threads = [threading.Thread(target=decide, args=(offset,)) for offset in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert failures == []
+    assert len(chains._chains) == 2
 
 
 # --- policies of more than one attribute ------------------------------------------------
@@ -917,15 +1064,15 @@ def test_a_connection_the_server_closed_idle_is_replaced_and_decides_once(
         return authorize_payload(body)
 
     monkeypatch.setattr(service, "authorize_payload", counting_authorize_payload)
-    # The first collect, the client's, idles before its POST, so the kept
-    # connection is closed under the POST.
-    collect, idled = authz.collect, []
+    # The client idles once while it signs its answer, a step every answer
+    # takes, so the kept connection is closed under the POST.
+    sign, idled = authz.build_response, []
 
-    def idle_once(**kwargs):
+    def idle_once(*args):
         if not idled:
             idled.append(True)
             time.sleep(0.4)
-        return collect(**kwargs)
+        return sign(*args)
 
     def ask():
         return request_access(
@@ -938,7 +1085,7 @@ def test_a_connection_the_server_closed_idle_is_replaced_and_decides_once(
         time.sleep(0.4)  # idle between two decisions
         assert ask() == GRANT
         assert len(decided) == 2
-        monkeypatch.setattr(authz, "collect", idle_once)
+        monkeypatch.setattr(authz, "build_response", idle_once)
         assert ask() == GRANT
         assert idled
         assert len(decided) == 3
@@ -1204,6 +1351,90 @@ def test_two_client_threads_carry_their_own_challenges(endpoint, exchanges, fixt
         thread.join()
     assert outcomes == {name: [DENY, GRANT] * 5 for name in ("one", "two")}
     assert exchanges == {"GET": 2, "POST": 20}
+
+
+# --- the client re-presents what last granted -------------------------------------------
+
+
+@pytest.fixture
+def collects(monkeypatch):
+    """Counts of ``collect`` calls by side: the client's run on this thread,
+    the verifier's on the server's."""
+    counts = collections.Counter()
+    collect = authz.collect
+
+    def counting(**kwargs):
+        counts["client" if threading.current_thread() is threading.main_thread() else "verifier"] += 1
+        return collect(**kwargs)
+
+    monkeypatch.setattr(authz, "collect", counting)
+    return counts
+
+
+def test_a_repeat_grant_searches_on_neither_side(endpoint, sent, collects, fixture, backend, clock):
+    assert ask(endpoint, fixture, backend, clock).decision == GRANT
+    assert collects == {"client": 1, "verifier": 1}
+    collects.clear()
+    assert [ask(endpoint, fixture, backend, clock).decision for _ in range(3)] == [GRANT] * 3
+    assert collects == {}
+    assert sent == {"GET": 1, "POST": 4}
+
+
+def test_a_revocation_after_a_grant_costs_one_more_post(endpoint, sent, collects, fixture, backend, clock):
+    assert ask(endpoint, fixture, backend, clock).decision == GRANT
+    world = fixture.key("world-agency")
+    assert remove_delegation(
+        fixture.store, world, "nado", parse_expression("us-agency", fixture.store.petname_table())
+    )
+    assert fixture.store.publish(world, backend, clock).ok
+    sent.clear()
+    outcome = ask(endpoint, fixture, backend, clock)
+    assert (outcome.decision, outcome.reasons) == (DENY, ("no delegation chain proves 'user'",))
+    assert sent == {"POST": 2}
+    # The denied sets are forgotten: the next request searches and posts once.
+    sent.clear()
+    collects.clear()
+    assert ask(endpoint, fixture, backend, clock).decision == DENY
+    assert sent == {"POST": 1}
+    assert collects == {"client": 1, "verifier": 1}
+
+
+def test_a_request_with_fewer_credentials_neither_uses_nor_drops_the_granting_sets(
+    endpoint, sent, collects, fixture, backend, clock
+):
+    bob = fixture.key("bob")
+    employee_only = [c for c in fixture.bob_creds if c.attribute == "employee"]
+    assert ask(endpoint, fixture, backend, clock).decision == GRANT
+    collects.clear()
+    assert ask(endpoint, fixture, backend, clock, bob, employee_only).decision == DENY
+    assert collects == {"client": 1, "verifier": 1}
+    sent.clear()
+    collects.clear()
+    assert ask(endpoint, fixture, backend, clock).decision == GRANT
+    assert sent == {"POST": 1}
+    assert collects == {}
+
+
+def test_an_expired_credential_that_granted_is_not_presented_again(
+    endpoint, sent, collects, service, fixture, backend, clock
+):
+    bob, lab_two = fixture.key("bob"), fixture.key("lab-two")
+    employee = [c for c in fixture.bob_creds if c.attribute == "employee"]
+
+    def controller(lifetime_us):
+        return issue_credential(lab_two, bob.public_key, "controller", clock=clock, lifetime_us=lifetime_us)
+
+    minute = 60_000_000  # within a carried nonce's lifetime
+    short, lasting = controller(minute), controller(30 * 24 * HOUR)
+    assert ask(endpoint, fixture, backend, clock, bob, employee + [short]).decision == GRANT
+    later = clock + minute
+    service.clock_fn = lambda: later
+    sent.clear()
+    collects.clear()
+    outcome = ask(endpoint, fixture, backend, later, bob, employee + [short, lasting])
+    assert outcome.decision == GRANT
+    assert sent == {"POST": 1}
+    assert collects["client"] == 1
 
 
 # Errors once answered by the standard library's request handler, and now
