@@ -404,7 +404,7 @@ def _decide_signed(
                 or not all(leaf.credential in presented for leaf in chain.leaves)
             ):
                 continue
-            if verify_chain(chain, subject, backend, clock)[0]:
+            if verify_chain(chain, subject, backend, clock):
                 proved[attribute] = chain
             else:
                 chains.drop(subject, attribute, chain)
@@ -889,7 +889,8 @@ def request_access(
     challenge the deny carries.
     Network failures reaching the verifier, replies that are not HTTP, not
     JSON objects or not decisions, replies whose status is not 200 unless
-    they state an Error, and failures during collection surface as Error.
+    they state an Error, and failures during collection surface as Error;
+    a collection failure keeps the challenge it left unused.
     """
     subject_creds = tuple(subject_creds)  # a resend collects again
     kept = (endpoint, resource_id, subject.public_key)
@@ -913,7 +914,8 @@ def request_access(
                 policy.required_attributes, backend, clock,
             )
             if isinstance(chains, AuthzDecision):
-                return chains
+                decision = chains  # the challenge is still unused: keep it
+                break
             credential_sets = {
                 attribute: tuple(chains[attribute].credentials()) if attribute in chains else ()
                 for attribute in policy.required_attributes

@@ -550,8 +550,8 @@ def verify_chain(
     subject_pub: bytes,
     backend: NameSystemBackend,
     clock: int,
-) -> tuple[bool, list[str]]:
-    """Re-check a chain against the current name system state.
+) -> bool:
+    """Does a chain hold against the current name system state?
 
     The subject must be a member of the chain's root. Every membership a
     step claims must follow from a record that resolves right now, each of
@@ -559,81 +559,52 @@ def verify_chain(
     members the step names, and each of those memberships is an obligation
     of its own. Every leaf must be a live credential for the subject.
     Obligations are walked depth first without recursion, so a chain of
-    any length is checked. Returns (ok, diagnostics); never raises.
+    any length is checked. Never raises.
     """
-    diagnostics: list[str] = []
     steps = {(step.member, step.subject, step.label): step for step in chain.steps}
-
-    # The names of roles and members are rendered only for a diagnostic, so
-    # a chain that verifies pays for its resolves and nothing else.
-    def where(subject: bytes, label: str) -> str:
-        return render_term(subject, (label,))
-
-    def describe(member: bytes, subject: bytes, label: str) -> str:
-        return f"{member.hex()[:16]} in {where(subject, label)}"
 
     def check_leaf(leaf: ChainLeaf) -> bool:
         credential = leaf.credential
-        if credential.issuer != leaf.subject or credential.attribute != leaf.label:
-            diagnostics.append(
-                f"credential at {where(leaf.subject, leaf.label)} asserts a different attribute"
-            )
-            return False
-        if leaf.member != subject_pub:
-            problem = "names a different subject"
-        else:
-            problem = refusal(credential, leaf.member, clock)
-        if problem is not None:
-            diagnostics.append(f"credential at {where(leaf.subject, leaf.label)} {problem}")
-        return problem is None
+        return (
+            credential.issuer == leaf.subject
+            and credential.attribute == leaf.label
+            and leaf.member == subject_pub
+            and refusal(credential, leaf.member, clock) is None
+        )
 
     def check_step(member: bytes, subject: bytes, label: str) -> Optional[list[_Obligation]]:
         """The obligations a step rests on, or None when the step is wrong."""
         step = steps.get((member, subject, label))
         if step is None:
-            diagnostics.append(
-                f"no step or leaf covers {describe(member, subject, label)}"
-            )
             return None
         try:
             records = resolve(label, subject, RecordType.ATTR, backend, clock)
-        except BackendError as exc:
-            diagnostics.append(f"network failure re-resolving {where(subject, label)}: {exc}")
-            return None
-        if records is None:
-            diagnostics.append(f"record for {where(subject, label)} no longer resolves")
+        except BackendError:
             return None
         # Records are equal exactly when their canonical bytes are: each
         # field is encoded, and nothing else is.
-        if step.record not in records:
-            diagnostics.append(
-                f"record used at {where(subject, label)} is not currently published"
-            )
+        if records is None or step.record not in records:
             return None
         try:
             expr = decode_attr_payload(step.record.payload)
-        except DecodeError as exc:
-            diagnostics.append(f"record at {where(subject, label)} is malformed: {exc}")
+        except DecodeError:
             return None
         if len(step.via) != len(expr.entries) or any(
             len(keys) != max(len(entry.trail) - 1, 0)
             for entry, keys in zip(expr.entries, step.via)
         ):
-            diagnostics.append(f"via at {where(subject, label)} does not follow from the record")
             return None
         if any(not e.trail and e.subject != member for e in expr.entries):
-            diagnostics.append(f"record at {where(subject, label)} names another key")
-            return None
+            return None  # an entry names another key
         return [
             obligation
             for entry, keys in zip(expr.entries, step.via)
             for obligation in _obligations(entry, keys, member)
         ]
 
-    leaves = {
-        (leaf.member, leaf.subject, leaf.label): check_leaf(leaf) for leaf in chain.leaves
-    }
-    ok = all(leaves.values())
+    if not all(check_leaf(leaf) for leaf in chain.leaves):
+        return False
+    leaves = {(leaf.member, leaf.subject, leaf.label) for leaf in chain.leaves}
     # False while an obligation's own obligations are open, True once done:
     # meeting a False one again closes a cycle.
     done: dict[_Obligation, bool] = {}
@@ -648,18 +619,15 @@ def verify_chain(
             continue
         elif obligation in done:
             if not done[obligation]:
-                diagnostics.append(f"cycle through {describe(*obligation)}")
-                ok = False
+                return False
         else:
             below = check_step(*obligation)
             if below is None:
-                ok = False
-                done[obligation] = True
-            else:
-                done[obligation] = False
-                stack.append((obligation, True))
-                stack.extend((o, False) for o in reversed(below))
-    return ok, diagnostics
+                return False
+            done[obligation] = False
+            stack.append((obligation, True))
+            stack.extend((o, False) for o in reversed(below))
+    return True
 
 
 # --- independent entailment oracle ----------------------------------------------

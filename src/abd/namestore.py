@@ -8,9 +8,9 @@ Layout under the data directory:
 
 Every file is replaced whole, so a crash mid-write leaves the old file.
 Record sets are written in canonical serialization and are read again from
-disk at every read; bytes the store has not admitted before are decoded and
-pass ``netsim.admits``, and bytes it has are answered with the set they
-decoded to. A file that fails, or whose name is no label, is renamed to
+disk at every read, through ``netsim.read_admitted``, the reader the file
+backend uses too; only what happens to a refused file differs. A file that
+is refused, or whose name is no label, is renamed to
 ``<label>.rrset.quarantined`` and reads as absent. Petnames are purely
 local and never serialized into records.
 """
@@ -27,13 +27,12 @@ from .core import (
     RecordSet,
     RecordType,
     ResourceRecord,
-    canonical_deserialize,
     canonical_serialize,
     check_label,
     sign_record_set,
 )
-from .errors import BackendUnavailable, DecodeError, InvalidLabel, UnknownPetname
-from .netsim import NameSystemBackend, admits, derive_query_key, read_or_none, write_atomic
+from .errors import BackendUnavailable, InvalidLabel, UnknownPetname
+from .netsim import REFUSED, NameSystemBackend, derive_query_key, read_admitted, write_atomic
 
 RRSET_SUFFIX = ".rrset"
 QUARANTINE_SUFFIX = ".rrset.quarantined"
@@ -65,9 +64,7 @@ class NamespaceStore:
         self.root = Path(root)
         (self.root / "keys").mkdir(parents=True, exist_ok=True)
         (self.root / "names").mkdir(parents=True, exist_ok=True)
-        # file path -> (bytes last admitted there, the set they decoded to);
-        # each pair is right on its own, so a race costs a decode, no lock
-        self._admitted: dict[str, tuple[bytes, RecordSet]] = {}
+        self._admitted: dict[str, tuple[bytes, RecordSet]] = {}  # read_admitted's memo
 
     # --- identities and petnames -------------------------------------------
 
@@ -140,26 +137,18 @@ class NamespaceStore:
         return os.path.join(self.root, "names", public_key.hex())
 
     def _admit(self, public_key: bytes, label: str, directory: str) -> Optional[RecordSet]:
-        """The set in ``label``'s file if it decodes and ``admits`` lets it
-        answer for (public_key, label); bytes admitted before are answered
-        from memory. A file that fails, or whose name is no label, is
-        quarantined; a missing or failed file reads as None."""
+        """The set in ``label``'s file if ``read_admitted`` admits it for
+        (public_key, label). A refused file, or one whose name is no label,
+        is quarantined; a missing or refused file reads as None."""
         path = os.path.join(directory, label + RRSET_SUFFIX)
-        data = read_or_none(path)
-        if data is None:
-            return None
-        admitted = self._admitted.get(path)
-        if admitted is not None and admitted[0] == data:
-            return admitted[1]
         try:
-            record_set = canonical_deserialize(data)
-            if admits(derive_query_key(public_key, label), record_set):
-                self._admitted[path] = (data, record_set)
-                return record_set
-        except (DecodeError, InvalidLabel):
-            pass
-        os.rename(path, os.path.join(directory, label + QUARANTINE_SUFFIX))
-        return None
+            record_set = read_admitted(path, derive_query_key(public_key, label), self._admitted)
+        except InvalidLabel:
+            record_set = REFUSED
+        if record_set is REFUSED:
+            os.rename(path, os.path.join(directory, label + QUARANTINE_SUFFIX))
+            return None
+        return record_set
 
     def entry(self, public_key: bytes, label: str) -> Optional[RecordSet]:
         """The set stored under one label, reading only that label's file."""
@@ -228,7 +217,7 @@ class NamespaceStore:
             stamped = (r.stamped(clock) for r in public_records)
             live = tuple(r for r in stamped if not r.is_expired(clock))
             if live == record_set.records:
-                outgoing = record_set  # _admit decoded, bound and verified it
+                outgoing = record_set  # read_admitted decoded, bound and verified it
             else:
                 outgoing = sign_record_set(owner, label, live)
             try:

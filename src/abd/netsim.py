@@ -6,7 +6,9 @@ rule, ``admits``, decides whether a set may answer for a query key, and
 every set that enters passes it: a put that fails raises, and a stored file
 or a replica's answer that fails reads as absent. So only the namespace
 owner can fill an entry, and no set answers for a name it was not signed
-under. The file backend leaves a file that already holds the set's bytes.
+under. One reader, ``read_admitted``, admits signed-set files for the file
+backend and for ``namestore``; they differ only in what a refused file
+costs. The file backend leaves a file that already holds the set's bytes.
 Storing an admitted EMPTY set deletes the entry: deletion is modeled as
 absence, and stale copies linger only in response caches until their TTL
 runs out. Absence is a value, not an error: ``get`` and ``resolve`` return
@@ -124,12 +126,39 @@ def read_or_none(path: Union[str, Path]) -> Optional[bytes]:
         os.close(fd)
 
 
+# What read_admitted answers for a file that does not decode or that
+# ``admits`` refuses.
+REFUSED = object()
+
+
+def read_admitted(path: str, query_key: bytes, admitted: dict) -> Union[RecordSet, None, object]:
+    """The set in the file at ``path`` if it decodes and ``admits`` lets it
+    answer for ``query_key``; None when there is no file, else REFUSED.
+    ``admitted`` maps a path to the bytes last admitted there and their set,
+    so unchanged bytes are answered with no decode. Each pair is right on
+    its own, so a race costs a decode, no lock."""
+    data = read_or_none(path)
+    if data is None:
+        return None
+    last = admitted.get(path)
+    if last is not None and last[0] == data:
+        return last[1]
+    try:
+        record_set = canonical_deserialize(data)
+    except DecodeError:
+        return REFUSED
+    if not admits(query_key, record_set):
+        return REFUSED
+    admitted[path] = (data, record_set)
+    return record_set
+
+
 @dataclass
 class LookupStats:
     lookups: int = 0
     cache_hits: int = 0
     messages: int = 0
-    bad_signatures: int = 0
+    bad_signatures: int = 0  # sets or files refused by admission
 
     def as_dict(self) -> dict:
         return dict(vars(self))
@@ -155,18 +184,17 @@ class FileBackend(NameSystemBackend):
     """A directory holding one ``<query-key>.rrset`` file per record set.
 
     Gives separate CLI invocations a shared name system without running a
-    network. Every get reads the file, so a publish from another process is
-    seen at the next lookup; the set is decoded and ``admits`` asked again
-    only when the bytes differ from those last accepted for that query key.
-    A put reads the file too, and writes it only when it is missing or holds
-    other bytes, so republishing an unchanged set leaves the file as it is.
+    network. Every get reads its file through ``read_admitted``, so a
+    publish from another process is seen at the next lookup; a refused file
+    reads as absent and is counted in ``bad_signatures``. A put reads the
+    file too, and writes it only when it is missing or holds other bytes,
+    so republishing an unchanged set leaves the file as it is.
     """
 
     def __init__(self, root: Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        # query key -> (file bytes, the set they decoded to), both checked
-        self._accepted: dict[bytes, tuple[bytes, RecordSet]] = {}
+        self._admitted: dict[str, tuple[bytes, RecordSet]] = {}  # read_admitted's memo
         self._stats = LookupStats()
         self._lock = threading.Lock()
 
@@ -188,29 +216,17 @@ class FileBackend(NameSystemBackend):
             raise BackendUnavailable(f"file backend cannot write: {exc}") from exc
 
     def get(self, query_key: bytes, clock: int) -> Optional[RecordSet]:
-        path = self._path(query_key)
         with self._lock:
             self._stats.lookups += 1
-            accepted = self._accepted.get(query_key)
         try:
-            data = read_or_none(path)
+            record_set = read_admitted(self._path(query_key), query_key, self._admitted)
         except OSError as exc:
             raise BackendUnavailable(f"file backend cannot read: {exc}") from exc
-        if data is None:
-            return None
-        if accepted is None or accepted[0] != data:
-            try:
-                accepted = (data, canonical_deserialize(data))
-            except DecodeError:
-                return None  # unreadable entries are treated as absent
-            if not admits(query_key, accepted[1]):
-                with self._lock:
-                    self._stats.bad_signatures += 1
-                return None
+        if record_set is REFUSED:
             with self._lock:
-                self._accepted[query_key] = accepted
-        record_set = accepted[1]
-        return record_set if record_set.has_live_record(clock) else None
+                self._stats.bad_signatures += 1
+            return None
+        return record_set if record_set is not None and record_set.has_live_record(clock) else None
 
     def stats(self) -> LookupStats:
         return self._stats

@@ -1308,6 +1308,22 @@ def test_close_connection_drops_the_carried_challenge(endpoint, exchanges, fixtu
     assert exchanges == {"GET": 2, "POST": 2}
 
 
+def test_a_challenge_left_unused_by_a_failed_collect_is_kept(
+    endpoint, exchanges, service, fixture, backend, clock
+):
+    # Client and verifier share the one node: failing it fails the client's
+    # own search, before its answer is sent.
+    stranger = fresh_key(b"stranger")
+    assert ask(endpoint, fixture, backend, clock, stranger, []).decision == DENY
+    backend.fail_nodes([0])
+    assert ask(endpoint, fixture, backend, clock, stranger, []).decision == ERROR
+    assert exchanges == {"GET": 1, "POST": 1}
+    backend.heal_nodes([0])
+    assert ask(endpoint, fixture, backend, clock, stranger, []).decision == DENY
+    assert exchanges == {"GET": 1, "POST": 2}
+    assert len(service.nonces._issued) == 1
+
+
 def test_another_resource_fetches_its_own_challenge(odd_service, sent, fixture, clock):
     with serving(make_server(odd_service, "127.0.0.1", 0)) as endpoint:
         for resource_id in (ODD_RESOURCE, "lab reports", ODD_RESOURCE, ODD_RESOURCE):

@@ -19,7 +19,7 @@ from abd.credential import (
     store_credential,
     verify_credential,
 )
-from abd.delegation import encode_attr_payload, expression, render_term
+from abd.delegation import encode_attr_payload, expression
 from abd.discovery import discover, verify_chain
 from abd.errors import BadSignature, CollectionIncomplete, DecodeError, JsonError
 from abd.namestore import NamespaceStore
@@ -165,12 +165,7 @@ def test_discovery_the_verifier_and_chain_checks_agree_with_refusal(variant, rea
     chain = find([cred()])
     (leaf,) = chain.leaves
     chain = dataclasses.replace(chain, leaves=(dataclasses.replace(leaf, credential=credential),))
-    ok, diagnostics = verify_chain(chain, SUBJECT.public_key, backend, CLOCK)
-    where = render_term(ISSUER.public_key, ("member",))
-    assert (ok, diagnostics) == (
-        reason is None,
-        [] if reason is None else [f"credential at {where} {reason}"],
-    )
+    assert verify_chain(chain, SUBJECT.public_key, backend, CLOCK) == (reason is None)
 
 
 # --- record payload -------------------------------------------------------------

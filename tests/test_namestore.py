@@ -6,7 +6,7 @@ from collections import OrderedDict
 
 import pytest
 
-from abd import core, namestore
+from abd import core, netsim
 from abd.core import (
     DAYS,
     NamespaceKey,
@@ -76,13 +76,13 @@ def ed25519_checks(monkeypatch):
 def decodes(monkeypatch):
     """Counts the record-set files the store decodes."""
     calls = []
-    real = namestore.canonical_deserialize
+    real = netsim.canonical_deserialize
 
     def counted(data):
         calls.append(data)
         return real(data)
 
-    monkeypatch.setattr(namestore, "canonical_deserialize", counted)
+    monkeypatch.setattr(netsim, "canonical_deserialize", counted)
     return calls
 
 

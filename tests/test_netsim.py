@@ -12,7 +12,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from abd import netsim
-from abd.core import NamespaceKey, RecordType, ResourceRecord, sign_record_set, sort_records
+from abd.core import (
+    NamespaceKey,
+    RecordType,
+    ResourceRecord,
+    canonical_deserialize,
+    canonical_serialize,
+    sign_record_set,
+    sort_records,
+)
 from abd.delegation import add_delegation, encode_attr_payload, expression, remove_delegation
 from abd.discovery import discover
 from abd.errors import (
@@ -233,12 +241,45 @@ def test_file_backend_reads_a_set_over_64_kib_whole(tmp_path):
     assert path.stat().st_ino == before.st_ino
 
 
-def test_file_backend_skips_unreadable_files(tmp_path):
-    root = tmp_path / "net"
-    root.mkdir()
-    (root / f"{'0' * 64}.rrset").write_bytes(b"garbage")
-    backend = FileBackend(root)
-    assert backend.get(bytes(32), CLOCK) is None
+def flip_signature_byte(rset):
+    return dataclasses.replace(rset, signature=bytes([rset.signature[0] ^ 1]) + rset.signature[1:])
+
+
+# The bytes written in turn to OWNER's "boss" file (None: no file), and
+# whether the last of them is refused.
+ADMISSION_CASES = [
+    pytest.param([None], False, id="absent"),
+    pytest.param([b"garbage"], True, id="garbage"),
+    pytest.param([canonical_serialize(make_set(label="contractor"))], True, id="another-key"),
+    pytest.param([canonical_serialize(flip_signature_byte(make_set()))], True, id="flipped-signature"),
+    pytest.param([canonical_serialize(make_set())], False, id="good"),
+    pytest.param(
+        [canonical_serialize(make_set()), canonical_serialize(make_set(expiration=CLOCK + 2 * HOUR))],
+        False,
+        id="good-replaced-by-good",
+    ),
+]
+
+
+@pytest.mark.parametrize("versions, refused", ADMISSION_CASES)
+def test_the_file_backend_and_the_store_admit_a_file_alike(tmp_path, versions, refused):
+    # One reader admits a file for both: they read the same set or None, and
+    # differ only in what a refusal costs, a count or a quarantine.
+    backend = FileBackend(tmp_path / "net")
+    store = NamespaceStore(tmp_path / "home")
+    query_key = derive_query_key(OWNER.public_key, "boss")
+    stored = tmp_path / "home" / "names" / OWNER.public_key.hex() / "boss.rrset"
+    stored.parent.mkdir(parents=True)
+    for data in versions:
+        if data is not None:
+            for path in (tmp_path / "net" / f"{query_key.hex()}.rrset", stored):
+                path.write_bytes(data)
+        read = backend.get(query_key, CLOCK)
+        assert read == store.entry(OWNER.public_key, "boss")
+        assert read == (None if data is None or refused else canonical_deserialize(data))
+    assert backend.stats().bad_signatures == int(refused)
+    assert stored.with_name("boss.rrset.quarantined").exists() == refused
+    assert stored.exists() == (not refused and versions != [None])
 
 
 def test_file_backend_checks_liveness_at_each_call(tmp_path):
