@@ -1,9 +1,10 @@
 """Credentials: signed attribute assertions held by their subject.
 
 A credential states that an issuer granted one attribute to one subject key,
-with an expiration. Credentials travel as JSON between parties and live as
-CRED records in the subject's local namestore. They are never published to
-the name system; the only place a credential crosses the wire is inside the
+with an expiration. Credentials travel as JSON between parties, and a
+holder keeps them as that JSON, in one file of its own in the local
+namestore (``store_credential``). They are never published to the name
+system; the only place a credential crosses the wire is inside the
 subject's message to a verifier.
 
 One rule decides whether a credential counts for a subject: ``refusal``. It
@@ -16,6 +17,7 @@ a forged credential is refused as malformed before its nonce is looked up.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -25,15 +27,13 @@ from .core import (
     U64,
     NamespaceKey,
     Reader,
-    RecordType,
-    ResourceRecord,
     check_label,
     pack_label,
     verify_signature,
 )
-from .errors import BackendError, BadSignature, CollectionIncomplete, JsonError
+from .errors import BadSignature, JsonError
 from .namestore import NamespaceStore
-from .netsim import NameSystemBackend
+from .netsim import NameSystemBackend, read_or_none, write_atomic
 
 CREDENTIAL_CONTEXT = b"ABD-CRED-V1"
 
@@ -147,14 +147,6 @@ def decode_cred_payload(data: bytes) -> Credential:
     )
 
 
-def credential_record(credential: Credential) -> ResourceRecord:
-    return ResourceRecord(
-        record_type=RecordType.CRED,
-        payload=credential.canonical_bytes(),
-        expiration_us=credential.expiration_us,
-    )
-
-
 # --- JSON transfer -------------------------------------------------------------
 
 _JSON_FIELDS = ("issuer", "subject", "attribute", "expiration_us", "signature")
@@ -222,27 +214,24 @@ def import_json(data: dict) -> Credential:
 def store_credential(
     store: NamespaceStore, holder: NamespaceKey, credential: Credential
 ) -> None:
-    """Keep a credential as a CRED record under its attribute label.
-
-    Merges with whatever already lives under the label; publishing skips
-    CRED records, so stored credentials stay local.
-    """
-    existing = store.entry(holder.public_key, credential.attribute)
-    records = list(existing.records) if existing else []
-    record = credential_record(credential)
-    if record in records:
+    """Add a credential to the holder's credentials file, rewriting it
+    whole; a credential already held is not added twice. Only the public
+    key is needed: nothing is signed."""
+    held = list_credentials(store, holder.public_key)
+    if credential in held:
         return
-    records.append(record)
-    store.store(holder, credential.attribute, records)
+    held.append(credential)
+    held.sort(key=lambda c: (c.attribute, c.canonical_bytes()))
+    path = store.credentials_path(holder.public_key)
+    text = json.dumps([export_json(c) for c in held], indent=2) + "\n"
+    write_atomic(path, text.encode())
 
 
 def list_credentials(store: NamespaceStore, holder_pub: bytes) -> list[Credential]:
-    out = []
-    for label, record_set in sorted(store.load_namespace(holder_pub).items()):
-        for record in record_set.records:
-            if record.record_type == RecordType.CRED:
-                out.append(decode_cred_payload(record.payload))
-    return out
+    """The holder's credentials, by attribute, then by canonical bytes. Each
+    is read back through ``import_json``, so a forged entry raises."""
+    data = read_or_none(store.credentials_path(holder_pub))
+    return [] if data is None else [import_json(item) for item in json.loads(data)]
 
 
 # --- collection -----------------------------------------------------------------
@@ -261,27 +250,23 @@ def collect(
     the set handed to the verifier.
 
     Runs chain discovery from the verifier's namespace toward the subject's
-    credentials. Backend failures abort with CollectionIncomplete: "could
-    not find out" is not the same answer as "no chain exists".
+    credentials. A BackendError propagates, and ``authz._collect`` turns it
+    into an error decision: "could not find out" is not the same answer as
+    "no chain exists".
     """
     from .discovery import discover
 
     creds = list(subject_creds)
     chains: dict = {}
     for attribute in policy_attrs:
-        try:
-            chain = discover(
-                issuer_pub=verifier_pub,
-                attribute=attribute,
-                subject_pub=subject_pub,
-                subject_creds=creds,
-                backend=backend,
-                clock=clock,
-            )
-        except BackendError as exc:
-            raise CollectionIncomplete(
-                f"collection failed at attribute {attribute!r}: {exc}"
-            )
+        chain = discover(
+            issuer_pub=verifier_pub,
+            attribute=attribute,
+            subject_pub=subject_pub,
+            subject_creds=creds,
+            backend=backend,
+            clock=clock,
+        )
         if chain is not None:
             chains[attribute] = chain
     return chains

@@ -69,9 +69,6 @@ class DiscoveryTrace:
     def add(self, **kwargs) -> None:
         self.events.append(TraceEvent(**kwargs))
 
-    def resolves(self) -> list[tuple[bytes, str]]:
-        return [(e.subject, e.label) for e in self.events if e.kind == "resolve"]
-
     def render(self, names_by_key: Optional[Mapping[bytes, str]] = None) -> list[str]:
         lines = []
         for event in self.events:

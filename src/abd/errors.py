@@ -84,14 +84,5 @@ class UnknownResource(AbdError):
     """No policy is configured for the requested resource id."""
 
 
-class CollectionIncomplete(BackendError):
-    """Credential collection aborted on a network-class failure.
-
-    Distinguishes "no chain exists in what we could resolve" (a plain
-    unsatisfied attribute) from "we could not resolve enough to know". The
-    message names the attribute and the failure.
-    """
-
-
 class DataDirNotEmpty(AbdError):
     """Refusing to initialize a fixture into a non-empty data directory."""

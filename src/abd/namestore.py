@@ -5,14 +5,17 @@ Layout under the data directory:
     keys/<hexpub>.seed          private key seed, hex
     petnames.json               local petname -> hex public key
     names/<hexpub>/<label>.rrset      canonical record set bytes
+    credentials/<hexpub>.json   the credentials a key holds, a JSON list
 
 Every file is replaced whole, so a crash mid-write leaves the old file.
 Record sets are written in canonical serialization and are read again from
 disk at every read, through ``netsim.read_admitted``, the reader the file
 backend uses too; only what happens to a refused file differs. A file that
 is refused, or whose name is no label, is renamed to
-``<label>.rrset.quarantined`` and reads as absent. Petnames are purely
-local and never serialized into records.
+``<label>.rrset.quarantined`` and reads as absent. A label file holds what
+its label publishes; credentials are presented, never published, so they
+live in a file of their own (see ``credential.store_credential``). Petnames
+are purely local and never serialized into records.
 """
 from __future__ import annotations
 
@@ -36,12 +39,16 @@ from .netsim import REFUSED, NameSystemBackend, derive_query_key, read_admitted,
 
 RRSET_SUFFIX = ".rrset"
 QUARANTINE_SUFFIX = ".rrset.quarantined"
+CRED_IN_LABEL = (
+    "holds a credential, which is never published: import it with"
+    " `abd cred import`, then delete the label's file"
+)
 
 
 @dataclass
 class PublishEntry:
     label: str
-    action: str  # "stored" | "deleted" | "kept-local" | "failed"
+    action: str  # "stored" | "deleted" | "failed"
     expiration_us: Optional[int] = None
     error: Optional[str] = None
 
@@ -62,8 +69,8 @@ class NamespaceStore:
 
     def __init__(self, root: Path):
         self.root = Path(root)
-        (self.root / "keys").mkdir(parents=True, exist_ok=True)
-        (self.root / "names").mkdir(parents=True, exist_ok=True)
+        for directory in ("keys", "names", "credentials"):
+            (self.root / directory).mkdir(parents=True, exist_ok=True)
         self._admitted: dict[str, tuple[bytes, RecordSet]] = {}  # read_admitted's memo
 
     # --- identities and petnames -------------------------------------------
@@ -124,6 +131,9 @@ class NamespaceStore:
             public_key=public_key,
             private_key=bytes.fromhex(seed_path.read_text().strip()),
         )
+
+    def credentials_path(self, holder_pub: bytes) -> Path:
+        return self.root / "credentials" / f"{holder_pub.hex()}.json"
 
     def identities(self) -> list[tuple[str, str]]:
         """(petname, hex public key) pairs, petnames sorted."""
@@ -192,29 +202,27 @@ class NamespaceStore:
     ) -> PublishReport:
         """Push this namespace's delegations into the name system.
 
-        Each label publishes its live public records: relative expirations
-        are stamped absolute against ``clock``, records expired by then are
+        Each label publishes its live records: relative expirations are
+        stamped absolute against ``clock``, records expired by then are
         dropped, and the set is re-signed, so republishing refreshes its
-        lifetimes. A label whose live public records are exactly its stored
-        records is sent as stored: Ed25519 is deterministic, so signing again
-        would give the same bytes. A label with no live public record left
-        publishes a signed empty set, a deletion. Every label is put at every
-        publish, so a replica that missed one catches up. Credential records
-        never leave the local store, and a label holding only credentials
-        publishes nothing. Failures are reported per label; the rest of the
-        publish proceeds.
+        lifetimes. A label whose live records are exactly its stored records
+        is sent as stored: Ed25519 is deterministic, so signing again would
+        give the same bytes. A label with no live record left publishes a
+        signed empty set, a deletion. Every label is put at every publish, so
+        a replica that missed one catches up. A label whose file holds a
+        credential fails and puts nothing: credentials never leave the local
+        store. Failures are reported per label; the rest of the publish
+        proceeds.
         """
         owner.check_private()
         report = PublishReport(namespace=owner.public_key)
         for label, record_set in sorted(self.load_namespace(owner.public_key).items()):
-            public_records = [
-                r for r in record_set.records if r.record_type != RecordType.CRED
-            ]
-            if record_set.records and not public_records:
-                # Even an empty set here would reveal which credentials we hold.
-                report.entries.append(PublishEntry(label=label, action="kept-local"))
+            if any(r.record_type == RecordType.CRED for r in record_set.records):
+                report.entries.append(
+                    PublishEntry(label=label, action="failed", error=CRED_IN_LABEL)
+                )
                 continue
-            stamped = (r.stamped(clock) for r in public_records)
+            stamped = (r.stamped(clock) for r in record_set.records)
             live = tuple(r for r in stamped if not r.is_expired(clock))
             if live == record_set.records:
                 outgoing = record_set  # read_admitted decoded, bound and verified it

@@ -8,7 +8,8 @@ namespace, 3 records per label, 3 entries per record, trails of length 3,
 search still meets disjunction, conjunction, trails, cycles, and dead ends.
 
 Also shared by the suite: the in-memory name system every in-process test
-publishes to, and a decision against a freshly issued nonce.
+publishes to, a decision against a freshly issued nonce, and the lookups a
+discovery trace records.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from abd.authz import AuthorizationResponse, AuthzDecision, NonceTable, Policy, 
 from abd.core import NamespaceKey, RecordType, ResourceRecord, sign_record_set
 from abd.credential import Credential, issue_credential, verify_credential
 from abd.delegation import DelegationExpression, encode_attr_payload, expression
-from abd.discovery import DelegationChain
+from abd.discovery import DelegationChain, DiscoveryTrace
 from abd.netsim import DhtConfig, SimulatedDht, derive_query_key
 
 CLOCK = 1_750_000_000_000_000
@@ -48,6 +49,11 @@ def decide_fresh(
     table = NonceTable()
     response = respond(table.issue(policy.resource_id, clock))
     return authorize(verifier_pub, response, policy, backend, clock, nonce_table=table)
+
+
+def resolves(trace: DiscoveryTrace) -> list[tuple[bytes, str]]:
+    """The (namespace, label) of each resolve in ``trace``, in order."""
+    return [(e.subject, e.label) for e in trace.events if e.kind == "resolve"]
 
 
 @dataclass

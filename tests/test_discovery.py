@@ -40,6 +40,7 @@ from instance_gen import (
     mutate_chain,
     publish_fan_out,
     publish_instance,
+    resolves,
 )
 
 HOUR = 3_600_000_000
@@ -116,7 +117,7 @@ def test_full_chain_for_bob(fixture, backend, clock):
     )
     assert chain is not None
     names = fixture.names_by_key()
-    resolved = [(names[s], label) for s, label in trace.resolves()]
+    resolved = [(names[s], label) for s, label in resolves(trace)]
     assert resolved == EXPECTED_RESOLVE_ORDER
 
     # The one-credential branch is checked against the credential set but
@@ -127,7 +128,7 @@ def test_full_chain_for_bob(fixture, backend, clock):
         if e.kind == "no_credential" and e.subject == lab_one
     ]
     assert len(checked) == 1
-    assert (lab_one, "dco") not in trace.resolves()
+    assert (lab_one, "dco") not in resolves(trace)
 
     matches = [e for e in trace.events if e.kind == "credential_match"]
     assert [e.label for e in matches] == ["employee", "controller"]
@@ -160,7 +161,7 @@ def test_short_chain_for_alice(fixture, backend, clock):
     )
     assert chain is not None
     names = fixture.names_by_key()
-    assert [(names[s], label) for s, label in trace.resolves()] == [
+    assert [(names[s], label) for s, label in resolves(trace)] == [
         ("portal", "user"),
         ("world-agency", "nado"),
         ("national-agency", "dco"),
@@ -272,7 +273,7 @@ def test_plain_cycle_terminates_without_limits():
     assert chain is None
     assert trace.events[-1].kind == "exhausted"
     # Each label resolved exactly once despite the loop.
-    assert sorted(trace.resolves()) == sorted(
+    assert sorted(resolves(trace)) == sorted(
         [(a.public_key, "x"), (b.public_key, "y")]
     )
 
@@ -412,7 +413,7 @@ def test_a_rule_whose_own_term_makes_its_owner_want_every_member():
         trace=trace,
     )
     assert chain is not None
-    assert (b.public_key, "y") in trace.resolves()
+    assert (b.public_key, "y") in resolves(trace)
     assert verify_chain(chain, subject.public_key, backend, GEN_CLOCK)
 
 

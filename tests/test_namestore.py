@@ -310,7 +310,23 @@ def test_seed_is_never_wider_than_0600(tmp_path, monkeypatch):
 # --- publication -----------------------------------------------------------------------
 
 
-def test_publish_stores_attr_and_keeps_credentials_local(tmp_path, signs):
+def test_a_stored_credential_stays_out_of_label_files_and_off_the_backend(tmp_path):
+    store = NamespaceStore(tmp_path)
+    holder = store.create_identity(petname="holder", seed=b"h".ljust(32, b"\0"))
+    credential = issue_credential(
+        key(b"i"), holder.public_key, "member", clock=CLOCK, lifetime_us=HOUR
+    )
+    store_credential(store, holder, credential)
+    assert store.load_namespace(holder.public_key) == {}
+    backend = RecordingPuts()
+    report = store.publish(holder, backend, CLOCK)
+    assert report.ok and report.entries == []
+    assert backend.puts == []
+
+
+def test_a_label_file_holding_a_credential_fails_to_publish_and_puts_nothing(
+    tmp_path, signs
+):
     store = NamespaceStore(tmp_path)
     owner = store.create_identity(petname="owner", seed=b"o".ljust(32, b"\0"))
     holder_cred = issue_credential(
@@ -323,23 +339,36 @@ def test_publish_stores_attr_and_keeps_credentials_local(tmp_path, signs):
     store.store(owner, "boss", [delegation])
     store.store(owner, "member", [cred_record])
     store.store(owner, "mixed", [delegation, cred_record])
-    expired = issue_credential(key(b"i"), owner.public_key, "audit", clock=CLOCK, lifetime_us=0)
-    store_credential(store, owner, expired)
     backend = RecordingPuts()
     signs.calls = 0
     report = store.publish(owner, backend, CLOCK)
-    assert report.ok
+    assert not report.ok
     actions = {e.label: e.action for e in report.entries}
-    assert actions == {
-        "audit": "kept-local", "boss": "stored", "member": "kept-local", "mixed": "stored"
-    }
-    # Only the set that leaves a credential behind is signed anew.
-    assert signs.calls == 1
-    assert len(backend.puts) == 2
-    assert backend.get(derive_query_key(owner.public_key, "boss"), CLOCK) is not None
-    assert backend.get(derive_query_key(owner.public_key, "member"), CLOCK) is None
-    mixed = backend.get(derive_query_key(owner.public_key, "mixed"), CLOCK)
-    assert mixed.records == (delegation,)
+    assert actions == {"boss": "stored", "member": "failed", "mixed": "failed"}
+    for entry in report.entries[1:]:
+        assert "abd cred import" in entry.error
+    assert signs.calls == 0
+    assert [query_key for query_key, _ in backend.puts] == [
+        derive_query_key(owner.public_key, "boss")
+    ]
+
+
+@pytest.mark.parametrize("backend", ["file", "dht"])
+def test_removing_a_delegation_beside_a_held_credential_deletes_it(tmp_path, backend):
+    store = NamespaceStore(tmp_path / "home")
+    owner = store.create_identity(petname="owner", seed=b"o".ljust(32, b"\0"))
+    network = FileBackend(tmp_path / "backend") if backend == "file" else memory_dht()
+    member = expression([(key(b"s").public_key, [])])
+    add_delegation(store, owner, "dco", member, clock=CLOCK)
+    assert store.publish(owner, network, CLOCK).entries[0].action == "stored"
+    credential = issue_credential(
+        key(b"i"), owner.public_key, "dco", clock=CLOCK, lifetime_us=HOUR
+    )
+    store_credential(store, owner, credential)
+    assert remove_delegation(store, owner, "dco", member)
+    report = store.publish(owner, network, CLOCK)
+    assert [(e.label, e.action) for e in report.entries] == [("dco", "deleted")]
+    assert not resolve("dco", owner.public_key, RecordType.ATTR, network, CLOCK)
 
 
 def test_publishing_an_unchanged_namespace_again_signs_nothing_and_puts_the_same_bytes(
