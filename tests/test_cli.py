@@ -175,10 +175,12 @@ def test_resolve_after_publish(abd):
 
 def test_credentials_stay_local_after_publish(abd):
     abd("scenario", "init")
-    # Credential labels are never published, so the name system has no set
-    # at all under them: authoritative absence, exit 1.
+    abd("publish", "--all")
+    # A holder's credentials live in a file of their own, never in a label,
+    # so the name system has no set at all under bob's credential
+    # attributes: authoritative absence, exit 1.
     payload = abd(
-        "resolve", "--ns", "lab-two", "--label", "employee", "--type", "CRED",
+        "resolve", "--ns", "bob", "--label", "employee", "--type", "CRED",
         expect=1,
     )
     assert payload is None

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
@@ -230,17 +231,26 @@ def test_json_accepts_expired_credential():
 
 def test_store_and_list(tmp_path):
     store = NamespaceStore(tmp_path)
-    holder = store.create_identity(petname="holder", seed=b"h".ljust(32, b"\0"))
+    # Storing signs nothing, so the holder's public key is enough.
+    holder = NamespaceKey(public_key=key(b"holder").public_key)
     a = issue_credential(ISSUER, holder.public_key, "member", clock=CLOCK, lifetime_us=HOUR)
     b = issue_credential(ISSUER, holder.public_key, "audit", clock=CLOCK, lifetime_us=HOUR)
     store_credential(store, holder, a)
     store_credential(store, holder, b)
     store_credential(store, holder, a)  # idempotent
-    assert sorted(c.attribute for c in list_credentials(store, holder.public_key)) == [
-        "audit",
-        "member",
-    ]
+    assert list_credentials(store, holder.public_key) == [b, a]  # by attribute
     assert store.load_namespace(holder.public_key) == {}
+
+
+def test_a_forged_entry_in_the_credentials_file_raises_where_it_is_read(tmp_path):
+    store = NamespaceStore(tmp_path)
+    store_credential(store, SUBJECT, cred())
+    path = store.credentials_path(SUBJECT.public_key)
+    (entry,) = json.loads(path.read_text())
+    entry["attribute"] = "admin"
+    path.write_text(json.dumps([entry]))
+    with pytest.raises(BadSignature):
+        list_credentials(store, SUBJECT.public_key)
 
 
 # --- collect -------------------------------------------------------------------------
