@@ -27,8 +27,8 @@ reads every decision reply with ``AuthzDecision.from_json``.
 
 Transport: persistent HTTP/1.1 with TCP_NODELAY, framed here (RFC 9112) on
 both sides, without ``http.server``: ``_read_head`` reads every head, of at
-most ``MAX_HEAD_LINES`` lines of ``MAX_LINE_BYTES`` each; a body is sent by
-``Content-Length``, never ``Transfer-Encoding``. The verifier writes each
+most ``MAX_HEAD_LINES`` lines and ``MAX_LINE_BYTES`` in all; a body is sent
+by ``Content-Length``, never ``Transfer-Encoding``. The verifier writes each
 reply, a JSON decision unless it is a ``100 Continue``, in one send with a
 ``Date``, and says ``Connection: close`` when it closes after it: on every
 status but 200, and when the request asked. A peer that closes mid-head, or
@@ -37,9 +37,27 @@ keeps one connection, to the last endpoint it used, and for each resource
 there the challenge its last reply carried. It sends a request in one write,
 with no proxy, refuses a body over ``MAX_BODY_BYTES``, and resends once, on
 a new connection, only when a reused one closed before the reply began.
+
+Sessions: a kept connection pays for Ed25519 once per subject key, as TLS
+1.3 authenticates once and then MACs each record (RFC 8446). The client's
+first answer for a subject on a connection is signed and carries its
+ephemeral X25519 key in ``session_key``, under the signature (SIGMA,
+Krawczyk 2003); once the signature verifies, the decision reply carries the
+verifier's. Both sides derive ``HKDF-SHA256(X25519 secret, transcript)``
+(RFC 5869) over the subject key, both ephemeral keys and the opening nonce,
+and each later answer for that subject on that connection carries
+``mac``, an HMAC-SHA256 under that key over the bytes a signature would
+cover. Each side holds at most ``MAX_SESSIONS`` session keys per
+connection, least recently used dropped first, and drops them with the
+socket. A MAC the verifier holds no session for is refused like a stale
+nonce, with the nonce left usable and a ``next`` challenge; the client then
+drops the session and answers once more, signed. Nonces keep every rule
+above inside a session.
 """
 from __future__ import annotations
 
+import dataclasses
+import hmac
 import http.client
 import json
 import re
@@ -58,6 +76,10 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Union
 from urllib.parse import quote, unquote, urlsplit
 
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
+
 from .core import KEY_LEN, U32, NamespaceKey, check_label, clip, pack_label, verify_signature
 from .credential import Credential, collect, export_json, import_json, refusal
 from .discovery import DelegationChain, verify_chain
@@ -65,24 +87,28 @@ from .errors import AbdError, BackendError, LimitExceeded, UnknownResource
 from .netsim import NameSystemBackend
 
 AUTHZ_CONTEXT = b"ABD-AUTHZ-V1"
+SESSION_CONTEXT = b"ABD-AUTHZ-SESSION-V1"  # signs an answer that opens a session, and derives its key
 NONCE_LEN = 16
 NONCE_LIFETIME_US = 120_000_000  # two minutes
 MAX_BODY_BYTES = 1 << 20  # an /authorize body for a few attributes is a few KB
 MAX_NONCES = 65_536  # outstanding nonces; a few hundred bytes each
 MAX_CHAINS = 4_096  # chains a verifier remembers, one per (subject, attribute)
 MAX_KEPT_GRANTS = 64  # granting credential sets a client thread keeps
+MAX_SESSIONS = 16  # subject keys each side holds a session key for, per connection
 READ_TIMEOUT_S = 10.0  # a connection idle or stalled this long is closed
 MAX_HEAD_LINES = 100  # header lines in a request or a reply
-MAX_LINE_BYTES = 65_536  # one start line or header line, its line end included
+MAX_LINE_BYTES = 65_536  # a whole head: its start line and header lines, line ends included
 
 GRANT, DENY, ERROR = "grant", "deny", "error"
 
-# Why ``NonceTable.status`` refuses a nonce. A deny whose only reason is one
-# of these is a refusal: the response was never judged.
+# Why ``NonceTable.status`` refuses a nonce, and why a MAC goes unchecked. A
+# deny whose only reason is one of these is a refusal: the response was never
+# judged, and its nonce is left as it was.
 NONCE_UNKNOWN = "nonce unknown or already used"
 NONCE_EXPIRED = "nonce expired"
 NONCE_OTHER_RESOURCE = "nonce was issued for a different resource"
-NONCE_REFUSALS = (NONCE_UNKNOWN, NONCE_EXPIRED, NONCE_OTHER_RESOURCE)
+NO_SESSION = "no session on this connection for the subject's MAC"
+REFUSALS = (NONCE_UNKNOWN, NONCE_EXPIRED, NONCE_OTHER_RESOURCE, NO_SESSION)
 
 
 @dataclass(frozen=True)
@@ -204,31 +230,72 @@ class NonceTable:
             return self._issued.pop(nonce, None) is not None
 
 
+class SessionKeys(OrderedDict):
+    """One connection's session keys by subject key, at most
+    ``MAX_SESSIONS``; the least recently used goes first."""
+
+    def key(self, subject: bytes) -> Optional[bytes]:
+        key = self.get(subject)
+        if key is not None:
+            self.move_to_end(subject)
+        return key
+
+    def keep(self, subject: bytes, key: bytes) -> None:
+        self[subject] = key
+        self.move_to_end(subject)
+        if len(self) > MAX_SESSIONS:
+            self.popitem(last=False)
+
+
+def _session_key(
+    ephemeral: X25519PrivateKey, peer: bytes, subject: bytes, client: bytes, verifier: bytes, nonce: bytes
+) -> Optional[bytes]:
+    """The key both ends of a session derive from the X25519 secret of
+    ``ephemeral`` and the ``peer``'s key, bound to the transcript: the
+    subject key, the client's and the verifier's ephemeral keys and the
+    opening nonce. None when ``peer`` is not a key to agree with."""
+    try:
+        secret = ephemeral.exchange(X25519PublicKey.from_public_bytes(peer))
+    except ValueError:  # not 32 bytes, or a low-order point
+        return None
+    transcript = SESSION_CONTEXT + subject + client + verifier + nonce
+    return HKDF(hashes.SHA256(), 32, salt=None, info=transcript).derive(secret)
+
+
+def _mac(key: bytes, signing_bytes: bytes) -> bytes:
+    return hmac.digest(key, signing_bytes, "sha256")
+
+
 @dataclass(frozen=True)
 class AuthorizationResponse:
-    """The subject's signed answer to a policy challenge."""
+    """The subject's answer to a policy challenge, signed, or MAC'd under
+    the session key of the connection it arrives on."""
 
     nonce: bytes
     subject: bytes
     credential_sets: Mapping[str, tuple[Credential, ...]]
-    signature: bytes
+    signature: Optional[bytes]
+    session_key: Optional[bytes] = None  # the client's ephemeral X25519 key: opens a session
+    mac: Optional[bytes] = None  # in place of the signature
 
     def signing_bytes(self) -> bytes:
-        return response_signing_bytes(self.nonce, self.subject, self.credential_sets)
+        return response_signing_bytes(self.nonce, self.subject, self.credential_sets, self.session_key)
 
 
 def response_signing_bytes(
     nonce: bytes,
     subject: bytes,
     credential_sets: Mapping[str, Iterable[Credential]],
+    session_key: Optional[bytes] = None,
 ) -> bytes:
-    """Canonical bytes covered by the subject's signature.
+    """Canonical bytes covered by the subject's signature, or its MAC.
 
     Attributes are sorted and credentials ordered by their canonical bytes,
-    so semantically equal responses sign identically.
+    so semantically equal responses sign identically. An answer that opens
+    a session signs under its own context, its ephemeral key included.
     """
     out = bytearray()
-    out += AUTHZ_CONTEXT
+    out += AUTHZ_CONTEXT if session_key is None else SESSION_CONTEXT + session_key
     out += nonce
     out += subject
     out += U32.pack(len(credential_sets))
@@ -247,17 +314,19 @@ def build_response(
     subject: NamespaceKey,
     nonce: bytes,
     credential_sets: Mapping[str, Iterable[Credential]],
+    session_key: Optional[bytes] = None,
 ) -> AuthorizationResponse:
     sets = {
         attribute: tuple(credentials)
         for attribute, credentials in credential_sets.items()
     }
-    signature = subject.sign(response_signing_bytes(nonce, subject.public_key, sets))
+    signature = subject.sign(response_signing_bytes(nonce, subject.public_key, sets, session_key))
     return AuthorizationResponse(
         nonce=nonce,
         subject=subject.public_key,
         credential_sets=sets,
         signature=signature,
+        session_key=session_key,
     )
 
 
@@ -268,6 +337,7 @@ class AuthzDecision:
     decision: str  # grant | deny | error
     reasons: tuple[str, ...] = ()
     chain_summaries: tuple[str, ...] = ()
+    session_key: Optional[bytes] = None  # the verifier's ephemeral X25519 key, when a session opened
 
     @classmethod
     def error(cls, reason: str) -> "AuthzDecision":
@@ -290,11 +360,14 @@ class AuthzDecision:
         return cls(decision, tuple(reasons), tuple(summaries))
 
     def to_json(self) -> dict:
-        return {
+        payload = {
             "decision": self.decision,
             "reasons": list(self.reasons),
             "chain_summaries": list(self.chain_summaries),
         }
+        if self.session_key is not None:
+            payload["session_key"] = self.session_key.hex()
+        return payload
 
 
 def _summarize_chain(chain: DelegationChain) -> str:
@@ -316,8 +389,9 @@ def authorize(
     clock: int,
     nonce_table: NonceTable,
     chains: Optional[ChainTable] = None,
+    sessions: Optional[SessionKeys] = None,
 ) -> AuthzDecision:
-    """Decide a signed response against a policy.
+    """Decide a signed or MAC'd response against a policy.
 
     The verifier trusts nothing from the subject but the credentials
     themselves: it runs the subject's own ``collect`` from its own
@@ -326,25 +400,47 @@ def authorize(
     subject, when every credential that chain rests on is presented, and
     collects only the attributes no remembered chain still proves; a chain
     that fails is forgotten. So a grant still rests on a chain that holds
-    now, and a deny on a full search. Once the response signature verifies,
-    the request uses up its nonce whatever it decides, so a response is
-    decided at most once. Only the request that consumes the nonce grants,
-    so one response cannot grant twice, even when two copies of it are
-    decided at once.
+    now, and a deny on a full search. Once the response authenticates, the
+    request uses up its nonce whatever it decides, so a response is decided
+    at most once. Only the request that consumes the nonce grants, so one
+    response cannot grant twice, even when two copies of it are decided at
+    once.
+
+    A response carrying a ``mac`` authenticates under the key ``sessions``,
+    its connection's, holds for its subject, and is refused (``NO_SESSION``)
+    when there is none. A signed response that offers a ``session_key``
+    opens a session in ``sessions``, and the decision carries the
+    verifier's ephemeral key.
     """
     problem = nonce_table.status(response.nonce, policy.resource_id, clock)
     if problem is not None:
         return AuthzDecision(decision=DENY, reasons=(problem,))
     if len(response.subject) != KEY_LEN:
         return AuthzDecision(decision=DENY, reasons=("malformed subject key",))
-    if not verify_signature(
+    opened = None
+    if response.mac is not None:
+        key = None if sessions is None else sessions.key(response.subject)
+        if key is None:
+            return AuthzDecision(decision=DENY, reasons=(NO_SESSION,))
+        if not hmac.compare_digest(_mac(key, response.signing_bytes()), response.mac):
+            return AuthzDecision(decision=DENY, reasons=("response MAC invalid",))
+    elif not verify_signature(
         response.subject, response.signature, response.signing_bytes(), remember=False
     ):
         return AuthzDecision(decision=DENY, reasons=("response signature invalid",))
-    decision = _decide_signed(verifier_pub, response, policy, backend, clock, chains)
+    elif response.session_key is not None and sessions is not None:
+        ephemeral = X25519PrivateKey.generate()
+        share = ephemeral.public_key().public_bytes_raw()
+        key = _session_key(
+            ephemeral, response.session_key, response.subject, response.session_key, share, response.nonce
+        )
+        if key is not None:
+            sessions.keep(response.subject, key)
+            opened = share
+    decision = _decide(verifier_pub, response, policy, backend, clock, chains)
     if not nonce_table.consume(response.nonce) and decision.decision == GRANT:
-        return AuthzDecision(decision=DENY, reasons=(NONCE_UNKNOWN,))
-    return decision
+        decision = AuthzDecision(decision=DENY, reasons=(NONCE_UNKNOWN,))
+    return decision if opened is None else dataclasses.replace(decision, session_key=opened)
 
 
 def _collect(
@@ -373,7 +469,7 @@ def _collect(
         return AuthzDecision.error(f"discovery budget exhausted: {exc}")
 
 
-def _decide_signed(
+def _decide(
     verifier_pub: bytes,
     response: AuthorizationResponse,
     policy: Policy,
@@ -381,7 +477,7 @@ def _decide_signed(
     clock: int,
     chains: Optional[ChainTable],
 ) -> AuthzDecision:
-    """The decision on a response whose signature verified, nonce aside."""
+    """The decision on a response that authenticated, nonce aside."""
     supplied: list[Credential] = []
     for attribute, credentials in response.credential_sets.items():
         for credential in credentials:
@@ -457,12 +553,14 @@ def _read_head(rfile, start: re.Pattern) -> Optional[tuple[re.Match, dict[str, s
     if start_line is None:
         raise http.client.HTTPException(400, "malformed start line")
     headers: dict[str, str] = {}
+    left = MAX_LINE_BYTES - len(line)  # the bytes the rest of the head may take
     for count in range(MAX_HEAD_LINES + 1):
-        line = rfile.readline(MAX_LINE_BYTES + 1)
+        line = rfile.readline(left + 1)
         if line in (b"\r\n", b"\n"):
             break
-        if len(line) > MAX_LINE_BYTES or count == MAX_HEAD_LINES:
+        if len(line) > left or count == MAX_HEAD_LINES:
             raise http.client.HTTPException(431, "header fields too large")
+        left -= len(line)
         if not line.endswith(b"\n"):
             return None
         field = _HEADER_LINE.fullmatch(line.decode("latin-1"))
@@ -507,14 +605,18 @@ class VerifierService:
             "nonce": nonce.hex(),
         }
 
-    def authorize_payload(self, body: dict) -> tuple[int, dict]:
+    def authorize_payload(self, body: dict, sessions: Optional[SessionKeys] = None) -> tuple[int, dict]:
+        """The status and decision payload for a ``POST /authorize`` body,
+        with ``sessions`` the session keys of the connection it came on."""
         try:
             resource_id = body["resource_id"]
             if not isinstance(resource_id, str):
                 raise TypeError("resource_id must be a string")
             nonce = bytes.fromhex(body["nonce"])
             subject = bytes.fromhex(body["subject"])
-            signature = bytes.fromhex(body["signature"])
+            mac = bytes.fromhex(body["mac"]) if "mac" in body else None
+            signature = None if mac is not None else bytes.fromhex(body["signature"])
+            session_key = bytes.fromhex(body["session_key"]) if "session_key" in body else None
             credential_sets = {
                 check_label(attribute): tuple(import_json(item) for item in items)
                 for attribute, items in body["credential_sets"].items()
@@ -532,6 +634,8 @@ class VerifierService:
             subject=subject,
             credential_sets=credential_sets,
             signature=signature,
+            session_key=session_key,
+            mac=mac,
         )
         decision = authorize(
             verifier_pub=self.verifier_pub,
@@ -541,6 +645,7 @@ class VerifierService:
             clock=self.clock_fn(),
             nonce_table=self.nonces,
             chains=self.chains,
+            sessions=sessions,
         )
         payload = decision.to_json()
         payload["next"] = self._challenge(policy)
@@ -551,12 +656,14 @@ class _Connection(socketserver.StreamRequestHandler):
     """One client connection, Nagle's algorithm off. Its requests are
     answered in order, each reply in one send, until a reply is not 200, the
     client asks to close or closes, or any OSError, a read timeout included.
-    Bytes left unread after a rejected request are never parsed as a new one."""
+    Bytes left unread after a rejected request are never parsed as a new one.
+    The connection's session keys live and die with it."""
 
     service: VerifierService  # set on the subclass by make_server
     disable_nagle_algorithm = True
 
     def handle(self) -> None:
+        self.sessions = SessionKeys()
         keep = True
         try:
             while keep:
@@ -601,7 +708,7 @@ class _Connection(socketserver.StreamRequestHandler):
             body = json.loads(self.rfile.read(length))
         except ValueError as exc:
             raise http.client.HTTPException(400, f"bad JSON: {exc}") from None
-        return self.service.authorize_payload(body)
+        return self.service.authorize_payload(body, self.sessions)
 
 
 class _Server(socketserver.ThreadingTCPServer):
@@ -625,14 +732,16 @@ def make_server(service: VerifierService, host: str, port: int) -> socketserver.
 
 class _Kept(threading.local):
     """Per client thread: the socket to the last endpoint used (Nagle off)
-    with a buffered reader, the challenge last carried for each (endpoint,
-    resource id), and the credential sets that last granted each (endpoint,
-    resource id, subject key), at most ``MAX_KEPT_GRANTS``."""
+    with a buffered reader and the session keys opened on it, the challenge
+    last carried for each (endpoint, resource id), and the credential sets
+    that last granted each (endpoint, resource id, subject key), at most
+    ``MAX_KEPT_GRANTS``."""
 
     def __init__(self) -> None:
         self.endpoint: Optional[tuple[str, str]] = None
         self.sock: Optional[socket.socket] = None
         self.reader = None
+        self.sessions = SessionKeys()
         self.challenges: dict[tuple[str, str], Challenge] = {}
         self.grants: dict[tuple[str, str, bytes], dict[str, tuple[Credential, ...]]] = {}
 
@@ -655,6 +764,7 @@ class _Kept(threading.local):
             self.reader.close()
             self.sock.close()
             self.sock = self.reader = None
+            self.sessions.clear()
 
 
 _kept = _Kept()
@@ -759,11 +869,11 @@ class Challenge:
 
 
 def _refused(decision: AuthzDecision) -> bool:
-    """Whether the verifier refused the nonce rather than judge the response."""
+    """Whether the verifier refused the response rather than judge it."""
     return (
         decision.decision == DENY
         and len(decision.reasons) == 1
-        and decision.reasons[0] in NONCE_REFUSALS
+        and decision.reasons[0] in REFUSALS
     )
 
 
@@ -806,16 +916,27 @@ def _answer(
     credential_sets: Mapping[str, tuple[Credential, ...]],
     timeout: float,
 ) -> tuple[AuthzDecision, Optional[Challenge]]:
-    """Sign and submit ``credential_sets`` as the answer to ``challenge``.
+    """Submit ``credential_sets`` as the answer to ``challenge``: MAC'd
+    under the kept connection's session key for the subject, or else signed
+    and offering a session, which opens when the reply carries the
+    verifier's key. A refusal for want of a session drops the subject's.
     Returns the decision and the challenge the reply carries, if it carries
     one."""
-    response = build_response(subject, challenge.nonce, credential_sets)
+    key = _kept.sessions.key(subject.public_key)
+    if key is None:
+        ephemeral = X25519PrivateKey.generate()
+        offered = ephemeral.public_key().public_bytes_raw()
+        response = build_response(subject, challenge.nonce, credential_sets, offered)
+        proof = {"signature": response.signature.hex(), "session_key": offered.hex()}
+    else:
+        signing_bytes = response_signing_bytes(challenge.nonce, subject.public_key, credential_sets)
+        proof = {"mac": _mac(key, signing_bytes).hex()}
     body = json.dumps(
         {
             "resource_id": resource_id,
-            "nonce": response.nonce.hex(),
-            "subject": response.subject.hex(),
-            "signature": response.signature.hex(),
+            "nonce": challenge.nonce.hex(),
+            "subject": subject.public_key.hex(),
+            **proof,
             "credential_sets": {
                 attribute: [export_json(c) for c in credentials]
                 for attribute, credentials in credential_sets.items()
@@ -834,11 +955,22 @@ def _answer(
     if isinstance(sent, AuthzDecision):
         return sent, None
     status, reply = sent
+    decision = AuthzDecision.from_json(status, reply)
+    if key is not None and decision.reasons == (NO_SESSION,):
+        _kept.sessions.pop(subject.public_key, None)
+    elif key is None and _kept.sock is not None and "session_key" in reply:
+        try:
+            share = bytes.fromhex(reply["session_key"])
+        except (TypeError, ValueError):
+            share = b""
+        key = _session_key(ephemeral, share, subject.public_key, offered, share, challenge.nonce)
+        if key is not None:
+            _kept.sessions.keep(subject.public_key, key)
     try:
         following = Challenge.from_json(resource_id, reply["next"])
     except (KeyError, ValueError, TypeError, AbdError):
         following = None
-    return AuthzDecision.from_json(status, reply), following
+    return decision, following
 
 
 def _presentable(
@@ -881,7 +1013,9 @@ def request_access(
     A carried nonce can go stale (it expired, or the verifier restarted or
     dropped it); if the verifier refuses one, the answer is sent once more,
     to the challenge the refusal carries (or, if it carries none, to one
-    fetched with ``GET /policy``).
+    fetched with ``GET /policy``). A MAC'd answer the verifier holds no
+    session for, as after a reconnect, is sent once more, signed, to the
+    challenge the refusal carries, whether the first was carried or fetched.
     The thread also keeps the credential sets that last granted the subject
     the resource, and re-presents them without a search while each is still
     held and counts. If the verifier denies them, as after a revocation, they
@@ -921,6 +1055,7 @@ def request_access(
                 for attribute in policy.required_attributes
             }
         granted = None  # sets are re-presented at most once per call
+        maced = subject.public_key in _kept.sessions
         decision, challenge = _answer(
             endpoint, resource_id, challenge, subject, credential_sets, timeout
         )
@@ -935,7 +1070,8 @@ def request_access(
             _kept.grants.pop(kept, None)
             carried = False
             continue
-        if not (carried and _refused(decision)):
+        lost = maced and decision.reasons == (NO_SESSION,)  # the next answer is signed
+        if not (lost or (carried and _refused(decision))):
             break
         carried = False
     if challenge is not None:

@@ -21,6 +21,7 @@ import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from abd import authz, core, scenario
@@ -1056,39 +1057,44 @@ def test_a_connection_the_server_closed_idle_is_replaced_and_decides_once(
     service, fixture, backend, clock, monkeypatch
 ):
     monkeypatch.setattr(authz, "READ_TIMEOUT_S", 0.2)
-    decided = []
+    judged, refused = [], []
     authorize_payload = service.authorize_payload
 
-    def counting_authorize_payload(body):
-        decided.append(body["nonce"])
-        return authorize_payload(body)
+    def counting_authorize_payload(body, sessions):
+        status, payload = authorize_payload(body, sessions)
+        (refused if payload["reasons"] == [authz.NO_SESSION] else judged).append(body["nonce"])
+        return status, payload
 
     monkeypatch.setattr(service, "authorize_payload", counting_authorize_payload)
-    # The client idles once while it signs its answer, a step every answer
-    # takes, so the kept connection is closed under the POST.
-    sign, idled = authz.build_response, []
+    # The client idles once while it builds the bytes its answer signs or
+    # MACs, a step every answer takes, so the kept connection is closed
+    # under the POST.
+    signing_bytes, idled = authz.response_signing_bytes, []
 
     def idle_once(*args):
         if not idled:
             idled.append(True)
             time.sleep(0.4)
-        return sign(*args)
+        return signing_bytes(*args)
 
     def ask():
         return request_access(
             endpoint, scenario.RESOURCE_ID, fixture.key("bob"), fixture.bob_creds, backend, clock
         ).decision
 
+    # A MAC'd answer resent on the fresh connection finds no session there:
+    # it is refused, its nonce unused, and answered once more, signed.
     with serving(make_server(service, "127.0.0.1", 0)) as endpoint:
         assert ask() == GRANT
-        assert len(decided) == 1
+        assert (len(judged), len(refused)) == (1, 0)
         time.sleep(0.4)  # idle between two decisions
         assert ask() == GRANT
-        assert len(decided) == 2
-        monkeypatch.setattr(authz, "build_response", idle_once)
+        assert (len(judged), len(refused)) == (2, 1)
+        monkeypatch.setattr(authz, "response_signing_bytes", idle_once)
         assert ask() == GRANT
         assert idled
-        assert len(decided) == 3
+        assert (len(judged), len(refused)) == (3, 2)
+    assert len(set(judged)) == 3 and not set(judged) & set(refused)
 
 
 def test_pipelined_requests_are_answered_in_order(endpoint):
@@ -1630,6 +1636,192 @@ def test_an_outage_reads_the_same_at_the_client_and_the_verifier(endpoint, fixtu
     assert verifier.reasons[0].startswith("name system unavailable: ")
 
 
+# --- one signature per connection, a MAC per decision ----------------------------------------
+
+
+@pytest.fixture
+def ed25519(monkeypatch):
+    """Counts of the response signatures this process makes and of those
+    ``authz`` verifies: the client's and the verifier's, in one process."""
+    counts = collections.Counter()
+    sign, verify = NamespaceKey.sign, authz.verify_signature
+
+    def counting_sign(self, message):
+        counts["signs"] += 1
+        return sign(self, message)
+
+    def counting_verify(*args, **kwargs):
+        counts["verifies"] += 1
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(NamespaceKey, "sign", counting_sign)
+    monkeypatch.setattr(authz, "verify_signature", counting_verify)
+    return counts
+
+
+def test_a_kept_connection_signs_and_verifies_once_per_subject(service, sent, ed25519, fixture, backend, clock):
+    httpd = make_server(service, "127.0.0.1", 0)
+    accepted = []
+    accept = httpd.get_request
+
+    def counting_accept():
+        accepted.append(None)
+        return accept()
+
+    httpd.get_request = counting_accept
+    subjects = [(fixture.key("bob"), fixture.bob_creds), (fixture.key("alice"), fixture.alice_creds)]
+    with serving(httpd) as endpoint:
+        decisions = [ask(endpoint, fixture, backend, clock, *subjects[i % 2]).decision for i in range(20)]
+    assert decisions == [GRANT] * 20
+    assert len(accepted) == 1
+    assert sent == {"GET": 1, "POST": 20}
+    assert ed25519 == {"signs": 2, "verifies": 2}
+
+
+def test_a_connection_holds_at_most_max_sessions(endpoint, sent, ed25519, fixture, backend, clock, monkeypatch):
+    monkeypatch.setattr(authz, "MAX_SESSIONS", 1)
+    subjects = [(fixture.key("bob"), fixture.bob_creds), (fixture.key("alice"), fixture.alice_creds)]
+    decisions = [ask(endpoint, fixture, backend, clock, *subjects[i // 2 % 2]).decision for i in range(8)]
+    assert decisions == [GRANT] * 8
+    # Each switch of subject evicts the other's session on both sides.
+    assert sent == {"GET": 1, "POST": 8}
+    assert ed25519 == {"signs": 4, "verifies": 4}
+
+
+def post_on(connection: http.client.HTTPConnection, body: dict) -> dict:
+    """The decision a kept connection's ``POST /authorize`` of ``body`` gets."""
+    connection.request("POST", "/authorize", json.dumps(body), {"Content-Type": "application/json"})
+    with connection.getresponse() as reply:
+        assert reply.status == 200
+        return json.loads(reply.read())
+
+
+def answer_body(nonce: bytes, subject: NamespaceKey, creds, **proof: bytes) -> dict:
+    return {
+        "resource_id": scenario.RESOURCE_ID,
+        "nonce": nonce.hex(),
+        "subject": subject.public_key.hex(),
+        "credential_sets": {"user": [export_json(c) for c in creds]},
+        **{name: value.hex() for name, value in proof.items()},
+    }
+
+
+def mac_body(key: bytes, nonce: bytes, subject: NamespaceKey, creds) -> dict:
+    mac = authz._mac(key, response_signing_bytes(nonce, subject.public_key, {"user": creds}))
+    return answer_body(nonce, subject, creds, mac=mac)
+
+
+def open_session(connection, service, subject: NamespaceKey, creds) -> bytes:
+    """The session key a signed answer for ``subject`` opens on ``connection``."""
+    nonce = service.nonces.issue(scenario.RESOURCE_ID, service.clock_fn())
+    ephemeral = X25519PrivateKey.generate()
+    offered = ephemeral.public_key().public_bytes_raw()
+    signed = build_response(subject, nonce, {"user": creds}, offered)
+    reply = post_on(connection, answer_body(nonce, subject, creds, signature=signed.signature, session_key=offered))
+    assert reply["decision"] == GRANT
+    share = bytes.fromhex(reply["session_key"])
+    return authz._session_key(ephemeral, share, subject.public_key, offered, share, nonce)
+
+
+@contextlib.contextmanager
+def connections(endpoint: str, count: int):
+    host, port = endpoint.removeprefix("http://").split(":")
+    opened = [http.client.HTTPConnection(host, int(port), timeout=5) for _ in range(count)]
+    try:
+        yield opened
+    finally:
+        for connection in opened:
+            connection.close()
+
+
+def test_a_mac_grants_only_under_its_own_connections_session(endpoint, service, fixture):
+    bob, creds = fixture.key("bob"), fixture.bob_creds
+    fresh = lambda: service.nonces.issue(scenario.RESOURCE_ID, service.clock_fn())  # noqa: E731
+    with connections(endpoint, 3) as (first, second, bare):
+        key, other = open_session(first, service, bob, creds), open_session(second, service, bob, creds)
+        assert key != other
+        # A MAC made under another connection's key.
+        nonce = fresh()
+        assert post_on(second, mac_body(key, nonce, bob, creds))["reasons"] == ["response MAC invalid"]
+        # One flipped MAC byte.
+        body = mac_body(key, nonce, bob, creds)
+        body["mac"] = f"{int(body['mac'][:2], 16) ^ 1:02x}" + body["mac"][2:]
+        assert post_on(first, body)["reasons"] == ["response MAC invalid"]
+        # No session on the connection: refused, and the nonce stays usable.
+        refused = post_on(bare, mac_body(key, nonce, bob, creds))
+        assert (refused["decision"], refused["reasons"]) == (DENY, [authz.NO_SESSION])
+        assert "session_key" not in refused and refused["next"]["nonce"] != nonce.hex()
+        assert service.nonces.status(nonce, scenario.RESOURCE_ID, service.clock_fn()) is None
+        # The right MAC on the right connection grants, once.
+        assert post_on(first, mac_body(key, nonce, bob, creds))["decision"] == GRANT
+        assert post_on(first, mac_body(key, nonce, bob, creds))["reasons"] == [NONCE_UNKNOWN]
+        assert post_on(second, mac_body(other, fresh(), bob, creds))["decision"] == GRANT
+
+
+def test_a_maced_response_decided_twice_at_once_grants_once(tmp_path, clock):
+    backend = ReplayOnFirstGet(ONE_NODE)
+    fixture = scenario.build_fixture(NamespaceStore(tmp_path / "home"), backend, clock=clock)
+    table, sessions, bob = NonceTable(), authz.SessionKeys(), fixture.key("bob")
+    key = bytes(range(32))
+    sessions.keep(bob.public_key, key)
+    nonce = table.issue(scenario.RESOURCE_ID, clock)
+    sets = {"user": tuple(fixture.bob_creds)}
+    mac = authz._mac(key, response_signing_bytes(nonce, bob.public_key, sets))
+    response = AuthorizationResponse(nonce, bob.public_key, sets, signature=None, mac=mac)
+
+    def decide():
+        return authorize(
+            fixture.key("portal").public_key, response, portal_policy(), backend, clock, table, sessions=sessions
+        )
+
+    inner = []
+    backend.replay = lambda: inner.append(decide())
+    outer = decide()
+    assert [d.decision for d in inner + [outer]] == [GRANT, DENY]
+    assert outer.reasons == (NONCE_UNKNOWN,)
+
+
+@pytest.mark.parametrize("carried", [True, False], ids=["carried-challenge", "fetched-challenge"])
+def test_a_session_the_verifier_dropped_costs_one_exchange(
+    service, sent, ed25519, fixture, backend, clock, monkeypatch, carried
+):
+    monkeypatch.setattr(authz, "READ_TIMEOUT_S", 0.2)
+    signing_bytes, idled = authz.response_signing_bytes, []
+
+    def idle_once(*args):
+        if not idled:
+            idled.append(True)
+            time.sleep(0.4)
+        return signing_bytes(*args)
+
+    with serving(make_server(service, "127.0.0.1", 0)) as endpoint:
+        assert [ask(endpoint, fixture, backend, clock).decision for _ in range(2)] == [GRANT] * 2
+        assert (sent, ed25519) == ({"GET": 1, "POST": 2}, {"signs": 1, "verifies": 1})
+        if carried:
+            time.sleep(0.4)  # the verifier closes the idle connection, and its session with it
+        else:
+            # The next answer goes to a fetched challenge, and the verifier
+            # closes the connection while the client builds that answer.
+            authz._kept.challenges.clear()
+            monkeypatch.setattr(authz, "response_signing_bytes", idle_once)
+        outcome = ask(endpoint, fixture, backend, clock)
+    assert (outcome.decision, outcome.reasons) == (GRANT, ())
+    # The MAC'd answer is refused on the new connection, then answered signed.
+    assert (sent, ed25519) == ({"GET": 1 if carried else 2, "POST": 4}, {"signs": 2, "verifies": 2})
+
+
+@pytest.mark.parametrize("share", [5, "zz", "00" * 31, "00" * 32], ids=["number", "not-hex", "short", "low-order"])
+def test_a_reply_whose_session_key_is_unusable_opens_no_session(fixture, backend, clock, ed25519, share):
+    policy = json.dumps(stub_policy(fixture)).encode()
+    deny = json.dumps({"decision": "deny", "reasons": ["no"], "chain_summaries": [], "session_key": share}).encode()
+    with raw_verifier({"GET": (framed(policy), False), "POST": (framed(deny), False)}) as endpoint:
+        for _ in range(3):
+            outcome = ask(endpoint, fixture, backend, clock)
+            assert (outcome.decision, outcome.reasons) == (DENY, ("no",))
+            assert not authz._kept.sessions
+    assert ed25519["signs"] == 3
+
+
 # --- resource ids that are not URL-safe ----------------------------------------------------
 
 ODD_RESOURCE = "lab reports/2026?all"
@@ -1992,6 +2184,13 @@ def test_a_refused_head_gets_its_status_and_ends_the_connection(endpoint, head, 
     assert (got, headers["connection"], payload["decision"]) == (status, "close", ERROR)
 
 
+def test_a_head_over_its_byte_cap_is_431_however_few_its_lines(endpoint):
+    line = b"X-Big: " + b"x" * (40 * 1024 - 9) + b"\r\n"  # 40 KiB, line end included
+    request = get_request(POLICY_PATH).replace(b"\r\n\r\n", b"\r\n" + line * 2 + b"\r\n")
+    status, payload = send_raw(endpoint, request)
+    assert (status, payload["decision"]) == (431, ERROR)
+
+
 def test_a_hundred_header_lines_are_read(endpoint):
     # Host and 99 more
     request = get_request(POLICY_PATH).replace(b"\r\n\r\n", b"\r\n" + b"X-Header: h\r\n" * 99 + b"\r\n")
@@ -2101,9 +2300,10 @@ def test_the_client_answers_grant_deny_or_error_whatever_the_reply(
         (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n", "Transfer-Encoding"),
         (b"HTTP/1.1 200 OK\r\n\r\n" + b" " * (MAX_BODY_BYTES + 1), "over"),
         (b"HTTP/1.1 200\r\n" + b"X: y\r\n" * 101 + b"\r\n", "too large"),
+        (b"HTTP/1.1 200\r\n" + (b"X: " + b"y" * (40 * 1024 - 5) + b"\r\n") * 2 + b"\r\n", "too large"),
         (b"HTTP/1.1 200 OK\r\nContent-Le", "closed the connection mid-reply"),
     ],
-    ids=["short-body", "length-over-cap", "chunked", "body-over-cap", "101-lines", "cut-head"],
+    ids=["short-body", "length-over-cap", "chunked", "body-over-cap", "101-lines", "two-40-KiB-lines", "cut-head"],
 )
 def test_a_reply_the_client_refuses_is_an_error(fixture, backend, clock, reply, reason):
     with raw_verifier({"GET": (reply, reason != "timed out")}) as endpoint:

@@ -14,7 +14,7 @@ import pytest
 
 from abd import authz, scenario
 from abd.cli import main, parse_duration
-from abd.core import DAYS, HOURS, MILLISECONDS, MINUTES, SECONDS
+from abd.core import DAYS, HOURS, MILLISECONDS, MINUTES, SECONDS, NamespaceKey
 
 EPOCH = scenario.FIXTURE_EPOCH_US
 PORTAL_PUB = "3e172219bd37b625875e2741829fb1987418a37141d0a93885756eeab47b1025"
@@ -372,6 +372,22 @@ def test_serve_then_request_over_http(abd):
             expect=1,
         )
         assert denied["decision"] == "deny"
+
+
+def test_a_one_shot_request_grants_over_the_signed_path(abd, monkeypatch):
+    abd("scenario", "init")
+    signed, maced = [], []
+    sign, mac = NamespaceKey.sign, authz._mac
+    monkeypatch.setattr(NamespaceKey, "sign", lambda key, message: signed.append(message) or sign(key, message))
+    monkeypatch.setattr(authz, "_mac", lambda *args: maced.append(args) or mac(*args))
+    with serving(abd.home) as (_, endpoint):
+        granted = abd(
+            "request", "--endpoint", endpoint,
+            "--resource", scenario.RESOURCE_ID, "--identity", "bob",
+        )
+    assert granted["decision"] == "grant" and "session_key" not in granted
+    assert len(signed) == 1 and signed[0].startswith(authz.SESSION_CONTEXT)
+    assert maced == []
 
 
 def test_request_closes_its_connection_before_exit(abd):
