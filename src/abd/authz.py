@@ -37,26 +37,17 @@ keeps one connection, to the last endpoint it used, and for each resource
 there the challenge its last reply carried. It sends a request in one write,
 with no proxy, refuses a body over ``MAX_BODY_BYTES``, and resends once, on
 a new connection, only when a reused one closed before the reply began.
-
-Sessions: a kept connection pays for Ed25519 once per subject key, as TLS
-1.3 authenticates once and then MACs each record (RFC 8446). The client's
-first answer for a subject on a connection is signed and carries its
-ephemeral X25519 key in ``session_key``, under the signature (SIGMA,
-Krawczyk 2003); once the signature verifies, the decision reply carries the
-verifier's. Both sides derive ``HKDF-SHA256(X25519 secret, transcript)``
-(RFC 5869) over the subject key, both ephemeral keys and the opening nonce,
-and each later answer for that subject on that connection carries
-``mac``, an HMAC-SHA256 under that key over the bytes a signature would
-cover. Each side holds at most ``MAX_SESSIONS`` session keys per
-connection, least recently used dropped first, and drops them with the
-socket. A MAC the verifier holds no session for is refused like a stale
-nonce, with the nonce left usable and a ``next`` challenge; the client then
-drops the session and answers once more, signed. Nonces keep every rule
-above inside a session.
+A kept connection pays for Ed25519 once per subject key, as TLS 1.3
+authenticates once and then MACs each record (RFC 8446): the first answer
+for a subject is signed and offers an ephemeral X25519 key, the reply
+carries the verifier's, and later answers carry an HMAC-SHA256 under the
+key both sides derive with HKDF (RFC 5869). Each side holds at most
+``MAX_SESSIONS`` such keys per connection and drops them with it. A MAC the
+verifier holds no session for is refused like a stale nonce, and the
+client answers once more, signed.
 """
 from __future__ import annotations
 
-import dataclasses
 import hmac
 import http.client
 import json
@@ -69,7 +60,7 @@ import threading
 import urllib.error
 import urllib.request
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from email.utils import formatdate
 from http import HTTPStatus
 from pathlib import Path
@@ -440,7 +431,7 @@ def authorize(
     decision = _decide(verifier_pub, response, policy, backend, clock, chains)
     if not nonce_table.consume(response.nonce) and decision.decision == GRANT:
         decision = AuthzDecision(decision=DENY, reasons=(NONCE_UNKNOWN,))
-    return decision if opened is None else dataclasses.replace(decision, session_key=opened)
+    return decision if opened is None else replace(decision, session_key=opened)
 
 
 def _collect(

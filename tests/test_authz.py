@@ -1094,6 +1094,7 @@ def test_a_connection_the_server_closed_idle_is_replaced_and_decides_once(
         assert ask() == GRANT
         assert idled
         assert (len(judged), len(refused)) == (3, 2)
+        close_connection()
     assert len(set(judged)) == 3 and not set(judged) & set(refused)
 
 
