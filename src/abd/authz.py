@@ -42,9 +42,14 @@ authenticates once and then MACs each record (RFC 8446): the first answer
 for a subject is signed and offers an ephemeral X25519 key, the reply
 carries the verifier's, and later answers carry an HMAC-SHA256 under the
 key both sides derive with HKDF (RFC 5869). Each side holds at most
-``MAX_SESSIONS`` such keys per connection and drops them with it. A MAC the
-verifier holds no session for is refused like a stale nonce, and the
-client answers once more, signed.
+``MAX_SESSIONS`` such keys per connection and drops them with it. A client
+that finds its kept connection closed while it idled drops it before it
+answers, so the answer is signed and opens a session on a new one. A MAC the
+verifier holds no session for, as when the close races the send, is refused
+like a stale nonce, and the client answers once more, signed. The gain is
+for back-to-back answers from a few subject keys on one kept connection; a
+one-shot client pays two X25519 key pairs and exchanges for a session it
+never uses.
 """
 from __future__ import annotations
 
@@ -53,6 +58,7 @@ import http.client
 import json
 import re
 import secrets
+import select
 import socket
 import socketserver
 import ssl
@@ -757,6 +763,16 @@ class _Kept(threading.local):
             self.sock = self.reader = None
             self.sessions.clear()
 
+    def drop_if_closed(self) -> None:
+        """Disconnect if the verifier closed the kept connection while it
+        idled: with no request outstanding, a readable socket holds only its
+        end of file (or bytes no request asked for)."""
+        if self.sock is not None:
+            poller = select.poll()
+            poller.register(self.sock, select.POLLIN)
+            if poller.poll(0):
+                self.disconnect()
+
 
 _kept = _Kept()
 
@@ -906,22 +922,30 @@ def _answer(
     subject: NamespaceKey,
     credential_sets: Mapping[str, tuple[Credential, ...]],
     timeout: float,
+    offer_session: bool,
 ) -> tuple[AuthzDecision, Optional[Challenge]]:
     """Submit ``credential_sets`` as the answer to ``challenge``: MAC'd
-    under the kept connection's session key for the subject, or else signed
-    and offering a session, which opens when the reply carries the
-    verifier's key. A refusal for want of a session drops the subject's.
-    Returns the decision and the challenge the reply carries, if it carries
-    one."""
+    under the kept connection's session key for the subject, or else
+    signed. A signed answer offers a session, which opens when the reply
+    carries the verifier's key, only if ``offer_session``, the connection
+    is already open (one the verifier closed while the thread idled would
+    likely close again before a MAC could use it) and it holds fewer than
+    ``MAX_SESSIONS`` (a full one keeps the sessions it has rather than churn
+    them). A refusal for want of a session drops the subject's. Returns the
+    decision and the challenge the reply carries, if it carries one."""
     key = _kept.sessions.key(subject.public_key)
-    if key is None:
-        ephemeral = X25519PrivateKey.generate()
-        offered = ephemeral.public_key().public_bytes_raw()
-        response = build_response(subject, challenge.nonce, credential_sets, offered)
-        proof = {"signature": response.signature.hex(), "session_key": offered.hex()}
-    else:
+    ephemeral = offered = None
+    if key is not None:
         signing_bytes = response_signing_bytes(challenge.nonce, subject.public_key, credential_sets)
         proof = {"mac": _mac(key, signing_bytes).hex()}
+    else:
+        if offer_session and _kept.sock is not None and len(_kept.sessions) < MAX_SESSIONS:
+            ephemeral = X25519PrivateKey.generate()
+            offered = ephemeral.public_key().public_bytes_raw()
+        response = build_response(subject, challenge.nonce, credential_sets, offered)
+        proof = {"signature": response.signature.hex()}
+        if offered is not None:
+            proof["session_key"] = offered.hex()
     body = json.dumps(
         {
             "resource_id": resource_id,
@@ -949,7 +973,7 @@ def _answer(
     decision = AuthzDecision.from_json(status, reply)
     if key is not None and decision.reasons == (NO_SESSION,):
         _kept.sessions.pop(subject.public_key, None)
-    elif key is None and _kept.sock is not None and "session_key" in reply:
+    elif ephemeral is not None and _kept.sock is not None and "session_key" in reply:
         try:
             share = bytes.fromhex(reply["session_key"])
         except (TypeError, ValueError):
@@ -992,6 +1016,7 @@ def request_access(
     backend: NameSystemBackend,
     clock: int,
     timeout: float = 10.0,
+    offer_session: bool = True,
 ) -> AuthzDecision:
     """Full subject-side round trip against a verifier endpoint.
 
@@ -1004,9 +1029,14 @@ def request_access(
     A carried nonce can go stale (it expired, or the verifier restarted or
     dropped it); if the verifier refuses one, the answer is sent once more,
     to the challenge the refusal carries (or, if it carries none, to one
-    fetched with ``GET /policy``). A MAC'd answer the verifier holds no
-    session for, as after a reconnect, is sent once more, signed, to the
+    fetched with ``GET /policy``). A kept connection the verifier closed
+    while the thread idled is dropped, with its sessions, before the answer
+    is made. A MAC'd answer the verifier holds no session for, as when it
+    closed the connection under the send, is sent once more, signed, to the
     challenge the refusal carries, whether the first was carried or fetched.
+    With ``offer_session`` false every answer is signed and offers no
+    session, as a caller that decides once and closes should ask: a session
+    it never uses costs both sides an X25519 key pair and exchange.
     The thread also keeps the credential sets that last granted the subject
     the resource, and re-presents them without a search while each is still
     held and counts. If the verifier denies them, as after a revocation, they
@@ -1046,9 +1076,10 @@ def request_access(
                 for attribute in policy.required_attributes
             }
         granted = None  # sets are re-presented at most once per call
+        _kept.drop_if_closed()  # with its sessions: the answer is signed, in one exchange
         maced = subject.public_key in _kept.sessions
         decision, challenge = _answer(
-            endpoint, resource_id, challenge, subject, credential_sets, timeout
+            endpoint, resource_id, challenge, subject, credential_sets, timeout, offer_session
         )
         if decision.decision == GRANT:
             _kept.grants.pop(kept, None)

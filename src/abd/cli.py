@@ -414,6 +414,7 @@ def cmd_request(cli: Cli) -> int:
             subject_creds=credentials,
             backend=cli.backend,
             clock=cli.clock,
+            offer_session=False,  # one decision, then the connection closes
         )
     finally:
         close_connection()

@@ -1057,45 +1057,46 @@ def test_a_connection_the_server_closed_idle_is_replaced_and_decides_once(
     service, fixture, backend, clock, monkeypatch
 ):
     monkeypatch.setattr(authz, "READ_TIMEOUT_S", 0.2)
-    judged, refused = [], []
+    decided = []
     authorize_payload = service.authorize_payload
 
     def counting_authorize_payload(body, sessions):
-        status, payload = authorize_payload(body, sessions)
-        (refused if payload["reasons"] == [authz.NO_SESSION] else judged).append(body["nonce"])
-        return status, payload
+        decided.append(body["nonce"])
+        return authorize_payload(body, sessions)
 
     monkeypatch.setattr(service, "authorize_payload", counting_authorize_payload)
-    # The client idles once while it builds the bytes its answer signs or
-    # MACs, a step every answer takes, so the kept connection is closed
-    # under the POST.
-    signing_bytes, idled = authz.response_signing_bytes, []
+    # The client idles once while it signs its answer, a step every answer
+    # on a connection without a session takes, so the kept connection is
+    # closed under the POST.
+    sign, idled = authz.build_response, []
 
     def idle_once(*args):
         if not idled:
             idled.append(True)
             time.sleep(0.4)
-        return signing_bytes(*args)
+        return sign(*args)
 
     def ask():
         return request_access(
             endpoint, scenario.RESOURCE_ID, fixture.key("bob"), fixture.bob_creds, backend, clock
         ).decision
 
-    # A MAC'd answer resent on the fresh connection finds no session there:
-    # it is refused, its nonce unused, and answered once more, signed.
     with serving(make_server(service, "127.0.0.1", 0)) as endpoint:
         assert ask() == GRANT
-        assert (len(judged), len(refused)) == (1, 0)
+        assert len(decided) == 1
+        # The client sees the close before it answers: the answer is signed,
+        # not MAC'd under the session the old connection held, and offers no
+        # session on the connection it had to open for it.
         time.sleep(0.4)  # idle between two decisions
         assert ask() == GRANT
-        assert (len(judged), len(refused)) == (2, 1)
-        monkeypatch.setattr(authz, "response_signing_bytes", idle_once)
+        assert len(decided) == 2
+        assert not authz._kept.sessions
+        monkeypatch.setattr(authz, "build_response", idle_once)
         assert ask() == GRANT
         assert idled
-        assert (len(judged), len(refused)) == (3, 2)
+        assert len(decided) == 3
         close_connection()
-    assert len(set(judged)) == 3 and not set(judged) & set(refused)
+    assert len(set(decided)) == 3
 
 
 def test_pipelined_requests_are_answered_in_order(endpoint):
@@ -1679,14 +1680,31 @@ def test_a_kept_connection_signs_and_verifies_once_per_subject(service, sent, ed
     assert ed25519 == {"signs": 2, "verifies": 2}
 
 
-def test_a_connection_holds_at_most_max_sessions(endpoint, sent, ed25519, fixture, backend, clock, monkeypatch):
+def test_a_full_client_keeps_its_sessions_and_signs_the_rest(
+    endpoint, sent, ed25519, fixture, backend, clock, monkeypatch
+):
     monkeypatch.setattr(authz, "MAX_SESSIONS", 1)
     subjects = [(fixture.key("bob"), fixture.bob_creds), (fixture.key("alice"), fixture.alice_creds)]
     decisions = [ask(endpoint, fixture, backend, clock, *subjects[i // 2 % 2]).decision for i in range(8)]
     assert decisions == [GRANT] * 8
-    # Each switch of subject evicts the other's session on both sides.
+    # Bob's session stays; alice's four answers are signed and offer none,
+    # so no subject's session is churned by another's.
     assert sent == {"GET": 1, "POST": 8}
-    assert ed25519 == {"signs": 4, "verifies": 4}
+    assert ed25519 == {"signs": 5, "verifies": 5}
+    assert list(authz._kept.sessions) == [fixture.key("bob").public_key]
+
+
+def test_a_verifier_connection_holds_at_most_max_sessions(endpoint, service, fixture, monkeypatch):
+    monkeypatch.setattr(authz, "MAX_SESSIONS", 1)
+    bob, alice = fixture.key("bob"), fixture.key("alice")
+    fresh = lambda: service.nonces.issue(scenario.RESOURCE_ID, service.clock_fn())  # noqa: E731
+    with connections(endpoint, 1) as (connection,):
+        bobs = open_session(connection, service, bob, fixture.bob_creds)
+        alices = open_session(connection, service, alice, fixture.alice_creds)
+        # Alice's session evicted bob's, the least recently used.
+        refused = post_on(connection, mac_body(bobs, fresh(), bob, fixture.bob_creds))
+        assert refused["reasons"] == [authz.NO_SESSION]
+        assert post_on(connection, mac_body(alices, fresh(), alice, fixture.alice_creds))["decision"] == GRANT
 
 
 def post_on(connection: http.client.HTTPConnection, body: dict) -> dict:
@@ -1798,13 +1816,11 @@ def test_a_session_the_verifier_dropped_costs_one_exchange(
     with serving(make_server(service, "127.0.0.1", 0)) as endpoint:
         assert [ask(endpoint, fixture, backend, clock).decision for _ in range(2)] == [GRANT] * 2
         assert (sent, ed25519) == ({"GET": 1, "POST": 2}, {"signs": 1, "verifies": 1})
-        if carried:
-            time.sleep(0.4)  # the verifier closes the idle connection, and its session with it
-        else:
-            # The next answer goes to a fetched challenge, and the verifier
-            # closes the connection while the client builds that answer.
-            authz._kept.challenges.clear()
-            monkeypatch.setattr(authz, "response_signing_bytes", idle_once)
+        if not carried:
+            authz._kept.challenges.clear()  # the next answer goes to a fetched challenge
+        # The verifier closes the connection, and its session with it, while
+        # the client builds its MAC'd answer.
+        monkeypatch.setattr(authz, "response_signing_bytes", idle_once)
         outcome = ask(endpoint, fixture, backend, clock)
     assert (outcome.decision, outcome.reasons) == (GRANT, ())
     # The MAC'd answer is refused on the new connection, then answered signed.

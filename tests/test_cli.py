@@ -386,7 +386,9 @@ def test_a_one_shot_request_grants_over_the_signed_path(abd, monkeypatch):
             "--resource", scenario.RESOURCE_ID, "--identity", "bob",
         )
     assert granted["decision"] == "grant" and "session_key" not in granted
-    assert len(signed) == 1 and signed[0].startswith(authz.SESSION_CONTEXT)
+    # A session it would never use is not offered: the answer is signed
+    # under AUTHZ_CONTEXT, as a client that knows no sessions signs it.
+    assert len(signed) == 1 and signed[0].startswith(authz.AUTHZ_CONTEXT)
     assert maced == []
 
 
