@@ -8,11 +8,11 @@ per shape reports, per decision: CPU microseconds of the whole process
 ``authorize_payload``, POSTs, and Ed25519 response signatures and verifies.
 
 kept      three subjects take turns, back to back, on one kept connection
-one-shot  each decision on a fresh connection, closed after it
-cli       as one-shot, but asking for no session, as ``abd request`` does
+one-shot  each decision on a fresh connection, closed after it, as
+          ``abd request`` decides
 idle      one subject, each decision after a pause longer than the
           verifier's read timeout, so it finds its kept connection closed
-many      four subjects more than a connection holds sessions for, in turn
+many      twenty subjects take turns on one kept connection
 
 To compare two revisions, run this script with each one's ``src`` first on
 ``PYTHONPATH``, e.g. from a ``git archive`` of each::
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import inspect
 import json
 import tempfile
 import threading
@@ -38,14 +37,15 @@ from abd.netsim import DhtConfig, SimulatedDht
 
 CLOCK = scenario.FIXTURE_EPOCH_US
 IDLE_TIMEOUT_S = 0.05  # the verifier's read timeout in the idle shape
-SHAPES = ("kept", "one-shot", "cli", "idle", "many")
+MANY_SUBJECTS = 20
+SHAPES = ("kept", "one-shot", "idle", "many")
 
 
 def measure(shape: str, decisions: int, root: Path) -> dict:
     backend = SimulatedDht(DhtConfig(node_count=1, replication_factor=1, cache_ttl_us=0))
     fixture = scenario.build_fixture(NamespaceStore(root / shape), backend, clock=CLOCK)
     subjects = [(fixture.key("bob"), fixture.bob_creds), (fixture.key("alice"), fixture.alice_creds)]
-    extra = getattr(authz, "MAX_SESSIONS", 16) + 2 if shape == "many" else 1
+    extra = MANY_SUBJECTS - len(subjects) if shape == "many" else 1
     for index in range(extra):
         key = NamespaceKey.generate(seed=bytes([index + 1]) * 32)
         credential = issue_credential(
@@ -89,16 +89,13 @@ def measure(shape: str, decisions: int, root: Path) -> dict:
     thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     endpoint = f"http://127.0.0.1:{httpd.server_address[1]}"
-    options = {}
-    if shape == "cli" and "offer_session" in inspect.signature(authz.request_access).parameters:
-        options["offer_session"] = False  # a tree without sessions has no such option
 
     def decide(index: int) -> None:
         subject, creds = subjects[index % len(subjects)]
-        outcome = authz.request_access(endpoint, scenario.RESOURCE_ID, subject, creds, backend, CLOCK, **options)
+        outcome = authz.request_access(endpoint, scenario.RESOURCE_ID, subject, creds, backend, CLOCK)
         if outcome.decision != authz.GRANT:
             raise SystemExit(f"{shape}: expected a grant, got {outcome}")
-        if shape in ("one-shot", "cli"):
+        if shape == "one-shot":
             authz.close_connection()
 
     try:

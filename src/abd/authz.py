@@ -37,19 +37,19 @@ keeps one connection, to the last endpoint it used, and for each resource
 there the challenge its last reply carried. It sends a request in one write,
 with no proxy, refuses a body over ``MAX_BODY_BYTES``, and resends once, on
 a new connection, only when a reused one closed before the reply began.
-A kept connection pays for Ed25519 once per subject key, as TLS 1.3
-authenticates once and then MACs each record (RFC 8446): the first answer
-for a subject is signed and offers an ephemeral X25519 key, the reply
-carries the verifier's, and later answers carry an HMAC-SHA256 under the
-key both sides derive with HKDF (RFC 5869). Each side holds at most
-``MAX_SESSIONS`` such keys per connection and drops them with it. A client
-that finds its kept connection closed while it idled drops it before it
-answers, so the answer is signed and opens a session on a new one. A MAC the
-verifier holds no session for, as when the close races the send, is refused
-like a stale nonce, and the client answers once more, signed. The gain is
-for back-to-back answers from a few subject keys on one kept connection; a
-one-shot client pays two X25519 key pairs and exchanges for a session it
-never uses.
+A client pays for Ed25519 once per subject key, as TLS 1.3 authenticates
+once and then MACs each record (RFC 8446): a signed answer may offer an
+ephemeral X25519 key, the reply carries the verifier's, and later answers
+carry an HMAC-SHA256 under the key both sides derive with HKDF (RFC 5869).
+A session is the verifier's state, as a TLS session ticket outlives its
+connection (RFC 5077): ``VerifierService.sessions`` holds at most
+``MAX_SESSIONS`` keys by (subject key, client's ephemeral key), and a MAC'd
+answer names its session by that ephemeral key, so it verifies on any
+connection, a fresh one after an idle close included. A client offers a
+session only on an answer to a challenge an earlier decision carried, so
+a one-shot caller pays for no exchange. A MAC the verifier holds no session
+for, as after a restart or an eviction, is refused like a stale nonce, and
+the client answers once more, signed.
 """
 from __future__ import annotations
 
@@ -58,7 +58,6 @@ import http.client
 import json
 import re
 import secrets
-import select
 import socket
 import socketserver
 import ssl
@@ -91,7 +90,7 @@ MAX_BODY_BYTES = 1 << 20  # an /authorize body for a few attributes is a few KB
 MAX_NONCES = 65_536  # outstanding nonces; a few hundred bytes each
 MAX_CHAINS = 4_096  # chains a verifier remembers, one per (subject, attribute)
 MAX_KEPT_GRANTS = 64  # granting credential sets a client thread keeps
-MAX_SESSIONS = 16  # subject keys each side holds a session key for, per connection
+MAX_SESSIONS = 4_096  # session keys a verifier, or a client thread, holds
 READ_TIMEOUT_S = 10.0  # a connection idle or stalled this long is closed
 MAX_HEAD_LINES = 100  # header lines in a request or a reply
 MAX_LINE_BYTES = 65_536  # a whole head: its start line and header lines, line ends included
@@ -104,7 +103,7 @@ GRANT, DENY, ERROR = "grant", "deny", "error"
 NONCE_UNKNOWN = "nonce unknown or already used"
 NONCE_EXPIRED = "nonce expired"
 NONCE_OTHER_RESOURCE = "nonce was issued for a different resource"
-NO_SESSION = "no session on this connection for the subject's MAC"
+NO_SESSION = "no session for the subject and session key of the MAC"
 REFUSALS = (NONCE_UNKNOWN, NONCE_EXPIRED, NONCE_OTHER_RESOURCE, NO_SESSION)
 
 
@@ -153,36 +152,39 @@ class PolicyStore:
 
 
 class ChainTable:
-    """The chain that last proved each (subject key, attribute), at most
-    ``MAX_CHAINS`` of them; the least recently used goes first.
+    """A map of at most ``cap`` entries under one lock; the least recently
+    used goes first. A verifier keeps two: the chain that last proved each
+    (subject key, attribute), at most ``MAX_CHAINS``, and each session's key
+    by (subject key, client's ephemeral key), at most ``MAX_SESSIONS``.
 
     A remembered chain only says where to look: ``authorize`` grants on it
     only after ``verify_chain`` accepts it against the name system as it is.
     """
 
-    def __init__(self) -> None:
-        self._chains: OrderedDict[tuple[bytes, str], DelegationChain] = OrderedDict()
+    def __init__(self, cap: int) -> None:
+        self._entries: OrderedDict[tuple, object] = OrderedDict()
+        self._cap = cap
         self._lock = threading.Lock()
 
-    def get(self, subject: bytes, attribute: str) -> Optional[DelegationChain]:
+    def get(self, key: tuple):
         with self._lock:
-            chain = self._chains.get((subject, attribute))
-            if chain is not None:
-                self._chains.move_to_end((subject, attribute))
-            return chain
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+            return value
 
-    def put(self, subject: bytes, attribute: str, chain: DelegationChain) -> None:
+    def put(self, key: tuple, value) -> None:
         with self._lock:
-            self._chains[subject, attribute] = chain
-            self._chains.move_to_end((subject, attribute))
-            if len(self._chains) > MAX_CHAINS:
-                self._chains.popitem(last=False)
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            if len(self._entries) > self._cap:
+                self._entries.popitem(last=False)
 
-    def drop(self, subject: bytes, attribute: str, chain: DelegationChain) -> None:
-        """Forget ``chain``, unless another decision has replaced it since."""
+    def drop(self, key: tuple, value) -> None:
+        """Forget ``value``, unless another decision has replaced it since."""
         with self._lock:
-            if self._chains.get((subject, attribute)) is chain:
-                del self._chains[subject, attribute]
+            if self._entries.get(key) is value:
+                del self._entries[key]
 
 
 class NonceTable:
@@ -227,23 +229,6 @@ class NonceTable:
             return self._issued.pop(nonce, None) is not None
 
 
-class SessionKeys(OrderedDict):
-    """One connection's session keys by subject key, at most
-    ``MAX_SESSIONS``; the least recently used goes first."""
-
-    def key(self, subject: bytes) -> Optional[bytes]:
-        key = self.get(subject)
-        if key is not None:
-            self.move_to_end(subject)
-        return key
-
-    def keep(self, subject: bytes, key: bytes) -> None:
-        self[subject] = key
-        self.move_to_end(subject)
-        if len(self) > MAX_SESSIONS:
-            self.popitem(last=False)
-
-
 def _session_key(
     ephemeral: X25519PrivateKey, peer: bytes, subject: bytes, client: bytes, verifier: bytes, nonce: bytes
 ) -> Optional[bytes]:
@@ -266,13 +251,13 @@ def _mac(key: bytes, signing_bytes: bytes) -> bytes:
 @dataclass(frozen=True)
 class AuthorizationResponse:
     """The subject's answer to a policy challenge, signed, or MAC'd under
-    the session key of the connection it arrives on."""
+    the key of the session its ``session_key`` names."""
 
     nonce: bytes
     subject: bytes
     credential_sets: Mapping[str, tuple[Credential, ...]]
     signature: Optional[bytes]
-    session_key: Optional[bytes] = None  # the client's ephemeral X25519 key: opens a session
+    session_key: Optional[bytes] = None  # the client's ephemeral X25519 key: opens or names a session
     mac: Optional[bytes] = None  # in place of the signature
 
     def signing_bytes(self) -> bytes:
@@ -386,7 +371,7 @@ def authorize(
     clock: int,
     nonce_table: NonceTable,
     chains: Optional[ChainTable] = None,
-    sessions: Optional[SessionKeys] = None,
+    sessions: Optional[ChainTable] = None,
 ) -> AuthzDecision:
     """Decide a signed or MAC'd response against a policy.
 
@@ -403,41 +388,44 @@ def authorize(
     response cannot grant twice, even when two copies of it are decided at
     once.
 
-    A response carrying a ``mac`` authenticates under the key ``sessions``,
-    its connection's, holds for its subject, and is refused (``NO_SESSION``)
-    when there is none. A signed response that offers a ``session_key``
-    opens a session in ``sessions``, and the decision carries the
+    A response carrying a ``mac`` authenticates under the key ``sessions``
+    holds for its subject and ``session_key``, and is refused
+    (``NO_SESSION``), before its nonce is looked at, when there is none, as
+    always without ``sessions``. A
+    signed response that offers a ``session_key`` opens a session in
+    ``sessions`` if its request consumes the nonce, so a copy decided at
+    the same time cannot replace the key, and the decision carries the
     verifier's ephemeral key.
     """
+    if response.mac is not None:
+        key = None if sessions is None else sessions.get((response.subject, response.session_key))
+        if key is None:  # before the nonce: after a restart, the client's one resend is signed
+            return AuthzDecision(decision=DENY, reasons=(NO_SESSION,))
     problem = nonce_table.status(response.nonce, policy.resource_id, clock)
     if problem is not None:
         return AuthzDecision(decision=DENY, reasons=(problem,))
     if len(response.subject) != KEY_LEN:
         return AuthzDecision(decision=DENY, reasons=("malformed subject key",))
-    opened = None
     if response.mac is not None:
-        key = None if sessions is None else sessions.key(response.subject)
-        if key is None:
-            return AuthzDecision(decision=DENY, reasons=(NO_SESSION,))
         if not hmac.compare_digest(_mac(key, response.signing_bytes()), response.mac):
             return AuthzDecision(decision=DENY, reasons=("response MAC invalid",))
     elif not verify_signature(
         response.subject, response.signature, response.signing_bytes(), remember=False
     ):
         return AuthzDecision(decision=DENY, reasons=("response signature invalid",))
-    elif response.session_key is not None and sessions is not None:
+    decision = _decide(verifier_pub, response, policy, backend, clock, chains)
+    if not nonce_table.consume(response.nonce):  # another copy of the response used it up
+        return AuthzDecision(DENY, (NONCE_UNKNOWN,)) if decision.decision == GRANT else decision
+    if response.mac is None and response.session_key is not None and sessions is not None:
         ephemeral = X25519PrivateKey.generate()
         share = ephemeral.public_key().public_bytes_raw()
         key = _session_key(
             ephemeral, response.session_key, response.subject, response.session_key, share, response.nonce
         )
         if key is not None:
-            sessions.keep(response.subject, key)
-            opened = share
-    decision = _decide(verifier_pub, response, policy, backend, clock, chains)
-    if not nonce_table.consume(response.nonce) and decision.decision == GRANT:
-        decision = AuthzDecision(decision=DENY, reasons=(NONCE_UNKNOWN,))
-    return decision if opened is None else replace(decision, session_key=opened)
+            sessions.put((response.subject, response.session_key), key)
+            return replace(decision, session_key=share)
+    return decision
 
 
 def _collect(
@@ -490,7 +478,7 @@ def _decide(
     if chains is not None:
         presented = set(supplied)
         for attribute in policy.required_attributes:
-            chain = chains.get(subject, attribute)
+            chain = chains.get((subject, attribute))
             if (
                 chain is None
                 or chain.issuer != verifier_pub
@@ -500,7 +488,7 @@ def _decide(
             if verify_chain(chain, subject, backend, clock):
                 proved[attribute] = chain
             else:
-                chains.drop(subject, attribute, chain)
+                chains.drop((subject, attribute), chain)
     unproved = [a for a in policy.required_attributes if a not in proved]
     if unproved:
         found = _collect(subject, supplied, verifier_pub, unproved, backend, clock)
@@ -508,7 +496,7 @@ def _decide(
             return found
         if chains is not None:
             for attribute, chain in found.items():
-                chains.put(subject, attribute, chain)
+                chains.put((subject, attribute), chain)
         proved.update(found)
     unsatisfied = [
         attribute for attribute in policy.required_attributes if attribute not in proved
@@ -579,14 +567,16 @@ class VerifierService:
     """State behind the two HTTP endpoints. Each decision on a known
     resource carries the next challenge, so a client answers it without
     another ``GET /policy``. The chain that last proved each subject's
-    attribute is re-checked before any search for one."""
+    attribute is re-checked before any search for one, and a MAC'd answer
+    is checked under the session it names, whatever connection it came on."""
 
     verifier_pub: bytes
     policies: PolicyStore
     backend: NameSystemBackend
     clock_fn: Callable[[], int]
     nonces: NonceTable = field(default_factory=NonceTable, init=False)
-    chains: ChainTable = field(default_factory=ChainTable, init=False)
+    chains: ChainTable = field(default_factory=lambda: ChainTable(MAX_CHAINS), init=False)
+    sessions: ChainTable = field(default_factory=lambda: ChainTable(MAX_SESSIONS), init=False)
 
     def policy_payload(self, resource_id: str) -> dict:
         return self._challenge(self.policies.get_policy(resource_id))
@@ -602,9 +592,8 @@ class VerifierService:
             "nonce": nonce.hex(),
         }
 
-    def authorize_payload(self, body: dict, sessions: Optional[SessionKeys] = None) -> tuple[int, dict]:
-        """The status and decision payload for a ``POST /authorize`` body,
-        with ``sessions`` the session keys of the connection it came on."""
+    def authorize_payload(self, body: dict) -> tuple[int, dict]:
+        """The status and decision payload for a ``POST /authorize`` body."""
         try:
             resource_id = body["resource_id"]
             if not isinstance(resource_id, str):
@@ -642,7 +631,7 @@ class VerifierService:
             clock=self.clock_fn(),
             nonce_table=self.nonces,
             chains=self.chains,
-            sessions=sessions,
+            sessions=self.sessions,
         )
         payload = decision.to_json()
         payload["next"] = self._challenge(policy)
@@ -653,14 +642,12 @@ class _Connection(socketserver.StreamRequestHandler):
     """One client connection, Nagle's algorithm off. Its requests are
     answered in order, each reply in one send, until a reply is not 200, the
     client asks to close or closes, or any OSError, a read timeout included.
-    Bytes left unread after a rejected request are never parsed as a new one.
-    The connection's session keys live and die with it."""
+    Bytes left unread after a rejected request are never parsed as a new one."""
 
     service: VerifierService  # set on the subclass by make_server
     disable_nagle_algorithm = True
 
     def handle(self) -> None:
-        self.sessions = SessionKeys()
         keep = True
         try:
             while keep:
@@ -705,7 +692,7 @@ class _Connection(socketserver.StreamRequestHandler):
             body = json.loads(self.rfile.read(length))
         except ValueError as exc:
             raise http.client.HTTPException(400, f"bad JSON: {exc}") from None
-        return self.service.authorize_payload(body, self.sessions)
+        return self.service.authorize_payload(body)
 
 
 class _Server(socketserver.ThreadingTCPServer):
@@ -729,16 +716,17 @@ def make_server(service: VerifierService, host: str, port: int) -> socketserver.
 
 class _Kept(threading.local):
     """Per client thread: the socket to the last endpoint used (Nagle off)
-    with a buffered reader and the session keys opened on it, the challenge
-    last carried for each (endpoint, resource id), and the credential sets
-    that last granted each (endpoint, resource id, subject key), at most
-    ``MAX_KEPT_GRANTS``."""
+    with a buffered reader, the session with that endpoint's verifier for
+    each subject key, as (the client's ephemeral key, the session key), the
+    challenge last carried for each (endpoint, resource id), and the
+    credential sets that last granted each (endpoint, resource id, subject
+    key), at most ``MAX_KEPT_GRANTS``."""
 
     def __init__(self) -> None:
         self.endpoint: Optional[tuple[str, str]] = None
         self.sock: Optional[socket.socket] = None
         self.reader = None
-        self.sessions = SessionKeys()
+        self.sessions: dict[bytes, tuple[bytes, bytes]] = {}
         self.challenges: dict[tuple[str, str], Challenge] = {}
         self.grants: dict[tuple[str, str, bytes], dict[str, tuple[Credential, ...]]] = {}
 
@@ -761,17 +749,6 @@ class _Kept(threading.local):
             self.reader.close()
             self.sock.close()
             self.sock = self.reader = None
-            self.sessions.clear()
-
-    def drop_if_closed(self) -> None:
-        """Disconnect if the verifier closed the kept connection while it
-        idled: with no request outstanding, a readable socket holds only its
-        end of file (or bytes no request asked for)."""
-        if self.sock is not None:
-            poller = select.poll()
-            poller.register(self.sock, select.POLLIN)
-            if poller.poll(0):
-                self.disconnect()
 
 
 _kept = _Kept()
@@ -779,8 +756,9 @@ _kept = _Kept()
 
 def close_connection() -> None:
     """Close this thread's kept connection, if it has one, and drop its
-    carried challenges and granting credential sets."""
+    sessions, carried challenges and granting credential sets."""
     _kept.disconnect()
+    _kept.sessions = {}
     _kept.challenges = {}
     _kept.grants = {}
 
@@ -922,24 +900,25 @@ def _answer(
     subject: NamespaceKey,
     credential_sets: Mapping[str, tuple[Credential, ...]],
     timeout: float,
-    offer_session: bool,
+    offer: bool,
 ) -> tuple[AuthzDecision, Optional[Challenge]]:
     """Submit ``credential_sets`` as the answer to ``challenge``: MAC'd
-    under the kept connection's session key for the subject, or else
-    signed. A signed answer offers a session, which opens when the reply
-    carries the verifier's key, only if ``offer_session``, the connection
-    is already open (one the verifier closed while the thread idled would
-    likely close again before a MAC could use it) and it holds fewer than
-    ``MAX_SESSIONS`` (a full one keeps the sessions it has rather than churn
-    them). A refusal for want of a session drops the subject's. Returns the
-    decision and the challenge the reply carries, if it carries one."""
-    key = _kept.sessions.key(subject.public_key)
-    ephemeral = offered = None
-    if key is not None:
-        signing_bytes = response_signing_bytes(challenge.nonce, subject.public_key, credential_sets)
-        proof = {"mac": _mac(key, signing_bytes).hex()}
+    under the thread's session for the subject, or else signed. A signed
+    answer offers a session, which opens when the reply carries the
+    verifier's key, only if ``offer`` and the thread holds fewer than
+    ``MAX_SESSIONS`` (a full thread keeps the sessions it has rather than
+    churn them). A refusal for want of a session drops the subject's.
+    Returns the decision and the challenge the reply carries, if it carries
+    one."""
+    session = _kept.sessions.get(subject.public_key)
+    ephemeral = None
+    if session is not None:
+        offered, key = session
+        signing_bytes = response_signing_bytes(challenge.nonce, subject.public_key, credential_sets, offered)
+        proof = {"session_key": offered.hex(), "mac": _mac(key, signing_bytes).hex()}
     else:
-        if offer_session and _kept.sock is not None and len(_kept.sessions) < MAX_SESSIONS:
+        offered = None
+        if offer and len(_kept.sessions) < MAX_SESSIONS:
             ephemeral = X25519PrivateKey.generate()
             offered = ephemeral.public_key().public_bytes_raw()
         response = build_response(subject, challenge.nonce, credential_sets, offered)
@@ -971,16 +950,16 @@ def _answer(
         return sent, None
     status, reply = sent
     decision = AuthzDecision.from_json(status, reply)
-    if key is not None and decision.reasons == (NO_SESSION,):
-        _kept.sessions.pop(subject.public_key, None)
-    elif ephemeral is not None and _kept.sock is not None and "session_key" in reply:
+    if session is not None and decision.reasons == (NO_SESSION,):
+        del _kept.sessions[subject.public_key]
+    elif ephemeral is not None and "session_key" in reply:
         try:
             share = bytes.fromhex(reply["session_key"])
         except (TypeError, ValueError):
             share = b""
         key = _session_key(ephemeral, share, subject.public_key, offered, share, challenge.nonce)
         if key is not None:
-            _kept.sessions.keep(subject.public_key, key)
+            _kept.sessions[subject.public_key] = (offered, key)
     try:
         following = Challenge.from_json(resource_id, reply["next"])
     except (KeyError, ValueError, TypeError, AbdError):
@@ -1016,27 +995,25 @@ def request_access(
     backend: NameSystemBackend,
     clock: int,
     timeout: float = 10.0,
-    offer_session: bool = True,
 ) -> AuthzDecision:
     """Full subject-side round trip against a verifier endpoint.
 
     Answers a challenge (the policy and a nonce): collects proof credentials
-    via local discovery, signs the response, and submits it. Every decision
-    reply carries the next challenge, which the thread keeps beside its
-    connection, so after its first request a thread makes one exchange per
-    decision on a resource. It keeps one challenge per endpoint and
+    via local discovery, signs or MACs the response, and submits it. Every
+    decision reply carries the next challenge, which the thread keeps beside
+    its connection, so after its first request a thread makes one exchange
+    per decision on a resource. It keeps one challenge per endpoint and
     resource, and fetches one with ``GET /policy`` only when it holds none.
     A carried nonce can go stale (it expired, or the verifier restarted or
     dropped it); if the verifier refuses one, the answer is sent once more,
     to the challenge the refusal carries (or, if it carries none, to one
-    fetched with ``GET /policy``). A kept connection the verifier closed
-    while the thread idled is dropped, with its sessions, before the answer
-    is made. A MAC'd answer the verifier holds no session for, as when it
-    closed the connection under the send, is sent once more, signed, to the
+    fetched with ``GET /policy``). A signed answer to a carried challenge
+    opens a session with the verifier, and the subject's later answers are
+    MAC'd under it, on any connection; an answer to a fetched challenge,
+    such as a one-shot caller's only one, offers none, so it pays for no
+    X25519 exchange. A MAC'd answer the verifier holds no session for, as
+    after a restart or an eviction, is sent once more, signed, to the
     challenge the refusal carries, whether the first was carried or fetched.
-    With ``offer_session`` false every answer is signed and offers no
-    session, as a caller that decides once and closes should ask: a session
-    it never uses costs both sides an X25519 key pair and exchange.
     The thread also keeps the credential sets that last granted the subject
     the resource, and re-presents them without a search while each is still
     held and counts. If the verifier denies them, as after a revocation, they
@@ -1076,10 +1053,10 @@ def request_access(
                 for attribute in policy.required_attributes
             }
         granted = None  # sets are re-presented at most once per call
-        _kept.drop_if_closed()  # with its sessions: the answer is signed, in one exchange
         maced = subject.public_key in _kept.sessions
+        # A one-shot caller answers only a fetched challenge: it offers no session.
         decision, challenge = _answer(
-            endpoint, resource_id, challenge, subject, credential_sets, timeout, offer_session
+            endpoint, resource_id, challenge, subject, credential_sets, timeout, carried
         )
         if decision.decision == GRANT:
             _kept.grants.pop(kept, None)

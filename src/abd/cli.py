@@ -414,7 +414,6 @@ def cmd_request(cli: Cli) -> int:
             subject_creds=credentials,
             backend=cli.backend,
             clock=cli.clock,
-            offer_session=False,  # one decision, then the connection closes
         )
     finally:
         close_connection()

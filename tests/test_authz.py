@@ -464,7 +464,7 @@ def granted_instance(seed: int):
     for offset in range(100):
         instance = generate_instance(random.Random(seed + offset))
         backend = publish_instance(instance)
-        chains = ChainTable()
+        chains = ChainTable(authz.MAX_CHAINS)
         presented = instance.live_credentials()
         if decide_with(chains, instance, backend, GEN_CLOCK, presented).decision == GRANT:
             return instance, backend, chains
@@ -492,7 +492,7 @@ def test_a_remembered_chain_decides_as_a_search_and_the_oracle_do(seed, change, 
     if found is None:
         return
     instance, backend, chains = found
-    (chain,) = chains._chains.values()
+    (chain,) = chains._entries.values()
     presented, clock = instance.live_credentials(), GEN_CLOCK
     on_chain = {(s.subject, s.label, decode_attr_payload(s.record.payload)) for s in chain.steps}
     if change == "revoke_on_chain" and on_chain:
@@ -517,28 +517,27 @@ def test_a_remembered_chain_decides_as_a_search_and_the_oracle_do(seed, change, 
     assert remembered.decision == (GRANT if entailed else DENY), change
 
 
-def test_the_chain_table_stays_within_its_cap(fixture, backend, clock, monkeypatch):
-    monkeypatch.setattr(authz, "MAX_CHAINS", 8)
+def test_the_chain_table_stays_within_its_cap(fixture, backend, clock):
     portal = fixture.key("portal")
     members = [fresh_key(b"member%d" % index) for index in range(30)]
     for member in members:
         add_delegation(fixture.store, portal, "user", parse_expression(member.public_key.hex()), clock=clock)
     assert fixture.store.publish(portal, backend, clock).ok
-    chains, nonces = ChainTable(), NonceTable()
+    chains, nonces = ChainTable(8), NonceTable()
     for member in members:
         response = build_response(member, nonces.issue(scenario.RESOURCE_ID, clock), {"user": ()})
         decision = authorize(portal.public_key, response, portal_policy(), backend, clock, nonces, chains)
         assert decision.decision == GRANT
-        assert len(chains._chains) <= 8
+        assert len(chains._entries) <= 8
     # The most recent grants are the ones kept.
-    assert [subject for subject, _ in chains._chains] == [m.public_key for m in members[-8:]]
+    assert [subject for subject, _ in chains._entries] == [m.public_key for m in members[-8:]]
 
 
 def test_two_threads_deciding_at_once_share_one_chain_table(tmp_path, clock):
     root = tmp_path / "backend"
     fixture = scenario.build_fixture(NamespaceStore(tmp_path / "home"), FileBackend(root), clock=clock)
     served = FileBackend(root)  # as `abd serve` builds it
-    portal, chains, nonces = fixture.key("portal").public_key, ChainTable(), NonceTable()
+    portal, chains, nonces = fixture.key("portal").public_key, ChainTable(authz.MAX_CHAINS), NonceTable()
     employee_only = [c for c in fixture.bob_creds if c.attribute == "employee"]
     mix = [
         (fixture.key("bob"), fixture.bob_creds, GRANT),
@@ -565,7 +564,7 @@ def test_two_threads_deciding_at_once_share_one_chain_table(tmp_path, clock):
     for thread in threads:
         thread.join()
     assert failures == []
-    assert len(chains._chains) == 2
+    assert len(chains._entries) == 2
 
 
 # --- policies of more than one attribute ------------------------------------------------
@@ -1054,49 +1053,43 @@ def test_one_client_thread_uses_one_connection(service, fixture, backend, clock)
 
 
 def test_a_connection_the_server_closed_idle_is_replaced_and_decides_once(
-    service, fixture, backend, clock, monkeypatch
+    service, sent, ed25519, fixture, backend, clock, monkeypatch
 ):
     monkeypatch.setattr(authz, "READ_TIMEOUT_S", 0.2)
     decided = []
     authorize_payload = service.authorize_payload
 
-    def counting_authorize_payload(body, sessions):
+    def counting_authorize_payload(body):
         decided.append(body["nonce"])
-        return authorize_payload(body, sessions)
+        return authorize_payload(body)
 
     monkeypatch.setattr(service, "authorize_payload", counting_authorize_payload)
-    # The client idles once while it signs its answer, a step every answer
-    # on a connection without a session takes, so the kept connection is
-    # closed under the POST.
-    sign, idled = authz.build_response, []
+    # The client idles once while it builds its answer, a step every answer
+    # takes, so the kept connection is closed under the POST.
+    signing_bytes, idled = authz.response_signing_bytes, []
 
     def idle_once(*args):
         if not idled:
             idled.append(True)
             time.sleep(0.4)
-        return sign(*args)
-
-    def ask():
-        return request_access(
-            endpoint, scenario.RESOURCE_ID, fixture.key("bob"), fixture.bob_creds, backend, clock
-        ).decision
+        return signing_bytes(*args)
 
     with serving(make_server(service, "127.0.0.1", 0)) as endpoint:
-        assert ask() == GRANT
-        assert len(decided) == 1
-        # The client sees the close before it answers: the answer is signed,
-        # not MAC'd under the session the old connection held, and offers no
-        # session on the connection it had to open for it.
+        # The answer to the fetched challenge is signed; the one to the
+        # carried challenge is signed too, and opens a session.
+        assert [ask(endpoint, fixture, backend, clock).decision for _ in range(2)] == [GRANT] * 2
+        assert (len(decided), ed25519) == (2, {"signs": 2, "verifies": 2})
+        # The session outlives the connection: after an idle close the next
+        # answer is MAC'd, resent on a new connection and decided there, in
+        # one POST and with no Ed25519 check.
         time.sleep(0.4)  # idle between two decisions
-        assert ask() == GRANT
-        assert len(decided) == 2
-        assert not authz._kept.sessions
-        monkeypatch.setattr(authz, "build_response", idle_once)
-        assert ask() == GRANT
+        assert ask(endpoint, fixture, backend, clock).decision == GRANT
+        assert (len(decided), sent["POST"], ed25519) == (3, 3, {"signs": 2, "verifies": 2})
+        monkeypatch.setattr(authz, "response_signing_bytes", idle_once)
+        assert ask(endpoint, fixture, backend, clock).decision == GRANT
         assert idled
-        assert len(decided) == 3
-        close_connection()
-    assert len(set(decided)) == 3
+        assert (len(decided), sent["POST"], ed25519) == (4, 4, {"signs": 2, "verifies": 2})
+    assert len(set(decided)) == 4
 
 
 def test_pipelined_requests_are_answered_in_order(endpoint):
@@ -1677,7 +1670,9 @@ def test_a_kept_connection_signs_and_verifies_once_per_subject(service, sent, ed
     assert decisions == [GRANT] * 20
     assert len(accepted) == 1
     assert sent == {"GET": 1, "POST": 20}
-    assert ed25519 == {"signs": 2, "verifies": 2}
+    # Bob's first answer goes to a fetched challenge and offers no session;
+    # his second and alice's first open one each.
+    assert ed25519 == {"signs": 3, "verifies": 3}
 
 
 def test_a_full_client_keeps_its_sessions_and_signs_the_rest(
@@ -1687,24 +1682,26 @@ def test_a_full_client_keeps_its_sessions_and_signs_the_rest(
     subjects = [(fixture.key("bob"), fixture.bob_creds), (fixture.key("alice"), fixture.alice_creds)]
     decisions = [ask(endpoint, fixture, backend, clock, *subjects[i // 2 % 2]).decision for i in range(8)]
     assert decisions == [GRANT] * 8
-    # Bob's session stays; alice's four answers are signed and offer none,
-    # so no subject's session is churned by another's.
+    # Bob's second answer opens the one session and it stays; alice's four
+    # answers are signed and offer none, so no subject's session is churned
+    # by another's.
     assert sent == {"GET": 1, "POST": 8}
-    assert ed25519 == {"signs": 5, "verifies": 5}
+    assert ed25519 == {"signs": 6, "verifies": 6}
     assert list(authz._kept.sessions) == [fixture.key("bob").public_key]
 
 
-def test_a_verifier_connection_holds_at_most_max_sessions(endpoint, service, fixture, monkeypatch):
+def test_the_verifier_holds_at_most_max_sessions_across_connections(fixture, backend, clock, monkeypatch):
     monkeypatch.setattr(authz, "MAX_SESSIONS", 1)
+    service = verifier_over(fixture.key("portal"), backend, clock)
     bob, alice = fixture.key("bob"), fixture.key("alice")
-    fresh = lambda: service.nonces.issue(scenario.RESOURCE_ID, service.clock_fn())  # noqa: E731
-    with connections(endpoint, 1) as (connection,):
-        bobs = open_session(connection, service, bob, fixture.bob_creds)
-        alices = open_session(connection, service, alice, fixture.alice_creds)
-        # Alice's session evicted bob's, the least recently used.
-        refused = post_on(connection, mac_body(bobs, fresh(), bob, fixture.bob_creds))
+    fresh = lambda: service.nonces.issue(scenario.RESOURCE_ID, clock)  # noqa: E731
+    with serving(make_server(service, "127.0.0.1", 0)) as endpoint, connections(endpoint, 2) as (first, second):
+        bobs = open_session(first, service, bob, fixture.bob_creds)
+        alices = open_session(second, service, alice, fixture.alice_creds)
+        # Alice's session, opened on another connection, evicted bob's.
+        refused = post_on(first, mac_body(bobs, fresh(), bob, fixture.bob_creds))
         assert refused["reasons"] == [authz.NO_SESSION]
-        assert post_on(connection, mac_body(alices, fresh(), alice, fixture.alice_creds))["decision"] == GRANT
+        assert post_on(first, mac_body(alices, fresh(), alice, fixture.alice_creds))["decision"] == GRANT
 
 
 def post_on(connection: http.client.HTTPConnection, body: dict) -> dict:
@@ -1725,13 +1722,16 @@ def answer_body(nonce: bytes, subject: NamespaceKey, creds, **proof: bytes) -> d
     }
 
 
-def mac_body(key: bytes, nonce: bytes, subject: NamespaceKey, creds) -> dict:
-    mac = authz._mac(key, response_signing_bytes(nonce, subject.public_key, {"user": creds}))
-    return answer_body(nonce, subject, creds, mac=mac)
+def mac_body(session: tuple[bytes, bytes], nonce: bytes, subject: NamespaceKey, creds) -> dict:
+    """An answer MAC'd under ``session``'s key, naming it by its share."""
+    share, key = session
+    mac = authz._mac(key, response_signing_bytes(nonce, subject.public_key, {"user": creds}, share))
+    return answer_body(nonce, subject, creds, session_key=share, mac=mac)
 
 
-def open_session(connection, service, subject: NamespaceKey, creds) -> bytes:
-    """The session key a signed answer for ``subject`` opens on ``connection``."""
+def open_session(connection, service, subject: NamespaceKey, creds) -> tuple[bytes, bytes]:
+    """The client's share and the key of the session a signed answer for
+    ``subject`` opens, sent on ``connection``."""
     nonce = service.nonces.issue(scenario.RESOURCE_ID, service.clock_fn())
     ephemeral = X25519PrivateKey.generate()
     offered = ephemeral.public_key().public_bytes_raw()
@@ -1739,7 +1739,7 @@ def open_session(connection, service, subject: NamespaceKey, creds) -> bytes:
     reply = post_on(connection, answer_body(nonce, subject, creds, signature=signed.signature, session_key=offered))
     assert reply["decision"] == GRANT
     share = bytes.fromhex(reply["session_key"])
-    return authz._session_key(ephemeral, share, subject.public_key, offered, share, nonce)
+    return offered, authz._session_key(ephemeral, share, subject.public_key, offered, share, nonce)
 
 
 @contextlib.contextmanager
@@ -1753,40 +1753,45 @@ def connections(endpoint: str, count: int):
             connection.close()
 
 
-def test_a_mac_grants_only_under_its_own_connections_session(endpoint, service, fixture):
-    bob, creds = fixture.key("bob"), fixture.bob_creds
+def test_a_mac_grants_only_under_its_own_session(endpoint, service, fixture):
+    bob, alice, creds = fixture.key("bob"), fixture.key("alice"), fixture.bob_creds
     fresh = lambda: service.nonces.issue(scenario.RESOURCE_ID, service.clock_fn())  # noqa: E731
-    with connections(endpoint, 3) as (first, second, bare):
-        key, other = open_session(first, service, bob, creds), open_session(second, service, bob, creds)
+    with connections(endpoint, 2) as (first, second):
+        share, key = open_session(first, service, bob, creds)
+        other_share, other = open_session(first, service, bob, creds)
+        alices_share, _ = open_session(first, service, alice, fixture.alice_creds)
         assert key != other
-        # A MAC made under another connection's key.
         nonce = fresh()
-        assert post_on(second, mac_body(key, nonce, bob, creds))["reasons"] == ["response MAC invalid"]
+        # A wrong key naming a real session.
+        wrong = post_on(first, mac_body((other_share, key), nonce, bob, creds))
+        assert wrong["reasons"] == ["response MAC invalid"]
         # One flipped MAC byte.
-        body = mac_body(key, nonce, bob, creds)
+        body = mac_body((share, key), nonce, bob, creds)
         body["mac"] = f"{int(body['mac'][:2], 16) ^ 1:02x}" + body["mac"][2:]
         assert post_on(first, body)["reasons"] == ["response MAC invalid"]
-        # No session on the connection: refused, and the nonce stays usable.
-        refused = post_on(bare, mac_body(key, nonce, bob, creds))
-        assert (refused["decision"], refused["reasons"]) == (DENY, [authz.NO_SESSION])
-        assert "session_key" not in refused and refused["next"]["nonce"] != nonce.hex()
-        assert service.nonces.status(nonce, scenario.RESOURCE_ID, service.clock_fn()) is None
-        # The right MAC on the right connection grants, once.
-        assert post_on(first, mac_body(key, nonce, bob, creds))["decision"] == GRANT
-        assert post_on(first, mac_body(key, nonce, bob, creds))["reasons"] == [NONCE_UNKNOWN]
-        assert post_on(second, mac_body(other, fresh(), bob, creds))["decision"] == GRANT
+        # An unknown share, or another subject's: refused, and the nonce stays usable.
+        for unknown in (bytes(32), alices_share):
+            refused = post_on(first, mac_body((unknown, key), nonce, bob, creds))
+            assert (refused["decision"], refused["reasons"]) == (DENY, [authz.NO_SESSION])
+            assert "session_key" not in refused and refused["next"]["nonce"] != nonce.hex()
+            assert service.nonces.status(nonce, scenario.RESOURCE_ID, service.clock_fn()) is None
+        # The right MAC grants, once, on whichever connection it arrives.
+        assert post_on(second, mac_body((share, key), nonce, bob, creds))["decision"] == GRANT
+        assert post_on(second, mac_body((share, key), nonce, bob, creds))["reasons"] == [NONCE_UNKNOWN]
+        assert post_on(first, mac_body((share, key), nonce, bob, creds))["reasons"] == [NONCE_UNKNOWN]
+        assert post_on(first, mac_body((other_share, other), fresh(), bob, creds))["decision"] == GRANT
 
 
 def test_a_maced_response_decided_twice_at_once_grants_once(tmp_path, clock):
     backend = ReplayOnFirstGet(ONE_NODE)
     fixture = scenario.build_fixture(NamespaceStore(tmp_path / "home"), backend, clock=clock)
-    table, sessions, bob = NonceTable(), authz.SessionKeys(), fixture.key("bob")
-    key = bytes(range(32))
-    sessions.keep(bob.public_key, key)
+    table, sessions, bob = NonceTable(), ChainTable(authz.MAX_SESSIONS), fixture.key("bob")
+    share, key = bytes(range(32)), bytes(range(32, 64))
+    sessions.put((bob.public_key, share), key)
     nonce = table.issue(scenario.RESOURCE_ID, clock)
     sets = {"user": tuple(fixture.bob_creds)}
-    mac = authz._mac(key, response_signing_bytes(nonce, bob.public_key, sets))
-    response = AuthorizationResponse(nonce, bob.public_key, sets, signature=None, mac=mac)
+    mac = authz._mac(key, response_signing_bytes(nonce, bob.public_key, sets, share))
+    response = AuthorizationResponse(nonce, bob.public_key, sets, signature=None, session_key=share, mac=mac)
 
     def decide():
         return authorize(
@@ -1800,43 +1805,85 @@ def test_a_maced_response_decided_twice_at_once_grants_once(tmp_path, clock):
     assert outer.reasons == (NONCE_UNKNOWN,)
 
 
+def test_an_answer_opening_a_session_decided_twice_at_once_opens_it_once(tmp_path, clock):
+    backend = ReplayOnFirstGet(ONE_NODE)
+    fixture = scenario.build_fixture(NamespaceStore(tmp_path / "home"), backend, clock=clock)
+    table, sessions, bob = NonceTable(), ChainTable(authz.MAX_SESSIONS), fixture.key("bob")
+    ephemeral = X25519PrivateKey.generate()
+    offered = ephemeral.public_key().public_bytes_raw()
+    nonce = table.issue(scenario.RESOURCE_ID, clock)
+    response = build_response(bob, nonce, {"user": fixture.bob_creds}, offered)
+
+    def decide():
+        return authorize(
+            fixture.key("portal").public_key, response, portal_policy(), backend, clock, table, sessions=sessions
+        )
+
+    inner = []
+    backend.replay = lambda: inner.append(decide())
+    outer = decide()
+    # Only the copy that used the nonce up opens a session, so a copy raced
+    # beside the client's cannot replace the key the client derives.
+    assert [(d.decision, d.session_key is None) for d in inner + [outer]] == [(GRANT, False), (DENY, True)]
+    share = inner[0].session_key
+    derived = authz._session_key(ephemeral, share, bob.public_key, offered, share, nonce)
+    assert sessions.get((bob.public_key, offered)) == derived
+
+
 @pytest.mark.parametrize("carried", [True, False], ids=["carried-challenge", "fetched-challenge"])
 def test_a_session_the_verifier_dropped_costs_one_exchange(
-    service, sent, ed25519, fixture, backend, clock, monkeypatch, carried
+    endpoint, service, sent, ed25519, fixture, backend, clock, carried
 ):
-    monkeypatch.setattr(authz, "READ_TIMEOUT_S", 0.2)
-    signing_bytes, idled = authz.response_signing_bytes, []
-
-    def idle_once(*args):
-        if not idled:
-            idled.append(True)
-            time.sleep(0.4)
-        return signing_bytes(*args)
-
-    with serving(make_server(service, "127.0.0.1", 0)) as endpoint:
-        assert [ask(endpoint, fixture, backend, clock).decision for _ in range(2)] == [GRANT] * 2
-        assert (sent, ed25519) == ({"GET": 1, "POST": 2}, {"signs": 1, "verifies": 1})
-        if not carried:
-            authz._kept.challenges.clear()  # the next answer goes to a fetched challenge
-        # The verifier closes the connection, and its session with it, while
-        # the client builds its MAC'd answer.
-        monkeypatch.setattr(authz, "response_signing_bytes", idle_once)
-        outcome = ask(endpoint, fixture, backend, clock)
+    assert [ask(endpoint, fixture, backend, clock).decision for _ in range(3)] == [GRANT] * 3
+    assert (sent, ed25519) == ({"GET": 1, "POST": 3}, {"signs": 2, "verifies": 2})
+    if not carried:
+        authz._kept.challenges.clear()  # the next answer goes to a fetched challenge
+    # A restart: the carried nonce and the session are both gone.
+    service.nonces, service.sessions = NonceTable(), ChainTable(authz.MAX_SESSIONS)
+    outcome = ask(endpoint, fixture, backend, clock)
     assert (outcome.decision, outcome.reasons) == (GRANT, ())
-    # The MAC'd answer is refused on the new connection, then answered signed.
-    assert (sent, ed25519) == ({"GET": 1 if carried else 2, "POST": 4}, {"signs": 2, "verifies": 2})
+    # The MAC'd answer is refused, then answered once more, signed.
+    assert (sent, ed25519) == ({"GET": 1 if carried else 2, "POST": 5}, {"signs": 3, "verifies": 3})
+
+
+def test_two_threads_of_one_subject_keep_separate_sessions(endpoint, service, ed25519, fixture, backend, clock):
+    start, outcomes = threading.Barrier(2), []
+
+    def client():
+        try:
+            start.wait()
+            outcomes.extend(ask(endpoint, fixture, backend, clock) for _ in range(10))
+        finally:
+            close_connection()
+
+    threads = [threading.Thread(target=client) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    # Each thread signs twice, its second answer opening its own session:
+    # neither thread's session displaces the other's, so no MAC is refused.
+    assert [(o.decision, o.reasons) for o in outcomes] == [(GRANT, ())] * 20
+    assert ed25519 == {"signs": 4, "verifies": 4}
+    assert len(service.sessions._entries) == 2
 
 
 @pytest.mark.parametrize("share", [5, "zz", "00" * 31, "00" * 32], ids=["number", "not-hex", "short", "low-order"])
-def test_a_reply_whose_session_key_is_unusable_opens_no_session(fixture, backend, clock, ed25519, share):
-    policy = json.dumps(stub_policy(fixture)).encode()
-    deny = json.dumps({"decision": "deny", "reasons": ["no"], "chain_summaries": [], "session_key": share}).encode()
-    with raw_verifier({"GET": (framed(policy), False), "POST": (framed(deny), False)}) as endpoint:
+def test_a_reply_whose_session_key_is_unusable_opens_no_session(fixture, backend, clock, ed25519, share, monkeypatch):
+    derived, session_key = [], authz._session_key
+    monkeypatch.setattr(authz, "_session_key", lambda *args: derived.append(None) or session_key(*args))
+    policy = stub_policy(fixture)
+    deny = json.dumps(
+        {"decision": "deny", "reasons": ["no"], "chain_summaries": [], "session_key": share, "next": policy}
+    ).encode()
+    replies = {"GET": (framed(json.dumps(policy).encode()), False), "POST": (framed(deny), False)}
+    with raw_verifier(replies) as endpoint:
         for _ in range(3):
             outcome = ask(endpoint, fixture, backend, clock)
             assert (outcome.decision, outcome.reasons) == (DENY, ("no",))
             assert not authz._kept.sessions
-    assert ed25519["signs"] == 3
+    # The answers to the two carried challenges offered a session, and none opened.
+    assert ed25519["signs"] == 3 and len(derived) == 2
 
 
 # --- resource ids that are not URL-safe ----------------------------------------------------
